@@ -4,7 +4,7 @@ cycles for both free and torsion generators.
 """
 
 from . import fields, snf
-from .errors import CoefficientError, ValidationError
+from .errors import ValidationError
 from .fields import ZZ
 
 
@@ -123,9 +123,6 @@ class ChainComplex:
         fields.require_field(coeffs)
         return self._homology_field(k, coeffs)
 
-    def homology_all(self, coeffs=ZZ):
-        return {k: self.homology(k, coeffs) for k in self.degrees()}
-
     def _kernel_columns(self, k):
         n = self.dim(k)
         if self.dim(k - 1) == 0:
@@ -184,20 +181,10 @@ class ChainComplex:
         if not kernel:
             return _zero_group(labels, field)
         bup = self.boundary_matrix(k + 1)
-        image = []
-        for j in range(self.dim(k + 1)):
-            image.append([field.from_int(bup[i][j]) for i in range(n)])
-        img_rank = fields.rank(image, field)
-        reps = []
-        working = list(image)
-        current = img_rank
-        for v in kernel:
-            cand = working + [v]
-            r2 = fields.rank(cand, field)
-            if r2 > current:
-                reps.append(v)
-                working = cand
-                current = r2
+        span = fields.Echelon(field, [
+            [field.from_int(bup[i][j]) for i in range(n)]
+            for j in range(self.dim(k + 1))])
+        reps = [v for v in kernel if span.add(v)]
         return HomologyGroup(len(reps), [], reps, [], labels, field)
 
 

@@ -16,9 +16,9 @@ import json
 import sys
 
 from . import fields
-from .cycles import CycleExpression, format_term
+from .cycles import CycleExpression
 from .errors import TorushomError, ValidationError
-from .fields import QQ, ZZ
+from .fields import QQ
 from .fixtures import bundled_names, dumps_fixture, resolve_fixture
 from .generator import polygon_with_holes
 from .posets import BOTTOM
@@ -302,7 +302,7 @@ def _parse_term(chunk, fixture):
         if len(parts) == 2:
             name, word = parts[1], ()
         elif len(parts) == 3:
-            name, word = parts[1], _parse_word(parts[2])
+            name, word = parts[1], _parse_word(parts[2], fixture.n)
         else:
             raise ValidationError(
                 "class term must be kind:name[:word], got %r" % (chunk,))
@@ -328,7 +328,7 @@ def _parse_coeff(head):
         raise ValidationError("bad coefficient %r" % (head,)) from None
 
 
-def _parse_word(text):
+def _parse_word(text, n):
     if not text.startswith("e"):
         raise ValidationError(
             "torus word must look like e12 or e0, got %r" % (text,))
@@ -340,9 +340,13 @@ def _parse_word(text):
     else:
         pieces = list(body)
     try:
-        return tuple(int(p) for p in pieces)
+        axes = tuple(int(p) for p in pieces)
     except ValueError:
         raise ValidationError("bad torus word %r" % (text,)) from None
+    if len(set(axes)) != len(axes) or not all(1 <= a <= n for a in axes):
+        raise ValidationError(
+            "torus word %r must name distinct axes in 1..%d" % (text, n))
+    return axes
 
 
 def _resolve_element(text, fixture):

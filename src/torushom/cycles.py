@@ -19,7 +19,7 @@ backtracking search through bordism moves bounded by ``max_depth``.
 from .errors import (ValidationError, UnresolvableError,
                      DegreeOverflowError, MismatchedDatumError)
 from .facering import FaceRing
-from .fields import QQ, require_field
+from .fields import QQ, lift, require_field
 from .posets import BOTTOM
 
 FACE = "face"
@@ -243,12 +243,20 @@ class BordismDatum:
 
     def face_part(self, axes, charmat):
         """Correction terms for one axis word, as ``(element, coeff)``
-        pairs."""
+        pairs.  A chain whose faces take words of another length does not
+        describe this word."""
         axes = frozenset(axes)
         if self.chain is not None:
             out = []
             for elt, d in sorted(self.chain.items(),
                                  key=lambda kv: repr(kv[0])):
+                length = charmat.n - charmat.poset.rank(elt)
+                if len(axes) != length:
+                    raise MismatchedDatumError(
+                        "bordism %s->%s crosses face %r, which takes words "
+                        "of length %d, not %s" % (self.source, self.target,
+                                                  elt, length,
+                                                  format_axes(axes)))
                 c = charmat.c_coefficient(elt, axes)
                 if c:
                     out.append((elt, -d * c))
@@ -424,7 +432,7 @@ class IntersectionCalculator:
             page = self.manifold.diagonal_page(q, self.field, "limit")
             vec = vecs.setdefault(q, [self.field.zero] * len(page.generators))
             col = page.column(elt)
-            vec[col] = self.field.add(vec[col], self._lift(c))
+            vec[col] = self.field.add(vec[col], lift(c, self.field))
         out = {}
         for q, vec in sorted(vecs.items()):
             page = self.manifold.diagonal_page(q, self.field, "limit")
@@ -437,8 +445,9 @@ class IntersectionCalculator:
         """Absolute value of the single surviving coefficient.  Face terms
         are reduced first; an expression with several independent parts
         has no magnitude and is rejected."""
-        values = [self._lift(c) for key, c in expr.iter_terms()
-                  if key[0] != FACE and not self.field.is_zero(self._lift(c))]
+        values = [lift(c, self.field) for key, c in expr.iter_terms()
+                  if key[0] != FACE
+                  and not self.field.is_zero(lift(c, self.field))]
         for coords in self.reduced_faces(expr).values():
             values.extend(v for v in coords if not self.field.is_zero(v))
         if not values:
@@ -451,11 +460,6 @@ class IntersectionCalculator:
 
     # -- expansion --------------------------------------------------------
 
-    def _lift(self, value):
-        if isinstance(value, int):
-            return self.field.from_int(value)
-        return value
-
     def _rank_of(self, elt):
         try:
             return self.poset.rank(elt)
@@ -465,9 +469,9 @@ class IntersectionCalculator:
     def _expand(self, x, y, depth):
         acc = {}
         for k1, c1 in x.iter_terms():
-            scale1 = self._lift(c1)
+            scale1 = lift(c1, self.field)
             for k2, c2 in y.iter_terms():
-                scale = self.field.mul(scale1, self._lift(c2))
+                scale = self.field.mul(scale1, lift(c2, self.field))
                 if self.field.is_zero(scale):
                     continue
                 for key, c in self._pair(k1, k2, depth):
@@ -567,7 +571,8 @@ class IntersectionCalculator:
                                           depth + 1)
             except (UnresolvableError, MismatchedDatumError):
                 continue
-            return [(key, self._lift(c)) for key, c in result.iter_terms()]
+            return [(key, lift(c, self.field))
+                    for key, c in result.iter_terms()]
         raise UnresolvableError(
             "every bordism move failed resolving " + pair_text)
 

@@ -18,7 +18,7 @@ to its rank sum, which is half its topological degree.
 from math import comb
 
 from .errors import ValidationError
-from .fields import QQ, nullspace, rank, row_space_contains, rref, solve
+from .fields import QQ, Echelon, lift, nullspace, row_space_contains, solve
 from .posets import BOTTOM
 
 
@@ -156,6 +156,27 @@ def hilbert_series(poset, maxdeg):
     return dims
 
 
+def linear_relations(poset, charmat, signs, k):
+    """Integer relation rows among the rank-k elements, one per pair of a
+    rank-(k-1) element J and an axis subset A of size n-k: the entry of a
+    cover I of J is its incidence sign times its complementary minor
+    c(I, A).  Returns the rows and their (J, A) labels."""
+    gens = poset.elements_of_rank(k)
+    col = {g: i for i, g in enumerate(gens)}
+    rows, labels = [], []
+    if k >= 1:
+        for j_elt in poset.elements_of_rank(k - 1):
+            covers = poset.upper_covers(j_elt)
+            for axes in charmat.axis_subsets(charmat.n - k):
+                row = [0] * len(gens)
+                for i_elt in covers:
+                    row[col[i_elt]] += (signs[(i_elt, j_elt)]
+                                        * charmat.c_coefficient(i_elt, axes))
+                rows.append(row)
+                labels.append((j_elt, tuple(sorted(axes))))
+    return rows, labels
+
+
 class GradedPresentation:
     """One graded piece of a module given by labelled generators and
     relation rows over a field.
@@ -168,20 +189,16 @@ class GradedPresentation:
         self.degree = degree
         self.generators = list(generators)
         self.field = field
-        self.rows = [self._lift(r) for r in rows]
+        self.rows = [[lift(x, field) for x in r] for r in rows]
         self.row_labels = list(row_labels) if row_labels is not None else None
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValidationError("row labels do not match relation rows")
-        self._echelon, self._pivots = rref(self.rows, field)
-        pivot_set = set(self._pivots)
+        self._echelon = Echelon(field, self.rows)
+        pivot_set = set(self._echelon.pivots)
         self._basis_cols = [i for i in range(len(self.generators))
                             if i not in pivot_set]
         self.basis = [self.generators[i] for i in self._basis_cols]
         self._col = {repr(g): i for i, g in enumerate(self.generators)}
-
-    def _lift(self, row):
-        return [self.field.from_int(x) if isinstance(x, int) else x
-                for x in row]
 
     @property
     def dimension(self):
@@ -201,18 +218,12 @@ class GradedPresentation:
 
     def reduce(self, vec):
         """Eliminate the pivot generators from a coordinate vector."""
-        v = self._lift(vec)
+        v = [lift(x, self.field) for x in vec]
         if len(v) != len(self.generators):
             raise ValidationError(
                 "vector of length %d against %d generators"
                 % (len(v), len(self.generators)))
-        for row, p in zip(self._echelon, self._pivots):
-            c = v[p]
-            if self.field.is_zero(c):
-                continue
-            v = [self.field.sub(x, self.field.mul(c, y))
-                 for x, y in zip(v, row)]
-        return v
+        return self._echelon.reduce(v)
 
     def coordinates(self, vec):
         """Coordinates of a vector over the surviving basis."""
@@ -226,7 +237,7 @@ class GradedPresentation:
                                   % len(self.basis))
         v = [self.field.zero] * len(self.generators)
         for i, c in zip(self._basis_cols, coords):
-            v[i] = self.field.from_int(c) if isinstance(c, int) else c
+            v[i] = lift(c, self.field)
         return v
 
     def is_zero(self, vec):
@@ -305,22 +316,10 @@ class FaceRingQuotient:
     def _build_presentation(self, k):
         if k < 0 or k > self.n:
             return GradedPresentation(k, [], [], self.field)
-        gens = self.poset.elements_of_rank(k)
-        col = {repr(g): i for i, g in enumerate(gens)}
-        rows = []
-        labels = []
-        if k >= 1:
-            for j_elt in self.poset.elements_of_rank(k - 1):
-                covers = self.poset.upper_covers(j_elt)
-                for axes in self.charmat.axis_subsets(self.n - k):
-                    row = [0] * len(gens)
-                    for i_elt in covers:
-                        sign = self.signs[(i_elt, j_elt)]
-                        row[col[repr(i_elt)]] += sign * \
-                            self.charmat.c_coefficient(i_elt, axes)
-                    rows.append(row)
-                    labels.append((j_elt, tuple(sorted(axes))))
-        return GradedPresentation(k, gens, rows, self.field, row_labels=labels)
+        rows, labels = linear_relations(self.poset, self.charmat,
+                                        self.signs, k)
+        return GradedPresentation(k, self.poset.elements_of_rank(k), rows,
+                                  self.field, row_labels=labels)
 
     # --- theta elimination ---------------------------------------------
 
@@ -372,7 +371,7 @@ class FaceRingQuotient:
         dst = self.presentation(k + 1)
         if i not in self.poset.ver(i):
             raise ValidationError("%r is not a vertex" % (i,))
-        v = src._lift(vec)
+        v = [lift(x, self.field) for x in vec]
         if len(v) != len(src.generators):
             raise ValidationError("vector does not match degree-%d generators"
                                   % k)

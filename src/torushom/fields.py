@@ -2,12 +2,18 @@
 
 Matrices are plain lists of rows.  Entries belong to whichever coefficient
 system interprets them: ``fractions.Fraction`` for the rationals, reduced
-residues for a prime field.  Linear algebra over the integers lives in
-``snf``; here ``ZZ`` is only a marker object that callers branch on.
+residues for a prime field, plain ints for ``ZZ``.  Every system offers
+``zero``, ``one``, ``from_int``, ``add``, ``mul`` and ``is_zero``, so code
+that only lifts, adds and multiplies is written once for all of them.  The
+choice between the integers and a field is made here: ``solve`` hands ``ZZ``
+to ``snf.int_solve``, and the elimination routines (``rref``, ``rank``,
+``nullspace``, ``Echelon``) need a field.
 """
 
+from bisect import bisect
 from fractions import Fraction
 
+from . import snf
 from .errors import CoefficientError
 
 
@@ -96,10 +102,24 @@ class PrimeField:
 
 
 class Integers:
-    """Marker for integer coefficients.  Not a field."""
+    """The integers: ring operations on plain ints.  Not a field."""
 
     name = "Z"
     is_field = False
+    zero = 0
+    one = 1
+
+    def from_int(self, n):
+        return n
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return a == 0
 
     def __repr__(self):
         return "ZZ"
@@ -131,36 +151,14 @@ def require_field(coeffs):
     return coeffs
 
 
-def zeros(nrows, ncols, field):
-    return [[field.zero] * ncols for _ in range(nrows)]
-
-
-def identity(n, field):
-    m = zeros(n, n, field)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
+def lift(value, coeffs):
+    """An int as an element of ``coeffs``; any other value is taken to be
+    one already and passed through unchanged."""
+    return coeffs.from_int(value) if isinstance(value, int) else value
 
 
 def mat_from_int(rows, field):
     return [[field.from_int(x) for x in row] for row in rows]
-
-
-def mat_mul(a, b, field):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m, field)
-    for i in range(n):
-        for t in range(k):
-            x = a[i][t]
-            if field.is_zero(x):
-                continue
-            row_b = b[t]
-            row_o = out[i]
-            for j in range(m):
-                row_o[j] = field.add(row_o[j], field.mul(x, row_b[j]))
-    return out
 
 
 def mat_vec(a, v, field):
@@ -230,7 +228,10 @@ def nullspace(rows, field):
 
 
 def solve(rows, b, field):
-    """One solution of rows @ x = b, or None when inconsistent."""
+    """One solution of rows @ x = b, or None when inconsistent.  Over
+    ``ZZ`` the solution is integral."""
+    if field is ZZ:
+        return snf.int_solve(rows, b)
     if not rows:
         return None if any(not field.is_zero(x) for x in b) else []
     ncols = len(rows[0])
@@ -244,16 +245,58 @@ def solve(rows, b, field):
     return x
 
 
-def row_space_contains(rows, vec, field):
-    if all(field.is_zero(x) for x in vec):
+class Echelon:
+    """A row space over a field, kept in reduced row echelon form.
+
+    ``reduce`` clears the pivot columns of a vector against the kept rows,
+    ``contains`` tests membership, and ``add`` keeps a vector when it is
+    independent of the rows so far and reports whether it was.  Testing a
+    stack of vectors one by one this way eliminates each vector once
+    instead of the whole stack again for every vector.
+    """
+
+    def __init__(self, field, rows=()):
+        self.field = require_field(field)
+        self.rows, self.pivots = rref(rows, field)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        field = self.field
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if not field.is_zero(c):
+                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+        return v
+
+    def contains(self, vec):
+        return all(self.field.is_zero(x) for x in self.reduce(vec))
+
+    def add(self, vec):
+        field = self.field
+        v = self.reduce(vec)
+        p = next((i for i, x in enumerate(v) if not field.is_zero(x)), None)
+        if p is None:
+            return False
+        inv = field.inv(v[p])
+        v = [field.mul(inv, x) for x in v]
+        for i, row in enumerate(self.rows):
+            c = row[p]
+            if not field.is_zero(c):
+                self.rows[i] = [field.sub(x, field.mul(c, y))
+                                for x, y in zip(row, v)]
+        at = bisect(self.pivots, p)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, p)
         return True
-    base = rank(rows, field)
-    return rank(list(rows) + [list(vec)], field) == base
+
+
+def row_space_contains(rows, vec, field):
+    return Echelon(field, rows).contains(vec)
 
 
 def row_spaces_equal(rows_a, rows_b, field):
-    ra = rank(rows_a, field)
-    rb = rank(rows_b, field)
-    if ra != rb:
-        return False
-    return rank(list(rows_a) + list(rows_b), field) == ra
+    """Reduced echelon forms are unique, so equal spans have equal ones."""
+    return Echelon(field, rows_a).rows == Echelon(field, rows_b).rows

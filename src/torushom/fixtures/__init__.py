@@ -130,8 +130,11 @@ def parse_fixture(data, name=None):
         entry["boundary"] = [[resolve(ref), coeff]
                              for ref, coeff in cell.get("boundary", [])]
         interior.append(entry)
-    corner = CornerComplex(poset, interior,
-                           orientable=data.get("orientable", True))
+    orientable = data.get("orientable", True)
+    if not isinstance(orientable, bool):
+        raise ValidationError("fixture entry 'orientable' must be true or "
+                              "false, got %r" % (orientable,))
+    corner = CornerComplex(poset, interior, orientable=orientable)
     manifold = TorusManifold(corner, charmat)
 
     oracle = None

@@ -14,6 +14,7 @@ import random
 
 from .errors import ValidationError
 from .fixtures import parse_fixture
+from .snf import int_mat_mul
 
 
 def polygon_with_holes(lengths, rows=None, seed=0, name=None):
@@ -103,7 +104,7 @@ def _mix(pattern, rng):
             step = ((1, 0), (k, 1))
         else:
             step = ((0, -1), (1, 0))
-        mat = _mat_mul(mat, step)
+        mat = int_mat_mul(mat, step)
     out = []
     for row in pattern:
         a, b = row
@@ -113,13 +114,6 @@ def _mix(pattern, rng):
             mixed = (-mixed[0], -mixed[1])
         out.append(mixed)
     return out
-
-
-def _mat_mul(x, y):
-    return ((x[0][0] * y[0][0] + x[0][1] * y[1][0],
-             x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-            (x[1][0] * y[0][0] + x[1][1] * y[1][0],
-             x[1][0] * y[0][1] + x[1][1] * y[1][1]))
 
 
 def _random_rows(lengths, rng):

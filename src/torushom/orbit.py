@@ -19,23 +19,21 @@ from .fields import QQ, ZZ
 from .posets import BOTTOM
 
 
-_SELECTOR_ALIASES = {
-    "boundary": "boundary", "dq": "boundary", "del": "boundary",
-    "space": "space", "q": "space", "total": "space",
-    "pair": "pair", "rel": "pair", "relative": "pair",
+# Which cells span each complex: (face cells, interior cells).
+_SELECTORS = {
+    "boundary": (True, False),
+    "space": (True, True),
+    "pair": (False, True),
 }
-
-
-def _to_field(value, field):
-    return field.from_int(value) if isinstance(value, int) else value
 
 
 def canonical_selector(name):
     key = str(name).strip().lower()
-    if key not in _SELECTOR_ALIASES:
+    if key not in _SELECTORS:
         raise ValidationError(
-            "unknown homology selector %r; use boundary, space, or rel" % (name,))
-    return _SELECTOR_ALIASES[key]
+            "unknown homology selector %r; use boundary, space, or pair"
+            % (name,))
+    return key
 
 
 class InteriorCell:
@@ -92,20 +90,20 @@ class CornerComplex:
         for e in poset.elements():
             self._face_dim[e] = self.n - poset.rank(e)
         self.interior = []
-        self._interior_dim = {}
+        self._interior = {}
         for data in interior_cells:
             cell = InteriorCell.from_data(data)
             if cell.id in self._face_dim or cell.id is BOTTOM:
                 raise ValidationError(
                     "interior cell id %r collides with a poset element" % (cell.id,))
-            if cell.id in self._interior_dim:
+            if cell.id in self._interior:
                 raise ValidationError("duplicate interior cell id %r" % (cell.id,))
             if cell.dim > self.n:
                 raise ValidationError(
                     "interior cell %r has dimension %d above the space dimension %d"
                     % (cell.id, cell.dim, self.n))
             self.interior.append(cell)
-            self._interior_dim[cell.id] = cell.dim
+            self._interior[cell.id] = cell
         self._check_references()
         self._cache = {}
 
@@ -117,8 +115,8 @@ class CornerComplex:
             for ref, _ in cell.boundary:
                 if ref in self._face_dim:
                     d = self._face_dim[ref]
-                elif ref in self._interior_dim:
-                    d = self._interior_dim[ref]
+                elif ref in self._interior:
+                    d = self._interior[ref].dim
                 else:
                     raise ValidationError(
                         "cell %r references unknown cell %r" % (cell.id, ref))
@@ -154,10 +152,7 @@ class CornerComplex:
     def complex_for(self, selector):
         key = canonical_selector(selector)
         if key not in self._cache:
-            builder = {"boundary": self._build_boundary,
-                       "space": self._build_space,
-                       "pair": self._build_pair}[key]
-            self._cache[key] = builder()
+            self._cache[key] = self._build(*_SELECTORS[key])
         return self._cache[key]
 
     def boundary_complex(self):
@@ -169,75 +164,34 @@ class CornerComplex:
     def pair_complex(self):
         return self.complex_for("pair")
 
-    def _face_boundary_matrix(self, dim, cols, lower):
-        """Boundary of the face cells of one dimension: a cell of a rank-k
-        element collects its covers, with the poset incidence signs."""
-        index = {e: i for i, e in enumerate(lower)}
-        mat = [[0] * len(cols) for _ in lower]
-        for j, e in enumerate(cols):
-            for f in set(self.poset.upper_covers(e)):
-                mat[index[f]][j] += self.signs[(f, e)]
-        return mat
+    def _cell_boundary(self, cell):
+        """(cell, coefficient) terms of the boundary of one cell.  A face
+        cell of a rank-k element collects its covers, with the poset
+        incidence signs."""
+        interior = self._interior.get(cell)
+        if interior is not None:
+            return interior.boundary
+        return [(f, self.signs[(f, cell)])
+                for f in self.poset.upper_covers(cell)]
 
-    def _build_boundary(self):
-        bases = {}
-        for dim in range(self.n):
-            cells = self.face_cells(dim)
-            if cells:
-                bases[dim] = cells
-        boundaries = {}
-        for dim in bases:
-            if dim - 1 not in bases:
-                continue
-            boundaries[dim] = self._face_boundary_matrix(
-                dim, bases[dim], bases[dim - 1])
-        return ChainComplex(bases, boundaries, check=False)
-
-    def _build_space(self):
+    def _build(self, face, interior):
+        """The chain complex spanned by the face cells, the interior cells
+        or both.  Boundary terms on cells outside the basis are dropped,
+        which is the quotient by the face cells for the pair."""
         bases = {}
         for dim in range(self.n + 1):
-            cells = self.face_cells(dim) + self.interior_cells(dim)
+            cells = ((self.face_cells(dim) if face else [])
+                     + (self.interior_cells(dim) if interior else []))
             if cells:
                 bases[dim] = cells
         boundaries = {}
-        for dim in bases:
+        for dim, source in bases.items():
             if dim - 1 not in bases:
                 continue
-            source = bases[dim]
-            target = bases[dim - 1]
-            index = {c: i for i, c in enumerate(target)}
-            faces = self.face_cells(dim)
-            mat = [[0] * len(source) for _ in target]
-            face_part = self._face_boundary_matrix(
-                dim, faces, self.face_cells(dim - 1))
-            for j in range(len(faces)):
-                for i in range(len(face_part)):
-                    if face_part[i][j]:
-                        mat[i][j] = face_part[i][j]
-            for j, cid in enumerate(source[len(faces):], start=len(faces)):
-                cell = next(c for c in self.interior if c.id == cid)
-                for ref, coeff in cell.boundary:
-                    mat[index[ref]][j] += coeff
-            boundaries[dim] = mat
-        return ChainComplex(bases, boundaries, check=False)
-
-    def _build_pair(self):
-        bases = {}
-        for dim in range(self.n + 1):
-            cells = self.interior_cells(dim)
-            if cells:
-                bases[dim] = cells
-        boundaries = {}
-        for dim in bases:
-            if dim - 1 not in bases:
-                continue
-            source = bases[dim]
-            target = bases[dim - 1]
-            index = {c: i for i, c in enumerate(target)}
-            mat = [[0] * len(source) for _ in target]
-            for j, cid in enumerate(source):
-                cell = next(c for c in self.interior if c.id == cid)
-                for ref, coeff in cell.boundary:
+            index = {c: i for i, c in enumerate(bases[dim - 1])}
+            mat = [[0] * len(source) for _ in index]
+            for j, cell in enumerate(source):
+                for ref, coeff in self._cell_boundary(cell):
                     if ref in index:
                         mat[index[ref]][j] += coeff
             boundaries[dim] = mat
@@ -266,19 +220,16 @@ class CornerComplex:
         if q < 0 or q > self.n - 1:
             raise ValidationError(
                 "connecting map lands in degrees 0..%d, not %d" % (self.n - 1, q))
-        use_int = coeffs is ZZ
-        if not use_int:
-            fields.require_field(coeffs)
         pair = self.pair_complex()
         space = self.space_complex()
         face = self.boundary_complex()
         hpair = pair.homology(q + 1, coeffs)
-        if use_int and hpair.torsion:
+        if hpair.torsion:
             raise CoefficientError(
                 "pair homology in degree %d has torsion %r; use field coefficients"
                 % (q + 1, hpair.torsion))
         hface = face.homology(q, coeffs)
-        if use_int and hface.torsion:
+        if hface.torsion:
             raise CoefficientError(
                 "boundary homology in degree %d has torsion %r; use field "
                 "coefficients" % (q, hface.torsion))
@@ -289,17 +240,13 @@ class CornerComplex:
         space_index = {c: i for i, c in enumerate(space_basis)}
         face_basis = face.basis(q)
         nface = len(face_basis)
+        bmat = fields.mat_from_int(space.boundary_matrix(q + 1), coeffs)
         chains = []
         for rep in hpair.free_generators:
-            lifted = [0] * len(space_basis) if use_int else \
-                [coeffs.zero] * len(space_basis)
+            lifted = [coeffs.zero] * len(space_basis)
             for label, value in zip(pair.basis(q + 1), rep):
                 lifted[space_index[label]] = value
-            if use_int:
-                dvec = space.boundary_of(q + 1, lifted)
-            else:
-                mat = fields.mat_from_int(space.boundary_matrix(q + 1), coeffs)
-                dvec = fields.mat_vec(mat, lifted, coeffs)
+            dvec = fields.mat_vec(bmat, lifted, coeffs)
             tail = dvec[nface:]
             if any(tail):
                 raise ValidationError(
@@ -307,7 +254,7 @@ class CornerComplex:
             chains.append(dvec[:nface])
 
         coords = self._homology_coordinates(chains, hface, face, q, coeffs)
-        keep = self._independent_rows(chains, coords, use_int, coeffs)
+        keep = self._independent_rows(chains, coords, coeffs)
         rows = []
         for chain in keep:
             row = {}
@@ -320,25 +267,17 @@ class CornerComplex:
     def _homology_coordinates(self, chains, hface, face, q, coeffs):
         """Coordinates of boundary-complex cycles over the homology
         generators, after quotienting out boundaries."""
-        use_int = coeffs is ZZ
         nface = face.dim(q)
         columns = [list(g) for g in hface.free_generators]
         ngen = len(columns)
         bmat = face.boundary_matrix(q + 1)
         for j in range(face.dim(q + 1)):
-            col = [bmat[i][j] for i in range(nface)]
-            if use_int:
-                columns.append(col)
-            else:
-                columns.append([coeffs.from_int(x) for x in col])
+            columns.append([coeffs.from_int(bmat[i][j]) for i in range(nface)])
         mat = [[columns[j][i] for j in range(len(columns))]
                for i in range(nface)]
         coords = []
         for chain in chains:
-            if use_int:
-                sol = snf.int_solve(mat, chain)
-            else:
-                sol = fields.solve(mat, chain, coeffs)
+            sol = fields.solve(mat, chain, coeffs)
             if sol is None:
                 raise ValidationError(
                     "connecting-map chain is not a cycle of the boundary "
@@ -346,42 +285,33 @@ class CornerComplex:
             coords.append(sol[:ngen])
         return coords
 
-    def _independent_rows(self, chains, coords, use_int, coeffs):
+    def _independent_rows(self, chains, coords, coeffs):
         """Select chains whose homology coordinates form a basis of the
         span of all of them.  Over the integers a greedy choice can span a
         smaller lattice; in that case recombine through the normal form."""
-        if not chains:
+        if not chains or not coords[0]:
             return []
-        width = len(coords[0])
-        if width == 0:
-            return []
-        if use_int:
-            keep, kept_rows = [], []
-            for chain, row in zip(chains, coords):
-                if snf.int_rank(kept_rows + [row]) > len(kept_rows):
-                    keep.append(chain)
-                    kept_rows.append(row)
-            if self._spans_lattice(kept_rows, coords):
-                return keep
-            u, d, _ = snf.smith_normal_form(coords)
-            combined = snf.int_mat_mul(u, coords)
-            out = []
-            for r, row in enumerate(combined):
-                if not any(row):
-                    continue
-                mixed = [0] * len(chains[0])
-                for j, factor in enumerate(u[r]):
-                    if factor:
-                        for i, value in enumerate(chains[j]):
-                            mixed[i] += factor * value
-                out.append(mixed)
-            return out
+        span = fields.Echelon(QQ if coeffs is ZZ else coeffs)
         keep, kept_rows = [], []
         for chain, row in zip(chains, coords):
-            if fields.rank(kept_rows + [row], coeffs) > len(kept_rows):
+            if span.add(row):
                 keep.append(chain)
                 kept_rows.append(row)
-        return keep
+        if coeffs is not ZZ or self._spans_lattice(kept_rows, coords):
+            return keep
+        u, d, _ = snf.smith_normal_form(coords)
+        combined = snf.int_mat_mul(u, coords)
+        out = []
+        for r, row in enumerate(combined):
+            if not any(row):
+                continue
+            mixed = [0] * len(chains[0])
+            for j, factor in enumerate(u[r]):
+                if factor:
+                    for i, value in enumerate(chains[j]):
+                        mixed[i] += factor * value
+            out.append(mixed)
+        return out
 
     @staticmethod
     def _spans_lattice(kept_rows, all_rows):
@@ -465,7 +395,7 @@ class CornerComplex:
             delta_rows = []
             face_basis = face.basis(q)
             for row in self.delta_image(q, field):
-                delta_rows.append([_to_field(row.get(c, 0), field)
+                delta_rows.append([fields.lift(row.get(c, 0), field)
                                    for c in face_basis])
             delta_coords = self._homology_coordinates(
                 delta_rows, hface, face, q, field) if delta_rows else []
@@ -485,7 +415,7 @@ class CornerComplex:
         for gen in hface.free_generators:
             col = [field.zero] * len(space_basis)
             for label, value in zip(face.basis(q), gen):
-                col[space_index[label]] = _to_field(value, field)
+                col[space_index[label]] = fields.lift(value, field)
             columns.append(col)
         ngen = len(columns)
         bmat = space.boundary_matrix(q + 1)

@@ -9,7 +9,6 @@ The least element is represented by the constant ``BOTTOM`` and is never
 listed among the cells.
 """
 
-import itertools
 from math import comb
 
 from .chains import ChainComplex
@@ -31,11 +30,13 @@ class SimplicialPoset:
     def __init__(self, vertices, cells, check=True):
         self._ver = {BOTTOM: frozenset()}
         self._faces = {BOTTOM: {}}
+        self._on_vertices = {frozenset(): [BOTTOM]}
         for v in vertices:
             if v in self._ver or v is BOTTOM:
                 raise ValidationError("duplicate or reserved vertex id %r" % (v,))
             self._ver[v] = frozenset([v])
             self._faces[v] = {frozenset(): BOTTOM, frozenset([v]): v}
+            self._on_vertices[frozenset([v])] = [v]
         try:
             sorted(vertices)
         except TypeError:
@@ -49,6 +50,16 @@ class SimplicialPoset:
             self._by_rank.setdefault(len(vs), []).append(e)
         for k in self._by_rank:
             self._by_rank[k].sort(key=lambda e: repr(e))
+        for same in self._on_vertices.values():
+            same.sort(key=repr)
+        # order relations, built once: the faces below each element and
+        # the covers above it (in elements_of_rank order)
+        self._below = {e: frozenset(fmap.values())
+                       for e, fmap in self._faces.items()}
+        self._covers = {e: [] for e in self._ver}
+        for e in self.elements():
+            for f in self.lower_covers(e):
+                self._covers[f].append(e)
         if check:
             self.validate()
 
@@ -72,8 +83,7 @@ class SimplicialPoset:
             face_ids = []
             for v in sorted(vs):
                 sub = vs - {v}
-                cands = [e for e, w in self._ver.items()
-                         if w == sub and e is not BOTTOM]
+                cands = self._on_vertices.get(sub, [])
                 if len(cands) != 1:
                     raise ValidationError(
                         "cell %r: face with vertices %r is %s; list faces "
@@ -104,6 +114,7 @@ class SimplicialPoset:
             raise ValidationError("cell %r is missing a face" % (eid,))
         self._ver[eid] = vs
         self._faces[eid] = fmap
+        self._on_vertices.setdefault(vs, []).append(eid)
 
     # --- basic queries -------------------------------------------------
 
@@ -144,7 +155,7 @@ class SimplicialPoset:
     def le(self, a, b):
         if a is BOTTOM or a == b:
             return True
-        return a in self._faces[b].values()
+        return a in self._below[b]
 
     def lower_covers(self, e):
         if e is BOTTOM:
@@ -153,9 +164,7 @@ class SimplicialPoset:
         return [self._faces[e][vs - {v}] for v in sorted(vs)]
 
     def upper_covers(self, e):
-        r = self.rank(e)
-        return [f for f in self.elements_of_rank(r + 1)
-                if e in self._faces[f].values() or (e is BOTTOM)]
+        return list(self._covers[e])
 
     def maximal_elements(self):
         out = []
@@ -172,11 +181,8 @@ class SimplicialPoset:
         """Elements that are minimal upper bounds of a and b with vertex set
         ver(a) | ver(b).  Empty when a and b span no common cell."""
         target = self._ver[a] | self._ver[b]
-        out = []
-        for e in self.elements_of_rank(len(target)):
-            if self._ver[e] == target and self.le(a, e) and self.le(b, e):
-                out.append(e)
-        return out
+        return [e for e in self._on_vertices.get(target, ())
+                if self.le(a, e) and self.le(b, e)]
 
     def meet(self, a, b):
         """The common face of a and b on ver(a) & ver(b).  Only defined when

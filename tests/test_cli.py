@@ -153,6 +153,21 @@ class TestIntersect:
         assert code == 1
         assert "torus word" in err
 
+    @pytest.mark.parametrize("word", ["e9", "e3", "e11", "e1,1", "e0,1"])
+    def test_word_outside_the_torus(self, capsys, word):
+        code, out, err = run(capsys, "intersect", "square_hole",
+                             "dia:L:" + word, "face:1")
+        assert code == 1
+        assert out == ""
+        assert repr(word) in err and "1..2" in err
+
+    def test_word_axes_in_any_order(self, capsys):
+        _, forward, _ = run(capsys, "intersect", "square_hole",
+                            "dia:L:e12", "spine:eta", "--json")
+        _, backward, _ = run(capsys, "intersect", "square_hole",
+                             "dia:L:e21", "spine:eta", "--json")
+        assert forward == backward
+
     def test_unknown_face(self, capsys):
         code, _, err = run(capsys, "intersect", "square_hole",
                            "face:99", "face:1")

@@ -203,6 +203,12 @@ class TestBordismDatum:
         with pytest.raises(MismatchedDatumError):
             datum.face_part({2}, annulus_charmat)
 
+    def test_chain_form_rejects_word_of_wrong_length(self, annulus_charmat):
+        datum = BordismDatum("L", "Lpp", chain={1: 1, 5: 1})
+        for axes in (frozenset(), frozenset({1, 2})):
+            with pytest.raises(MismatchedDatumError):
+                datum.face_part(axes, annulus_charmat)
+
     def test_chain_and_row_forms_agree(self, annulus_charmat):
         chain = BordismDatum("L", "Lpp", chain={1: 1, 5: 1})
         rows = BordismDatum("L", "Lpp",
@@ -340,6 +346,14 @@ class TestIntersection:
         with pytest.raises(UnresolvableError) as err:
             annulus_calc.intersect(x, y)
         assert "Lp" in str(err.value)
+
+    def test_move_for_another_word_length_is_skipped(self, annulus_calc):
+        # L -> Lpp crosses walls, which take one-axis words only; on the
+        # two-axis word the search must move on and report the pair.
+        x = CycleExpression.diaphragm("L", (1, 2))
+        with pytest.raises(UnresolvableError) as err:
+            annulus_calc.intersect(x, CycleExpression.face(1))
+        assert "dia:L:e12" in str(err.value)
 
     def test_depth_limit_reported(self, annulus_manifold):
         calc = _calc_over(annulus_manifold, QQ, max_depth=0)

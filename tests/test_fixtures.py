@@ -184,6 +184,21 @@ class TestParsing:
         with pytest.raises(ValidationError):
             fixtures.parse_fixture(data)
 
+    @pytest.mark.parametrize("value", ["no", "yes", 0, 1, None, []])
+    def test_orientable_must_be_a_boolean(self, value):
+        data = minimal_square()
+        data["orientable"] = value
+        with pytest.raises(ValidationError) as err:
+            fixtures.parse_fixture(data)
+        assert "orientable" in str(err.value)
+
+    def test_orientable_defaults_to_true(self):
+        data = minimal_square()
+        del data["orientable"]
+        assert fixtures.parse_fixture(data).corner.orientable is True
+        data["orientable"] = False
+        assert fixtures.parse_fixture(data).corner.orientable is False
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -87,12 +87,15 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             CornerComplex(square_poset, [{"dim": 2}])
 
-    def test_selector_aliases(self, square_cx):
-        assert canonical_selector("dQ") == "boundary"
-        assert canonical_selector("REL") == "pair"
-        assert square_cx.complex_for("q") is square_cx.complex_for("space")
-        with pytest.raises(ValidationError):
-            canonical_selector("everything")
+    def test_selector_names(self, square_cx):
+        for name in ("boundary", "space", "pair"):
+            for spelling in (name, name.upper(), " %s " % name.title()):
+                assert canonical_selector(spelling) == name
+                assert square_cx.complex_for(spelling) is \
+                    square_cx.complex_for(name)
+        for name in ("rel", "q", "everything"):
+            with pytest.raises(ValidationError):
+                canonical_selector(name)
 
 
 class TestHomology:
