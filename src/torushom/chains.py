@@ -1,6 +1,11 @@
 """Chain complexes of free Z-modules with labeled bases, and their homology
 over Z, Q, or a prime field.  Integer homology comes with representative
 cycles for both free and torsion generators.
+
+A complex is not changed after construction, so ``ChainComplex.homology``
+computes each (degree, coefficients) group once and hands the same
+``HomologyGroup`` to every later caller: treat groups and their generator
+lists as read-only.
 """
 
 from . import fields, snf
@@ -15,7 +20,8 @@ class HomologyGroup:
     ``torsion`` (each dividing the next).  Over a field the group is a vector
     space, ``torsion`` is empty and ``free_rank`` is its dimension.
     Generator vectors are coordinate lists over the degree basis, readable
-    through ``labels``.
+    through ``labels``.  Groups are shared through the homology cache of
+    their complex, so callers must not modify them.
     """
 
     def __init__(self, free_rank, torsion, free_generators, torsion_generators,
@@ -70,6 +76,7 @@ class ChainComplex:
             if not mat or not any(len(row) for row in mat):
                 continue
             self.boundaries[k] = [list(row) for row in mat]
+        self._homology = {}
         if check:
             self.validate()
 
@@ -115,13 +122,21 @@ class ChainComplex:
         return not any(self.boundary_of(k, vec))
 
     def homology(self, k, coeffs=ZZ):
-        labels = self.basis(k)
-        if not labels:
-            return _zero_group(labels, coeffs)
-        if coeffs is ZZ:
-            return self._homology_int(k)
-        fields.require_field(coeffs)
-        return self._homology_field(k, coeffs)
+        """Homology in degree k, computed once per (k, coeffs) and shared
+        by every later call."""
+        key = (k, coeffs)
+        group = self._homology.get(key)
+        if group is None:
+            labels = self.basis(k)
+            if not labels:
+                group = _zero_group(labels, coeffs)
+            elif coeffs is ZZ:
+                group = self._homology_int(k)
+            else:
+                fields.require_field(coeffs)
+                group = self._homology_field(k, coeffs)
+            self._homology[key] = group
+        return group
 
     def _kernel_columns(self, k):
         n = self.dim(k)
@@ -138,14 +153,11 @@ class ChainComplex:
         kmat = [[kernel[j][i] for j in range(r)] for i in range(len(labels))]
         bdry = self.boundary_matrix(k + 1)
         m = self.dim(k + 1)
-        coords = []
-        for j in range(m):
-            col = [bdry[i][j] for i in range(len(labels))]
-            y = snf.int_solve(kmat, col)
-            if y is None:
-                raise ValidationError(
-                    "boundary column is not a cycle in degree %d" % k)
-            coords.append(y)
+        coords = snf.int_solve_all(
+            kmat, [[row[j] for row in bdry] for j in range(m)])
+        if any(y is None for y in coords):
+            raise ValidationError(
+                "boundary column is not a cycle in degree %d" % k)
         if coords:
             ymat = [[coords[j][i] for j in range(m)] for i in range(r)]
             u, d, _ = snf.smith_normal_form(ymat)

@@ -18,7 +18,8 @@ to its rank sum, which is half its topological degree.
 from math import comb
 
 from .errors import ValidationError
-from .fields import QQ, Echelon, lift, nullspace, row_space_contains, solve
+from .fields import (QQ, Echelon, lift, nullspace, row_space_contains,
+                     solve_all)
 from .posets import BOTTOM
 
 
@@ -349,11 +350,10 @@ class FaceRingQuotient:
         outside = [v for v in self.poset.vertices() if v not in inside]
         matrix = [[self.field.from_int(self.charmat.row(w)[j])
                    for w in inside] for j in range(self.n)]
+        rhs = [[self.field.neg(self.field.from_int(self.charmat.row(u)[j]))
+                for j in range(self.n)] for u in outside]
         table = {w: {} for w in inside}
-        for u in outside:
-            rhs = [self.field.neg(self.field.from_int(self.charmat.row(u)[j]))
-                   for j in range(self.n)]
-            x = solve(matrix, rhs, self.field)
+        for u, x in zip(outside, solve_all(matrix, rhs, self.field)):
             if x is None:
                 raise ValidationError(
                     "vertex matrix of %r is singular over %r"

@@ -5,9 +5,12 @@ system interprets them: ``fractions.Fraction`` for the rationals, reduced
 residues for a prime field, plain ints for ``ZZ``.  Every system offers
 ``zero``, ``one``, ``from_int``, ``add``, ``mul`` and ``is_zero``, so code
 that only lifts, adds and multiplies is written once for all of them.  The
-choice between the integers and a field is made here: ``solve`` hands ``ZZ``
-to ``snf.int_solve``, and the elimination routines (``rref``, ``rank``,
-``nullspace``, ``Echelon``) need a field.
+choice between the integers and a field is made here: ``solve_all`` hands
+``ZZ`` to ``snf.int_solve_all``, and the elimination routines (``rref``,
+``rank``, ``nullspace``, ``Echelon``) need a field.
+
+``solve_all`` solves one matrix against many right-hand sides with a
+single elimination of [A | b_1 ... b_m]; ``solve`` is its one-vector case.
 """
 
 from bisect import bisect
@@ -227,22 +230,38 @@ def nullspace(rows, field):
     return basis
 
 
-def solve(rows, b, field):
-    """One solution of rows @ x = b, or None when inconsistent.  Over
-    ``ZZ`` the solution is integral."""
+def solve_all(rows, bs, field):
+    """A solution of rows @ x = b for every b in ``bs``, each None when
+    inconsistent, from one reduced echelon form of [rows | b_1 ... b_m].
+    Over ``ZZ`` the solutions are integral and come from one Smith form
+    (``snf.int_solve_all``)."""
     if field is ZZ:
-        return snf.int_solve(rows, b)
-    if not rows:
-        return None if any(not field.is_zero(x) for x in b) else []
+        return snf.int_solve_all(rows, bs)
+    if any(len(b) != len(rows) for b in bs):
+        raise ValueError("dimension mismatch")
+    if not rows or not bs:
+        return [[] for _ in bs]
     ncols = len(rows[0])
-    aug = [list(r) + [bi] for r, bi in zip(rows, b)]
+    aug = [list(r) + [b[i] for b in bs] for i, r in enumerate(rows)]
     ech, pivots = rref(aug, field)
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = ech[r][ncols]
-    return x
+    rank_a = next((r for r, pc in enumerate(pivots) if pc >= ncols),
+                  len(pivots))
+    out = []
+    for j in range(ncols, ncols + len(bs)):
+        if any(not field.is_zero(row[j]) for row in ech[rank_a:]):
+            out.append(None)
+            continue
+        x = [field.zero] * ncols
+        for row, pc in zip(ech, pivots[:rank_a]):
+            x[pc] = row[j]
+        out.append(x)
+    return out
+
+
+def solve(rows, b, field):
+    """One solution of rows @ x = b, or None when inconsistent: the
+    one-vector case of ``solve_all``."""
+    return solve_all(rows, [b], field)[0]
 
 
 class Echelon:

@@ -141,8 +141,23 @@ def parse_fixture(data, name=None):
     geometry = data.get("geometry")
     if geometry is not None:
         oracle = GeometryOracle.from_data(geometry, resolve=resolve)
+        _check_bordism_faces(oracle, id_map)
     label = data.get("name") or name or "fixture"
     return Fixture(label, manifold, oracle)
+
+
+def _check_bordism_faces(oracle, id_map):
+    """Every face a bordism chain or row names must be a poset element;
+    ``id_map`` holds the elements by their string form."""
+    for d in oracle.data:
+        named = list(d.chain or ())
+        for entries in (d.rows or {}).values():
+            named.extend(elt for elt, _ in entries)
+        for face in named:
+            if str(face) not in id_map:
+                raise ValidationError(
+                    "bordism move %s -> %s names %r, which is not a face of "
+                    "the poset" % (d.source, d.target, face))
 
 
 def fixture_to_data(fixture):

@@ -267,17 +267,9 @@ class CornerComplex:
     def _homology_coordinates(self, chains, hface, face, q, coeffs):
         """Coordinates of boundary-complex cycles over the homology
         generators, after quotienting out boundaries."""
-        nface = face.dim(q)
-        columns = [list(g) for g in hface.free_generators]
-        ngen = len(columns)
-        bmat = face.boundary_matrix(q + 1)
-        for j in range(face.dim(q + 1)):
-            columns.append([coeffs.from_int(bmat[i][j]) for i in range(nface)])
-        mat = [[columns[j][i] for j in range(len(columns))]
-               for i in range(nface)]
+        mat, ngen = _coordinate_matrix(hface, face, face, q, coeffs)
         coords = []
-        for chain in chains:
-            sol = fields.solve(mat, chain, coeffs)
+        for sol in fields.solve_all(mat, chains, coeffs):
             if sol is None:
                 raise ValidationError(
                     "connecting-map chain is not a cycle of the boundary "
@@ -317,12 +309,8 @@ class CornerComplex:
     def _spans_lattice(kept_rows, all_rows):
         if not kept_rows:
             return all(not any(row) for row in all_rows)
-        mat = [[kept_rows[j][i] for j in range(len(kept_rows))]
-               for i in range(len(kept_rows[0]))]
-        for row in all_rows:
-            if snf.int_solve(mat, row) is None:
-                return False
-        return True
+        mat = [list(col) for col in zip(*kept_rows)]
+        return all(x is not None for x in snf.int_solve_all(mat, all_rows))
 
     # --- validation ----------------------------------------------------
 
@@ -409,24 +397,27 @@ class CornerComplex:
     def _inclusion_kernel(self, q, hface, face, space, field):
         """Coordinate rows spanning the kernel of the inclusion-induced map
         on degree-q homology, over the boundary homology generators."""
-        space_basis = space.basis(q)
-        space_index = {c: i for i, c in enumerate(space_basis)}
-        columns = []
-        for gen in hface.free_generators:
-            col = [field.zero] * len(space_basis)
-            for label, value in zip(face.basis(q), gen):
-                col[space_index[label]] = fields.lift(value, field)
-            columns.append(col)
-        ngen = len(columns)
-        bmat = space.boundary_matrix(q + 1)
-        for j in range(space.dim(q + 1)):
-            columns.append([field.from_int(bmat[i][j])
-                            for i in range(len(space_basis))])
-        mat = [[columns[j][i] for j in range(len(columns))]
-               for i in range(len(space_basis))]
+        mat, ngen = _coordinate_matrix(hface, face, space, q, field)
         out = []
         for vec in fields.nullspace(mat, field):
             head = vec[:ngen]
             if any(head):
                 out.append(head)
         return out
+
+
+def _coordinate_matrix(hgroup, source, target, q, coeffs):
+    """The matrix [generators | boundaries] over the degree-q basis of the
+    complex ``target``: first the free generators of ``hgroup``, which are
+    given over the degree-q basis of ``source``, then the boundary columns
+    of ``target`` from degree q+1.  Returns the rows and the number of
+    generator columns."""
+    gens = hgroup.free_generators
+    bmat = target.boundary_matrix(q + 1)
+    mat = [[coeffs.zero] * len(gens) + [coeffs.from_int(x) for x in row]
+           for row in bmat]
+    index = {c: i for i, c in enumerate(target.basis(q))}
+    for j, gen in enumerate(gens):
+        for label, value in zip(source.basis(q), gen):
+            mat[index[label]][j] = fields.lift(value, coeffs)
+    return mat, len(gens)

@@ -1,6 +1,10 @@
 """Integer matrix routines: Smith normal form with transform tracking,
 integer kernels and solves, exact determinants.
 
+Solving factors once: ``int_solve_all`` reads every right-hand side of
+one matrix off a single Smith form, ``int_solve`` is its one-vector case,
+and ``int_inverse`` takes the inverse from one Smith form as well.
+
 All matrices are lists of row lists of Python ints.
 """
 
@@ -155,10 +159,6 @@ def invariant_factors(m):
     return diagonal_entries(d)
 
 
-def int_rank(m):
-    return len(invariant_factors(m))
-
-
 def int_kernel(m):
     """Basis of {x : m @ x = 0} over Z, as a list of column vectors.
 
@@ -176,36 +176,61 @@ def int_kernel(m):
     return basis
 
 
+def int_solve_all(m, bs):
+    """Integer solutions x of m @ x = b for every b in ``bs``, each None
+    when there is none, read off one Smith form U @ m @ V = D.
+
+    U @ b is accumulated over the nonzero entries of b only, which keeps
+    the per-vector cost low for sparse right-hand sides such as boundary
+    columns.
+    """
+    nrows = len(m)
+    if any(len(b) != nrows for b in bs):
+        raise ValueError("dimension mismatch")
+    if not bs:
+        return []
+    ncols = len(m[0]) if m else 0
+    u, d, v = smith_normal_form(m)
+    diag = [d[i][i] if i < ncols else 0 for i in range(nrows)]
+    u_cols = list(zip(*u))
+    out = []
+    for b in bs:
+        y = [0] * nrows
+        for j, bj in enumerate(b):
+            if bj:
+                for i, x in enumerate(u_cols[j]):
+                    if x:
+                        y[i] += x * bj
+        out.append(_solve_diagonal(diag, y, v))
+    return out
+
+
+def _solve_diagonal(diag, y, v):
+    """V @ x' for the integer x' with D @ x' = y, or None when there is
+    none; ``diag`` is the diagonal of D, padded with zeros to len(y)."""
+    x_prime = []
+    for i, (yi, di) in enumerate(zip(y, diag)):
+        if di:
+            q, rest = divmod(yi, di)
+            if rest:
+                return None
+            if q:
+                x_prime.append((i, q))
+        elif yi:
+            return None
+    return [sum(row[i] * q for i, q in x_prime) for row in v]
+
+
 def int_solve(m, b):
     """One integer solution x of m @ x = b, or None when there is none."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    if nrows != len(b):
-        raise ValueError("dimension mismatch")
-    u, d, v = smith_normal_form(m)
-    y = int_mat_vec(u, b)
-    x_prime = [0] * ncols
-    r = min(nrows, ncols)
-    for i in range(nrows):
-        di = d[i][i] if i < r else 0
-        if di:
-            if y[i] % di:
-                return None
-            x_prime[i] = y[i] // di
-        elif y[i]:
-            return None
-    return int_mat_vec(v, x_prime)
+    return int_solve_all(m, [b])[0]
 
 
 def int_inverse(m):
-    """Inverse of a unimodular integer matrix."""
-    n = len(m)
+    """Inverse of a unimodular integer matrix: with U @ m @ V = I from one
+    Smith form, the inverse is V @ U."""
     det = int_det(m)
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular (det=%d)" % det)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = int_solve(m, e)
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    u, _, v = smith_normal_form(m)
+    return int_mat_mul(v, u)

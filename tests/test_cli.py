@@ -174,6 +174,23 @@ class TestIntersect:
         assert code == 1
         assert "99" in err
 
+    @pytest.mark.parametrize("move", [0, 1])
+    def test_bordism_naming_unknown_face(self, capsys, tmp_path, move):
+        data = json.loads(dumps_fixture(resolve_fixture("square_hole")))
+        datum = data["geometry"]["bordism"][move]
+        if "chain" in datum:
+            datum["chain"] = {"99": 1}
+        else:
+            datum["rows"]["1"][0][0] = 99
+        target = tmp_path / "bad_bordism.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "intersect", str(target),
+                             "dia:L:e1", "dia:L:e2")
+        assert code == 1
+        assert out == ""
+        source, dest = datum["source"], datum["target"]
+        assert "%s -> %s" % (source, dest) in err and "99" in err
+
     def test_overflow_reported(self, capsys):
         code, _, err = run(capsys, "intersect", "square_hole",
                            "face:8", "face:9")

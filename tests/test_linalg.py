@@ -84,6 +84,8 @@ class TestIntegerSolvers:
     def test_inverse_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             snf.int_inverse([[2, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            snf.int_inverse([[1, 1], [1, 1]])
 
     def test_det(self):
         assert snf.int_det([[1, 2], [3, 4]]) == -2
