@@ -6,7 +6,7 @@ what makes the associated quotient space a manifold.
 
 from . import snf
 from .errors import StarConditionError, ValidationError
-from .fields import ZZ
+from .fields import ZZ, is_int
 
 
 class CharacteristicMatrix:
@@ -17,7 +17,13 @@ class CharacteristicMatrix:
         for v in poset.vertices():
             if v not in rows:
                 raise ValidationError("no row for vertex %r" % (v,))
-            row = tuple(int(x) for x in rows[v])
+            row = rows[v]
+            if (not isinstance(row, (list, tuple))
+                    or not all(is_int(x) for x in row)):
+                raise ValidationError(
+                    "row for vertex %r must be a list of integers, got %r"
+                    % (v, row))
+            row = tuple(row)
             if len(row) != self.n:
                 raise ValidationError(
                     "row for vertex %r has length %d, expected %d"

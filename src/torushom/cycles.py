@@ -19,7 +19,7 @@ backtracking search through bordism moves bounded by ``max_depth``.
 from .errors import (ValidationError, UnresolvableError,
                      DegreeOverflowError, MismatchedDatumError)
 from .facering import FaceRing
-from .fields import QQ, lift, require_field
+from .fields import QQ, is_int, lift, require_field
 from .posets import BOTTOM
 
 FACE = "face"
@@ -200,7 +200,7 @@ class Handle:
         except KeyError:
             raise ValidationError("unknown class kind %r" % (kind,))
         self.name = str(name)
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        if not is_int(dim) or dim < 0:
             raise ValidationError("class dimension must be a nonnegative "
                                   "integer, got %r" % (dim,))
         self.dim = dim
@@ -230,7 +230,7 @@ class BordismDatum:
         if chain is not None:
             self.chain = {}
             for elt, c in chain.items():
-                if not isinstance(c, int) or isinstance(c, bool):
+                if not is_int(c):
                     raise ValidationError(
                         "chain coefficient %r is not an integer" % (c,))
                 if c:
@@ -238,8 +238,14 @@ class BordismDatum:
         else:
             self.rows = {}
             for axes, entries in rows.items():
-                self.rows[frozenset(axes)] = [(elt, int(c))
-                                              for elt, c in entries]
+                entries = [(elt, c) for elt, c in entries]
+                for _, c in entries:
+                    if not is_int(c):
+                        raise ValidationError(
+                            "bordism move %s -> %s has row coefficient %r, "
+                            "which is not an integer"
+                            % (self.source, self.target, c))
+                self.rows[frozenset(axes)] = entries
 
     def face_part(self, axes, charmat):
         """Correction terms for one axis word, as ``(element, coeff)``
@@ -303,7 +309,11 @@ class GeometryOracle:
             entry = []
             for target, coeff in result:
                 self.handle(target)
-                entry.append((str(target), int(coeff)))
+                if not is_int(coeff):
+                    raise ValidationError(
+                        "pairing of %s with %s has coefficient %r, which is "
+                        "not an integer" % (left, right, coeff))
+                entry.append((str(target), coeff))
             self.pairings[(str(left), str(right))] = entry
         self.disjoint = set()
         for a, b in disjoint:

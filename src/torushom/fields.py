@@ -154,6 +154,12 @@ def require_field(coeffs):
     return coeffs
 
 
+def is_int(value):
+    """True for an int that is not a bool: the integers of the input
+    formats, where JSON true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def lift(value, coeffs):
     """An int as an element of ``coeffs``; any other value is taken to be
     one already and passed through unchanged."""

@@ -42,7 +42,7 @@ from ..cycles import GeometryOracle, IntersectionCalculator
 from ..errors import ValidationError
 from ..fields import QQ
 from ..manifold import TorusManifold
-from ..orbit import CornerComplex
+from ..orbit import CornerComplex, InteriorCell
 from ..posets import SimplicialPoset
 
 
@@ -119,17 +119,18 @@ def parse_fixture(data, name=None):
         return id_map.get(str(ref), ref)
 
     lam = _require(data, "lambda", dict, "fixture")
-    rows = {}
-    for key, row in lam.items():
-        rows[resolve(key)] = tuple(row)
+    rows = {resolve(key): row for key, row in lam.items()}
     charmat = CharacteristicMatrix(poset, rows)
 
-    interior = []
-    for cell in data.get("interior_cells", []):
-        entry = dict(cell)
-        entry["boundary"] = [[resolve(ref), coeff]
-                             for ref, coeff in cell.get("boundary", [])]
-        interior.append(entry)
+    interior = data.get("interior_cells", [])
+    if not isinstance(interior, list):
+        raise ValidationError("fixture entry 'interior_cells' must be a "
+                              "list of cells, got %r" % (interior,))
+    interior = [InteriorCell.from_data(cell) for cell in interior]
+    interior = [InteriorCell(cell.id, cell.dim,
+                             [(resolve(ref), coeff)
+                              for ref, coeff in cell.boundary])
+                for cell in interior]
     orientable = data.get("orientable", True)
     if not isinstance(orientable, bool):
         raise ValidationError("fixture entry 'orientable' must be true or "
@@ -141,14 +142,21 @@ def parse_fixture(data, name=None):
     geometry = data.get("geometry")
     if geometry is not None:
         oracle = GeometryOracle.from_data(geometry, resolve=resolve)
-        _check_bordism_faces(oracle, id_map)
+        _check_geometry_faces(oracle, id_map)
     label = data.get("name") or name or "fixture"
     return Fixture(label, manifold, oracle)
 
 
-def _check_bordism_faces(oracle, id_map):
-    """Every face a bordism chain or row names must be a poset element;
-    ``id_map`` holds the elements by their string form."""
+def _check_geometry_faces(oracle, id_map):
+    """Every face a class support, a bordism chain or a bordism row names
+    must be a poset element; ``id_map`` holds the elements by their string
+    form."""
+    for h in oracle.handles.values():
+        for face in h.support:
+            if str(face) not in id_map:
+                raise ValidationError(
+                    "class %s has support face %r, which is not a face of "
+                    "the poset" % (h.name, face))
     for d in oracle.data:
         named = list(d.chain or ())
         for entries in (d.rows or {}).values():

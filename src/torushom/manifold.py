@@ -102,16 +102,14 @@ class TorusManifold:
                 "second-kind rows exist in degrees 0..%d, not %d"
                 % (self.n - 2, q))
         gens = self.generators(q)
+        chains, _ = self.corner.delta_image(q, coeffs)
         rows, labels = [], []
-        for b, chain in enumerate(self.corner.delta_image(q, coeffs)):
+        for b, chain in enumerate(chains):
             for axes in self._axes(q):
-                row = []
-                for g in gens:
-                    z = chain.get(g, 0)
-                    c = self.charmat.c_coefficient(g, axes)
-                    row.append(coeffs.mul(lift(z, coeffs),
-                                          coeffs.from_int(c)))
-                rows.append(row)
+                rows.append([
+                    coeffs.mul(z, coeffs.from_int(
+                        self.charmat.c_coefficient(g, axes)))
+                    for z, g in zip(chain, gens)])
                 labels.append((b, tuple(sorted(axes))))
         return rows, labels
 
@@ -229,8 +227,7 @@ class TorusManifold:
         quo = self.quotient(field)
         k = self.n - q
         pres = quo.presentation(k)
-        face = self.corner.boundary_complex()
-        hq = face.homology(q, field)
+        hq = self.corner.homology("boundary", q, field)
         gens = pres.generators
         axes_list = self._axes(q)
         vectors = []
@@ -250,7 +247,7 @@ class TorusManifold:
         if q <= self.n - 2:
             kernel_expected = []
         else:
-            kernel_expected = self._top_kernel(hq, face, q, axes_list, field)
+            kernel_expected = self._top_kernel(q, axes_list, field)
         kernel_ok = fields.row_spaces_equal(kernel, kernel_expected, field)
         injective = rank == expected
         report = {
@@ -276,21 +273,16 @@ class TorusManifold:
                for i in range(len(reduced[0]))]
         return fields.nullspace(mat, field)
 
-    def _top_kernel(self, hq, face, q, axes_list, field):
-        """The expected kernel on the top boundary degree: connecting-map
-        chains, written over the homology classes, spread across the axes."""
-        chains = self.corner.delta_image(q, field)
-        if not chains:
-            return []
-        basis = face.basis(q)
-        vecs = [[lift(c.get(b, 0), field) for b in basis] for c in chains]
-        coords = self.corner._homology_coordinates(vecs, hq, face, q, field)
+    def _top_kernel(self, q, axes_list, field):
+        """The expected kernel on the top boundary degree: the homology
+        coordinates of the connecting-map chains, spread across the axes."""
+        _, coords = self.corner.delta_image(q, field)
         out = []
         for coord in coords:
             for pick in range(len(axes_list)):
-                row = [field.zero] * (hq.free_rank * len(axes_list))
+                row = [field.zero] * (len(coord) * len(axes_list))
                 for j, value in enumerate(coord):
-                    row[j * len(axes_list) + pick] = lift(value, field)
+                    row[j * len(axes_list) + pick] = value
                 out.append(row)
         return out
 

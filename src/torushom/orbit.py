@@ -8,8 +8,11 @@ meeting the interior) explicitly, with integer boundary coefficients.
 
 Three chain complexes live here: the face cells alone ("boundary"), the
 full cell structure ("space"), and the quotient by the face cells ("pair").
-The connecting map of the long exact sequence is computed on explicit
-cellular representatives, which downstream code turns into relation rows.
+The connecting map of the long exact sequence is computed once per degree
+and coefficient system on explicit cellular representatives: ``delta_image``
+returns the image chains together with their coordinates over the boundary
+homology generators.  Relation rows are built from the chains; the socle
+and exactness checks read the coordinates.
 """
 
 from . import fields, snf
@@ -48,6 +51,8 @@ class InteriorCell:
 
     @classmethod
     def from_data(cls, data):
+        """A cell from a dict with ``id``, ``dim`` and ``boundary``, or an
+        (id, dim, boundary) triple."""
         if isinstance(data, InteriorCell):
             return data
         if isinstance(data, dict):
@@ -57,18 +62,30 @@ class InteriorCell:
                 boundary = data.get("boundary", [])
             except KeyError as bad:
                 raise ValidationError("interior cell is missing key %s" % bad)
-        else:
+        elif isinstance(data, (list, tuple)) and len(data) == 3:
             cell_id, dim, boundary = data
+        else:
+            raise ValidationError(
+                "interior cell %r is not an object with id, dim and boundary"
+                % (data,))
+        if not isinstance(boundary, (list, tuple)):
+            raise ValidationError(
+                "boundary of cell %r must be a list, got %r"
+                % (cell_id, boundary))
         pairs = []
-        for entry in boundary:
+        for index, entry in enumerate(boundary):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValidationError(
+                    "boundary entry %d of cell %r must be a [reference, "
+                    "coefficient] pair, got %r" % (index, cell_id, entry))
             ref, coeff = entry
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
+            if not fields.is_int(coeff):
                 raise ValidationError(
                     "boundary coefficient %r of cell %r is not an integer"
                     % (coeff, cell_id))
             if coeff:
                 pairs.append((ref, coeff))
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        if not fields.is_int(dim) or dim < 0:
             raise ValidationError(
                 "interior cell %r has bad dimension %r" % (cell_id, dim))
         return cls(cell_id, dim, pairs)
@@ -106,6 +123,7 @@ class CornerComplex:
             self._interior[cell.id] = cell
         self._check_references()
         self._cache = {}
+        self._delta = {}
 
     def _check_references(self):
         for cell in self.interior:
@@ -213,13 +231,25 @@ class CornerComplex:
     # --- the connecting map --------------------------------------------
 
     def delta_image(self, q, coeffs=ZZ):
-        """Chains in the boundary complex spanning the image of the
-        connecting map from the pair homology one degree up.  Each row is
-        returned as a dict from face cells to coefficients.  Over the
-        integers both groups involved must be torsion free."""
+        """The image of the connecting map from the pair homology one degree
+        up, as ``(chains, coords)``: ``chains`` are boundary-complex cycles
+        over ``boundary_complex().basis(q)`` spanning the image, and
+        ``coords`` their coordinates over the free generators of
+        ``boundary_complex().homology(q, coeffs)``.  Computed once per
+        (q, coeffs) and shared by every later call, so treat both lists as
+        read-only.  Over the integers both groups involved must be torsion
+        free."""
         if q < 0 or q > self.n - 1:
             raise ValidationError(
                 "connecting map lands in degrees 0..%d, not %d" % (self.n - 1, q))
+        key = (q, coeffs)
+        image = self._delta.get(key)
+        if image is None:
+            image = self._delta_image(q, coeffs)
+            self._delta[key] = image
+        return image
+
+    def _delta_image(self, q, coeffs):
         pair = self.pair_complex()
         space = self.space_complex()
         face = self.boundary_complex()
@@ -234,12 +264,11 @@ class CornerComplex:
                 "boundary homology in degree %d has torsion %r; use field "
                 "coefficients" % (q, hface.torsion))
         if not hpair.free_generators or not hface.free_generators:
-            return []
+            return [], []
 
         space_basis = space.basis(q + 1)
         space_index = {c: i for i, c in enumerate(space_basis)}
-        face_basis = face.basis(q)
-        nface = len(face_basis)
+        nface = len(face.basis(q))
         bmat = fields.mat_from_int(space.boundary_matrix(q + 1), coeffs)
         chains = []
         for rep in hpair.free_generators:
@@ -247,26 +276,11 @@ class CornerComplex:
             for label, value in zip(pair.basis(q + 1), rep):
                 lifted[space_index[label]] = value
             dvec = fields.mat_vec(bmat, lifted, coeffs)
-            tail = dvec[nface:]
-            if any(tail):
+            if any(dvec[nface:]):
                 raise ValidationError(
                     "pair cycle leaks onto interior cells in degree %d" % q)
             chains.append(dvec[:nface])
 
-        coords = self._homology_coordinates(chains, hface, face, q, coeffs)
-        keep = self._independent_rows(chains, coords, coeffs)
-        rows = []
-        for chain in keep:
-            row = {}
-            for label, value in zip(face_basis, chain):
-                if value:
-                    row[label] = value
-            rows.append(row)
-        return rows
-
-    def _homology_coordinates(self, chains, hface, face, q, coeffs):
-        """Coordinates of boundary-complex cycles over the homology
-        generators, after quotienting out boundaries."""
         mat, ngen = _coordinate_matrix(hface, face, face, q, coeffs)
         coords = []
         for sol in fields.solve_all(mat, chains, coeffs):
@@ -275,14 +289,14 @@ class CornerComplex:
                     "connecting-map chain is not a cycle of the boundary "
                     "complex in degree %d" % q)
             coords.append(sol[:ngen])
-        return coords
+        return self._independent_rows(chains, coords, coeffs)
 
     def _independent_rows(self, chains, coords, coeffs):
         """Select chains whose homology coordinates form a basis of the
-        span of all of them.  Over the integers a greedy choice can span a
-        smaller lattice; in that case recombine through the normal form."""
-        if not chains or not coords[0]:
-            return []
+        span of all of them, and return them with their coordinate rows.
+        Over the integers a greedy choice can span a smaller lattice; in
+        that case recombine through the normal form U·coords·V = D, whose
+        nonzero rows of U·coords are the coordinates of the mixed chains."""
         span = fields.Echelon(QQ if coeffs is ZZ else coeffs)
         keep, kept_rows = [], []
         for chain, row in zip(chains, coords):
@@ -290,20 +304,20 @@ class CornerComplex:
                 keep.append(chain)
                 kept_rows.append(row)
         if coeffs is not ZZ or self._spans_lattice(kept_rows, coords):
-            return keep
-        u, d, _ = snf.smith_normal_form(coords)
-        combined = snf.int_mat_mul(u, coords)
-        out = []
-        for r, row in enumerate(combined):
+            return keep, kept_rows
+        u, _, _ = snf.smith_normal_form(coords)
+        keep, kept_rows = [], []
+        for factors, row in zip(u, snf.int_mat_mul(u, coords)):
             if not any(row):
                 continue
             mixed = [0] * len(chains[0])
-            for j, factor in enumerate(u[r]):
+            for j, factor in enumerate(factors):
                 if factor:
                     for i, value in enumerate(chains[j]):
                         mixed[i] += factor * value
-            out.append(mixed)
-        return out
+            keep.append(mixed)
+            kept_rows.append(row)
+        return keep, kept_rows
 
     @staticmethod
     def _spans_lattice(kept_rows, all_rows):
@@ -375,18 +389,7 @@ class CornerComplex:
         space = self.space_complex()
         for q in range(self.n):
             hface = face.homology(q, field)
-            if not hface.free_generators:
-                if self.delta_image(q, field):
-                    problems.append(
-                        "connecting map hits trivial homology in degree %d" % q)
-                continue
-            delta_rows = []
-            face_basis = face.basis(q)
-            for row in self.delta_image(q, field):
-                delta_rows.append([fields.lift(row.get(c, 0), field)
-                                   for c in face_basis])
-            delta_coords = self._homology_coordinates(
-                delta_rows, hface, face, q, field) if delta_rows else []
+            _, delta_coords = self.delta_image(q, field)
             kernel_coords = self._inclusion_kernel(q, hface, face, space, field)
             if not fields.row_spaces_equal(delta_coords, kernel_coords, field):
                 problems.append(

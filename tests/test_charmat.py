@@ -21,6 +21,15 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             CharacteristicMatrix(square_poset, rows)
 
+    @pytest.mark.parametrize("bad", [(1.7, 0), (True, 0), ("1", 0), (3.9, 1),
+                                     (1.0, 0), 1],
+                             ids=["float", "bool", "text", "rounded",
+                                  "integral-float", "scalar"])
+    def test_non_integer_row_rejected(self, square_poset, bad):
+        rows = {1: bad, 2: (0, 1), 3: (1, 0), 4: (0, 1)}
+        with pytest.raises(ValidationError, match="vertex 1"):
+            CharacteristicMatrix(square_poset, rows)
+
     def test_extra_row(self, square_poset):
         rows = {1: (1, 0), 2: (0, 1), 3: (1, 0), 4: (0, 1), 99: (1, 1)}
         with pytest.raises(ValidationError):

@@ -191,6 +191,19 @@ class TestIntersect:
         source, dest = datum["source"], datum["target"]
         assert "%s -> %s" % (source, dest) in err and "99" in err
 
+    def test_support_naming_unknown_face(self, capsys, tmp_path):
+        data = json.loads(dumps_fixture(resolve_fixture("square_hole")))
+        for cls in data["geometry"]["classes"]:
+            if cls["name"] == "L":
+                cls["support"] = [99]
+        target = tmp_path / "bad_support.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "intersect", str(target),
+                             "dia:L:e1", "dia:L:e2")
+        assert code == 1
+        assert out == ""
+        assert "class L " in err and "99" in err
+
     def test_overflow_reported(self, capsys):
         code, _, err = run(capsys, "intersect", "square_hole",
                            "face:8", "face:9")
@@ -261,6 +274,28 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(target))
         assert code == 2
         assert "problem" in out
+
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda d: d["lambda"].__setitem__("1", [1.7, 0]), "vertex 1"),
+        (lambda d: d["lambda"].__setitem__("1", [True, 0]), "vertex 1"),
+        (lambda d: d["lambda"].__setitem__("1", ["1", 0]), "vertex 1"),
+        (lambda d: d["lambda"].__setitem__("4", [3.9, 1]), "vertex 4"),
+        (lambda d: d["interior_cells"][1]["boundary"].__setitem__(
+            2, [3, 1, 1]), "boundary entry 2 of cell 'c'"),
+        (lambda d: d.__setitem__("interior_cells", 3), "interior_cells"),
+        (lambda d: d["interior_cells"].__setitem__(0, 5), "interior cell 5"),
+    ], ids=["float-row", "bool-row", "text-row", "rounded-row",
+            "long-boundary-entry", "cells-not-a-list", "cell-not-an-object"])
+    def test_malformed_entries_exit_one(self, capsys, tmp_path, mutate,
+                                        named):
+        data = json.loads(dumps_fixture(resolve_fixture("square_hole")))
+        mutate(data)
+        target = tmp_path / "mutated.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and named in err
 
     def test_malformed_file(self, capsys, tmp_path):
         target = tmp_path / "bad.json"

@@ -171,6 +171,12 @@ class TestGeometryTable:
             GeometryOracle(handles=[Handle("a", "spine", 0)],
                            pairings=[("a", "b", [])])
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    def test_non_integer_pairing_rejected(self, bad):
+        handles = [Handle("a", "spine", 0), Handle("b", "dia", 1)]
+        with pytest.raises(ValidationError, match="a with b"):
+            GeometryOracle(handles=handles, pairings=[("a", "b", [("a", bad)])])
+
     def test_bordism_requires_diaphragm_endpoints(self):
         handles = [Handle("a", "spine", 1), Handle("b", "dia", 1)]
         datum = BordismDatum("a", "b", chain={})
@@ -222,6 +228,11 @@ class TestBordismDatum:
     def test_non_integer_chain_rejected(self):
         with pytest.raises(ValidationError):
             BordismDatum("a", "b", chain={1: Fraction(1, 2)})
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    def test_non_integer_row_rejected(self, bad):
+        with pytest.raises(ValidationError, match="L -> Lp"):
+            BordismDatum("L", "Lp", rows={frozenset({1}): [(4, bad)]})
 
 
 @pytest.fixture

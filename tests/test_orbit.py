@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from torushom import fields, snf
 from torushom.errors import CoefficientError, ValidationError
 from torushom.fields import GF, QQ, ZZ
+from torushom.generator import polygon_with_holes
 from torushom.orbit import CornerComplex, canonical_selector
 
 ANNULUS_CELLS = [
@@ -18,6 +20,38 @@ SQUARE_CELLS = [
 DIGON_CELLS = [
     {"id": "c", "dim": 2, "boundary": [[1, 1], [2, 1]]},
 ]
+
+
+def assert_coordinates(cx, q, coeffs):
+    """Check the ``coords`` of ``delta_image`` against its chains without
+    the code that computed them: each chain minus the combination of the
+    boundary homology generators its row names must be a boundary, and
+    the rows must be independent."""
+    chains, coords = cx.delta_image(q, coeffs)
+    face = cx.boundary_complex()
+    gens = face.homology(q, coeffs).free_generators
+    assert len(coords) == len(chains)
+    assert all(len(row) == len(gens) for row in coords)
+    bmat = face.boundary_matrix(q + 1)
+    for chain, row in zip(chains, coords):
+        rest = [coeffs.from_int(x - sum(c * g[i] for c, g in zip(row, gens)))
+                for i, x in enumerate(chain)]
+        if coeffs is ZZ:
+            assert snf.int_solve_all(bmat, [rest])[0] is not None
+        else:
+            columns = fields.mat_from_int(zip(*bmat), coeffs)
+            assert fields.Echelon(coeffs, columns).contains(rest)
+    span = fields.Echelon(QQ if coeffs is ZZ else coeffs, coords)
+    assert len(span) == len(coords)
+
+
+def delta_rows(cx, q, coeffs=ZZ):
+    """The chains of ``delta_image`` as {face cell: coefficient} dicts,
+    after checking their coordinates."""
+    assert_coordinates(cx, q, coeffs)
+    chains, _ = cx.delta_image(q, coeffs)
+    basis = cx.boundary_complex().basis(q)
+    return [{c: v for c, v in zip(basis, chain) if v} for chain in chains]
 
 
 @pytest.fixture
@@ -141,28 +175,27 @@ class TestHomology:
 
 class TestDeltaImage:
     def test_annulus_degree_zero(self, annulus_cx):
-        rows = annulus_cx.delta_image(0)
-        assert rows == [{11: 1, 14: 1}]
+        assert delta_rows(annulus_cx, 0) == [{11: 1, 14: 1}]
 
     def test_annulus_degree_one(self, annulus_cx):
-        rows = annulus_cx.delta_image(1)
-        assert rows == [{v: 1 for v in range(1, 8)}]
+        assert delta_rows(annulus_cx, 1) == [{v: 1 for v in range(1, 8)}]
 
     def test_square(self, square_cx):
-        assert square_cx.delta_image(0) == []
-        assert square_cx.delta_image(1) == [{1: 1, 2: 1, 3: 1, 4: 1}]
+        assert square_cx.delta_image(0) == ([], [])
+        assert delta_rows(square_cx, 1) == [{1: 1, 2: 1, 3: 1, 4: 1}]
 
     def test_digon(self, digon_cx):
-        assert digon_cx.delta_image(0) == []
-        assert digon_cx.delta_image(1) == [{1: 1, 2: 1}]
+        assert digon_cx.delta_image(0) == ([], [])
+        assert delta_rows(digon_cx, 1) == [{1: 1, 2: 1}]
 
     def test_rational_coefficients(self, annulus_cx):
-        rows = annulus_cx.delta_image(0, QQ)
-        assert rows == [{11: Fraction(1), 14: Fraction(1)}]
-        assert len(annulus_cx.delta_image(1, QQ)) == 1
+        assert delta_rows(annulus_cx, 0, QQ) == [{11: 1, 14: 1}]
+        chains, coords = annulus_cx.delta_image(0, QQ)
+        assert all(isinstance(v, Fraction) for v in chains[0] + coords[0])
+        assert len(delta_rows(annulus_cx, 1, QQ)) == 1
 
     def test_prime_field(self, annulus_cx):
-        rows = annulus_cx.delta_image(1, GF(2))
+        rows = delta_rows(annulus_cx, 1, GF(2))
         assert rows == [{v: 1 for v in range(1, 8)}]
 
     def test_degree_out_of_range(self, annulus_cx):
@@ -181,8 +214,63 @@ class TestDeltaImage:
         assert cx.homology("pair", 1, ZZ).torsion == [2]
         with pytest.raises(CoefficientError):
             cx.delta_image(0)
-        rows = cx.delta_image(0, QQ)
-        assert rows == [{11: Fraction(1), 14: Fraction(1)}]
+        assert delta_rows(cx, 0, QQ) == [{11: 1, 14: 1}]
+
+
+SEEDED_SHAPES = [((4,), 1), ((4, 3), 2), ((5, 4, 3), 3), ((3, 3, 2), 0),
+                 ((6, 4), 5)]
+
+
+class TestDeltaCoordinates:
+    """``coords`` are the homology coordinates of ``chains`` on seeded
+    polygons, checked by an elimination of their own."""
+
+    @pytest.mark.parametrize("lengths,seed", SEEDED_SHAPES)
+    @pytest.mark.parametrize("coeffs", [ZZ, QQ, GF(5)], ids=repr)
+    def test_chain_minus_combination_is_a_boundary(self, lengths, seed,
+                                                   coeffs):
+        cx = polygon_with_holes(lengths, seed=seed).manifold.corner
+        for q in range(cx.n):
+            assert_coordinates(cx, q, coeffs)
+            chains, _ = cx.delta_image(q, coeffs)
+            assert len(chains) == (1 if q else len(lengths) - 1)
+
+
+class TestDeltaImageOnce:
+    """Every consumer of the connecting map reads one shared value."""
+
+    def test_each_degree_is_solved_once(self, monkeypatch):
+        manifold = polygon_with_holes((6, 4, 3), seed=3).manifold
+        cx = manifold.corner
+        calls = []
+        original = fields.solve_all
+
+        def counting(rows, bs, field):
+            calls.append(field)
+            return original(rows, bs, field)
+
+        monkeypatch.setattr(fields, "solve_all", counting)
+        first = [cx.delta_image(q, QQ) for q in range(cx.n)]
+        assert len(calls) == cx.n
+        manifold.second_kind_rows(0, QQ)
+        for k in range(manifold.n + 1):
+            manifold.kernel_of_g(k, QQ)
+        for q in range(cx.n):
+            manifold.novik_swartz_check(q, QQ)
+        manifold.consistency_report(QQ)
+        assert cx.consistency_violations(QQ) == []
+        assert len(calls) == cx.n
+        assert [cx.delta_image(q, QQ) for q in range(cx.n)] == first
+        assert all(cx.delta_image(q, QQ) is first[q] for q in range(cx.n))
+
+        calls.clear()
+        integral = cx.delta_image(0, ZZ)
+        mod_five = cx.delta_image(0, GF(5))
+        assert calls == [ZZ, GF(5)]
+        assert integral is not first[0] and mod_five is not first[0]
+        assert cx.delta_image(0, GF(5)) is mod_five
+        assert cx.delta_image(0, ZZ) is integral
+        assert calls == [ZZ, GF(5)]
 
 
 class TestValidation:
@@ -219,8 +307,9 @@ class TestValidation:
             assert left == right
 
     def test_connecting_rank_matches_kernel(self, annulus_cx):
-        assert len(annulus_cx.delta_image(0, QQ)) == 1
-        assert len(annulus_cx.delta_image(1, QQ)) == 1
+        for q in range(2):
+            chains, coords = annulus_cx.delta_image(q, QQ)
+            assert len(chains) == len(coords) == 1
 
 
 class TestSignTransport:
@@ -241,10 +330,9 @@ class TestSignTransport:
         assert cx.consistency_violations(QQ) == []
         for sel in ("boundary", "space", "pair"):
             assert cx.betti(sel) == annulus_cx.betti(sel)
-        rows = cx.delta_image(0)
-        assert rows == [{11: -1, 14: 1}]
-        rows = cx.delta_image(1)
-        assert rows == [{1: -1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}]
+        assert delta_rows(cx, 0) == [{11: -1, 14: 1}]
+        assert delta_rows(cx, 1) == [
+            {1: -1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}]
 
     def test_incomplete_sign_table_rejected(self, square_poset):
         signs = square_poset.default_sign_convention()
