@@ -9,6 +9,11 @@ choice between the integers and a field is made here: ``solve_all`` hands
 ``ZZ`` to ``snf.int_solve_all``, and the elimination routines (``rref``,
 ``rank``, ``nullspace``, ``Echelon``) need a field.
 
+There is one elimination loop over a field, ``Echelon.add``: ``rref``
+adds its rows one by one to an empty ``Echelon``, and ``rank``,
+``nullspace``, ``solve_all`` and an ``Echelon`` started from rows all
+read their reduced echelon form from ``rref``.
+
 ``solve_all`` solves one matrix against many right-hand sides with a
 single elimination of [A | b_1 ... b_m]; ``solve`` is its one-vector case.
 """
@@ -160,6 +165,11 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_id(value):
+    """True for a JSON string or integer, the ids of the input formats."""
+    return isinstance(value, str) or is_int(value)
+
+
 def lift(value, coeffs):
     """An int as an element of ``coeffs``; any other value is taken to be
     one already and passed through unchanged."""
@@ -181,37 +191,16 @@ def mat_vec(a, v, field):
 
 
 def rref(rows, field):
-    """Reduced row echelon form.
+    """Reduced row echelon form, built by adding the rows one by one to an
+    empty ``Echelon``.
 
     Returns (echelon_rows, pivot_columns).  The input is not modified.
     Zero rows are dropped from the result.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    echelon = Echelon(field)
+    for row in rows:
+        echelon.add(row)
+    return echelon.rows, echelon.pivots
 
 
 def rank(rows, field):
@@ -282,7 +271,7 @@ class Echelon:
 
     def __init__(self, field, rows=()):
         self.field = require_field(field)
-        self.rows, self.pivots = rref(rows, field)
+        self.rows, self.pivots = rref(rows, field) if rows else ([], [])
 
     def __len__(self):
         return len(self.rows)

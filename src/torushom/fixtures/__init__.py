@@ -40,7 +40,7 @@ from pathlib import Path
 from ..charmat import CharacteristicMatrix
 from ..cycles import GeometryOracle, IntersectionCalculator
 from ..errors import ValidationError
-from ..fields import QQ
+from ..fields import QQ, is_id
 from ..manifold import TorusManifold
 from ..orbit import CornerComplex, InteriorCell
 from ..posets import SimplicialPoset
@@ -89,6 +89,87 @@ def _require(data, key, kind, where):
     return value
 
 
+def _is_id_list(values):
+    return isinstance(values, list) and all(map(is_id, values))
+
+
+def _check_poset_shape(vertices, cells):
+    """Ids are JSON strings or integers, and every cell is an object with
+    an ``id``, a ``vertices`` list and, when given, a ``faces`` list.
+    Raises a ``ValidationError`` naming the first entry that is not."""
+    if not _is_id_list(vertices):
+        raise ValidationError("poset.vertices must be a list of string or "
+                              "integer ids, got %r" % (vertices,))
+    if not isinstance(cells, list):
+        raise ValidationError("poset.cells must be a list of cells, got %r"
+                              % (cells,))
+    for index, cell in enumerate(cells):
+        if not (isinstance(cell, dict) and is_id(cell.get("id"))
+                and _is_id_list(cell.get("vertices"))
+                and _is_id_list(cell.get("faces", []))):
+            raise ValidationError(
+                "poset.cells[%d] must be an object with a string or integer "
+                "id, a list of vertex ids and, optionally, a list of face "
+                "ids; got %r" % (index, cell))
+
+
+def _is_pair_list(values):
+    return isinstance(values, list) and all(
+        isinstance(pair, list) and len(pair) == 2 for pair in values)
+
+
+def _check_geometry_shape(geometry):
+    """The geometry block is an object whose lists hold the objects and
+    pairs ``GeometryOracle.from_data`` reads.  Raises a
+    ``ValidationError`` naming the class, pairing or move that is not,
+    or its index when its name is missing."""
+    if not isinstance(geometry, dict):
+        raise ValidationError("the geometry block must be an object, got %r"
+                              % (geometry,))
+    lists = {key: geometry.get(key, [])
+             for key in ("classes", "pairings", "disjoint", "bordism")}
+    for key, value in lists.items():
+        if not isinstance(value, list):
+            raise ValidationError("geometry entry %r must be a list, got %r"
+                                  % (key, value))
+    for index, c in enumerate(lists["classes"]):
+        where = "class %s" % (
+            _require(c, "name", object, "geometry class %d" % index),)
+        _require(c, "kind", object, where)
+        _require(c, "dim", object, where)
+        if not _is_id_list(c.get("support", [])):
+            raise ValidationError("%s has support %r, not a list of faces"
+                                  % (where, c["support"]))
+    for index, p in enumerate(lists["pairings"]):
+        at = "geometry pairing %d" % index
+        where = "pairing of %s with %s" % (_require(p, "left", object, at),
+                                           _require(p, "right", object, at))
+        if not _is_pair_list(_require(p, "result", object, where)):
+            raise ValidationError("the result of the %s must be a list of "
+                                  "[class, coefficient] pairs, got %r"
+                                  % (where, p["result"]))
+    if not _is_pair_list(lists["disjoint"]):
+        raise ValidationError("disjoint entries must be pairs of class "
+                              "names, got %r" % (lists["disjoint"],))
+    for index, d in enumerate(lists["bordism"]):
+        at = "bordism move %d" % index
+        where = "bordism move %s -> %s" % (_require(d, "source", object, at),
+                                           _require(d, "target", object, at))
+        chain, rows = d.get("chain", {}), d.get("rows", {})
+        if not (isinstance(chain, dict) and isinstance(rows, dict)
+                and all(map(_is_pair_list, rows.values()))):
+            raise ValidationError(
+                "%s needs a chain object or a rows object of [face, "
+                "coefficient] pairs" % (where,))
+        for key in rows:
+            try:
+                [int(part) for part in str(key).split(",") if part.strip()]
+            except ValueError:
+                raise ValidationError(
+                    "%s has row key %r, which is not a list of axes"
+                    % (where, key)) from None
+
+
 def parse_fixture(data, name=None):
     """Build a Fixture from plain data as read out of a fixture file."""
     if not isinstance(data, dict):
@@ -100,7 +181,13 @@ def parse_fixture(data, name=None):
     poset_data = _require(data, "poset", dict, "fixture")
     vertices = _require(poset_data, "vertices", list, "poset block")
     cells = poset_data.get("cells", [])
-    poset = SimplicialPoset(vertices, cells)
+    try:
+        poset = SimplicialPoset(vertices, cells)
+    except (AttributeError, KeyError, TypeError):
+        # a block of the wrong shape fails while the poset reads it; the
+        # check runs only then, so loading a good fixture costs nothing
+        _check_poset_shape(vertices, cells)
+        raise
     if poset.top_rank != n:
         raise ValidationError(
             "poset has faces of depth %d but the fixture declares n = %d"
@@ -141,6 +228,7 @@ def parse_fixture(data, name=None):
     oracle = None
     geometry = data.get("geometry")
     if geometry is not None:
+        _check_geometry_shape(geometry)
         oracle = GeometryOracle.from_data(geometry, resolve=resolve)
         _check_geometry_faces(oracle, id_map)
     label = data.get("name") or name or "fixture"

@@ -68,6 +68,9 @@ class InteriorCell:
             raise ValidationError(
                 "interior cell %r is not an object with id, dim and boundary"
                 % (data,))
+        if not fields.is_id(cell_id):
+            raise ValidationError(
+                "interior cell id %r is not a string or integer" % (cell_id,))
         if not isinstance(boundary, (list, tuple)):
             raise ValidationError(
                 "boundary of cell %r must be a list, got %r"
@@ -79,6 +82,10 @@ class InteriorCell:
                     "boundary entry %d of cell %r must be a [reference, "
                     "coefficient] pair, got %r" % (index, cell_id, entry))
             ref, coeff = entry
+            if not fields.is_id(ref):
+                raise ValidationError(
+                    "boundary entry %d of cell %r has reference %r, which is "
+                    "not a string or integer" % (index, cell_id, ref))
             if not fields.is_int(coeff):
                 raise ValidationError(
                     "boundary coefficient %r of cell %r is not an integer"
@@ -369,12 +376,13 @@ class CornerComplex:
     def _transpose_duality_violations(self, field):
         """The boundary complex reads the poset's incidence matrices upside
         down, so its homology must match the poset cell structure in the
-        complementary degree; this is the duality of the closed boundary."""
+        complementary degree; this is the duality of the closed boundary.
+        The poset side is its reduced homology, plus one in degree 0."""
         problems = []
-        simplex = self.poset.simplex_chain_complex(signs=self.signs)
+        betti = self.poset.reduced_betti(field)
         for q in range(self.n):
             left = self.homology("boundary", q, field).rank
-            right = simplex.homology(self.n - 1 - q, field).rank
+            right = betti[self.n - 1 - q] + (1 if q == self.n - 1 else 0)
             if left != right:
                 problems.append(
                     "boundary homology rank %d in degree %d does not match "

@@ -60,6 +60,7 @@ class SimplicialPoset:
         for e in self.elements():
             for f in self.lower_covers(e):
                 self._covers[f].append(e)
+        self._chains = None
         if check:
             self.validate()
 
@@ -249,7 +250,7 @@ class SimplicialPoset:
             if signs[pair] not in (1, -1):
                 raise ValidationError(
                     "sign for %r is %r, not +-1" % (pair, signs[pair]))
-        self.simplex_chain_complex(signs=signs, augmented=True)
+        self.simplex_chain_complex(signs=signs)
         return True
 
     def gauge_transform(self, signs, orientation_flips):
@@ -264,19 +265,18 @@ class SimplicialPoset:
 
     # --- chain complexes and counting ----------------------------------
 
-    def simplex_chain_complex(self, signs=None, augmented=False):
-        """Chains of the cell structure underlying the poset: rank-k
-        elements sit in degree k-1.  With ``augmented`` the bottom element
-        spans degree -1, which computes reduced homology."""
+    def simplex_chain_complex(self, signs=None):
+        """The augmented chains of the cell structure underlying the poset:
+        rank-k elements sit in degree k-1 and the bottom element spans
+        degree -1, so the homology is reduced homology.  The signs default
+        to the vertex-order convention."""
         if signs is None:
             signs = self.default_sign_convention()
-        bases = {}
+        bases = {-1: [BOTTOM]}
         for k in range(1, self.top_rank + 1):
             elems = self.elements_of_rank(k)
             if elems:
                 bases[k - 1] = elems
-        if augmented:
-            bases[-1] = [BOTTOM]
         boundaries = {}
         for deg, cells in bases.items():
             if deg - 1 not in bases:
@@ -291,9 +291,13 @@ class SimplicialPoset:
         return ChainComplex(bases, boundaries)
 
     def reduced_betti(self, field=QQ):
-        """Reduced Betti numbers over a field, indexed -1 .. top_rank-1."""
-        cx = self.simplex_chain_complex(augmented=True)
-        return {k: cx.homology(k, field).rank
+        """Reduced Betti numbers over a field, indexed -1 .. top_rank-1.
+        They are read off one augmented complex under the vertex-order
+        signs, built on first use and kept, so its homology cache serves
+        every later call."""
+        if self._chains is None:
+            self._chains = self.simplex_chain_complex()
+        return {k: self._chains.homology(k, field).rank
                 for k in range(-1, self.top_rank)}
 
     def f_vector(self):

@@ -17,6 +17,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def check_rejects_mutation(capsys, tmp_path, mutate, named):
+    """``check`` on a mutated copy of square_hole exits 1 with an error
+    that names the bad entry."""
+    data = json.loads(dumps_fixture(resolve_fixture("square_hole")))
+    mutate(data)
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
 class TestReport:
     def test_text_report(self, capsys):
         code, out, err = run(capsys, "report", "square_hole")
@@ -288,14 +301,49 @@ class TestCheck:
             "long-boundary-entry", "cells-not-a-list", "cell-not-an-object"])
     def test_malformed_entries_exit_one(self, capsys, tmp_path, mutate,
                                         named):
-        data = json.loads(dumps_fixture(resolve_fixture("square_hole")))
-        mutate(data)
-        target = tmp_path / "mutated.json"
-        target.write_text(json.dumps(data))
-        code, out, err = run(capsys, "check", str(target))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and named in err
+        check_rejects_mutation(capsys, tmp_path, mutate, named)
+
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda d: d["interior_cells"][1].__setitem__("id", [1]),
+         "interior cell id [1]"),
+        (lambda d: d["interior_cells"][1].__setitem__("id", 1.5),
+         "interior cell id 1.5"),
+        (lambda d: d["interior_cells"][1]["boundary"][0].__setitem__(0, [1]),
+         "boundary entry 0 of cell 'c'"),
+        (lambda d: d["poset"].__setitem__("cells", 3), "poset.cells"),
+        (lambda d: d["poset"]["cells"].__setitem__(0, 5), "poset.cells[0]"),
+        (lambda d: d["poset"]["cells"][0].pop("vertices"), "poset.cells[0]"),
+        (lambda d: d["poset"]["cells"][0].__setitem__("id", [8]),
+         "poset.cells[0]"),
+        (lambda d: d["poset"]["vertices"].__setitem__(0, [1]),
+         "poset.vertices"),
+        (lambda d: d.__setitem__("geometry", []), "geometry block"),
+        (lambda d: d["geometry"]["classes"][2].pop("name"),
+         "geometry class 2"),
+        (lambda d: d["geometry"]["classes"][2].__setitem__("support", [[1]]),
+         "class L"),
+        (lambda d: d["geometry"]["pairings"][0].pop("result"),
+         "pairing of eta with L"),
+        (lambda d: d["geometry"]["disjoint"].__setitem__(
+            0, ["Lp", "Lpp", "L"]), "disjoint"),
+        (lambda d: d["geometry"]["bordism"][0]["rows"].__setitem__(
+            "x", [[4, 1]]), "bordism move L -> Lp"),
+        (lambda d: d["geometry"]["bordism"][0]["rows"].__setitem__(
+            "1", [[4]]), "bordism move L -> Lp"),
+        (lambda d: d["geometry"]["bordism"][1].__setitem__("chain", 3),
+         "bordism move L -> Lpp"),
+        (lambda d: d["geometry"]["bordism"][0].pop("source"),
+         "bordism move 0"),
+    ], ids=["cell-id-list", "cell-id-float", "reference-list",
+            "poset-cells-not-a-list", "poset-cell-not-an-object",
+            "poset-cell-without-vertices", "poset-cell-id-list",
+            "poset-vertex-list", "geometry-not-an-object",
+            "class-without-name", "support-entry-list",
+            "pairing-without-result", "disjoint-triple", "rows-key-x",
+            "rows-entry-short", "chain-not-an-object", "move-without-source"])
+    def test_malformed_shapes_exit_one(self, capsys, tmp_path, mutate,
+                                       named):
+        check_rejects_mutation(capsys, tmp_path, mutate, named)
 
     def test_malformed_file(self, capsys, tmp_path):
         target = tmp_path / "bad.json"

@@ -300,11 +300,12 @@ class TestValidation:
             assert cx.consistency_violations(GF(3)) == []
 
     def test_transpose_duality_ranks(self, annulus_cx, annulus_poset):
-        simplex = annulus_poset.simplex_chain_complex()
+        # unreduced homology of the poset: one more class in degree 0
+        betti = annulus_poset.reduced_betti(QQ)
         for q in range(2):
             left = annulus_cx.homology("boundary", q, QQ).rank
-            right = simplex.homology(1 - q, QQ).rank
-            assert left == right
+            right = betti[1 - q] + (1 if q == 1 else 0)
+            assert left == right == 2
 
     def test_connecting_rank_matches_kernel(self, annulus_cx):
         for q in range(2):

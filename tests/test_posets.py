@@ -110,8 +110,7 @@ class TestSignConventions:
             flips = [e for e in elems if rng.random() < 0.5]
             flipped = annulus_poset.gauge_transform(signs, flips)
             assert annulus_poset.validate_sign_convention(flipped)
-            cx = annulus_poset.simplex_chain_complex(signs=flipped,
-                                                     augmented=True)
+            cx = annulus_poset.simplex_chain_complex(signs=flipped)
             assert cx.homology(0, QQ).rank == 1
             assert cx.homology(1, QQ).rank == 2
 
@@ -196,7 +195,7 @@ class TestRelabelling:
         cells = [{"id": 100 + i, "vertices": [relabel[a], relabel[b]]}
                  for i, (_, (a, b)) in enumerate(ANNULUS_EDGES)]
         shuffled = SimplicialPoset(perm, cells)
-        a = base.simplex_chain_complex(augmented=True)
-        b = shuffled.simplex_chain_complex(augmented=True)
+        a = base.simplex_chain_complex()
+        b = shuffled.simplex_chain_complex()
         for k in (-1, 0, 1):
             assert a.homology(k).describe() == b.homology(k).describe()
