@@ -185,17 +185,13 @@ class ChainComplex:
         labels = self.basis(k)
         n = len(labels)
         if self.dim(k - 1):
-            bdown = fields.mat_from_int(self.boundary_matrix(k), field)
-            kernel = fields.nullspace(bdown, field)
+            kernel = fields.nullspace(self.boundary_matrix(k), field)
         else:
             kernel = [[field.one if i == j else field.zero for i in range(n)]
                       for j in range(n)]
         if not kernel:
             return _zero_group(labels, field)
-        bup = self.boundary_matrix(k + 1)
-        span = fields.Echelon(field, [
-            [field.from_int(bup[i][j]) for i in range(n)]
-            for j in range(self.dim(k + 1))])
+        span = fields.Echelon(field, zip(*self.boundary_matrix(k + 1)))
         reps = [v for v in kernel if span.add(v)]
         return HomologyGroup(len(reps), [], reps, [], labels, field)
 

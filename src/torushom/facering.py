@@ -190,7 +190,8 @@ class GradedPresentation:
         self.degree = degree
         self.generators = list(generators)
         self.field = field
-        self.rows = [[lift(x, field) for x in r] for r in rows]
+        self.rows = [[lift(x, field) if x else field.zero for x in r]
+                     for r in rows]
         self.row_labels = list(row_labels) if row_labels is not None else None
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValidationError("row labels do not match relation rows")
@@ -219,12 +220,11 @@ class GradedPresentation:
 
     def reduce(self, vec):
         """Eliminate the pivot generators from a coordinate vector."""
-        v = [lift(x, self.field) for x in vec]
-        if len(v) != len(self.generators):
+        if len(vec) != len(self.generators):
             raise ValidationError(
                 "vector of length %d against %d generators"
-                % (len(v), len(self.generators)))
-        return self._echelon.reduce(v)
+                % (len(vec), len(self.generators)))
+        return self._echelon.reduce(vec)
 
     def coordinates(self, vec):
         """Coordinates of a vector over the surviving basis."""

@@ -9,16 +9,18 @@ choice between the integers and a field is made here: ``solve_all`` hands
 ``ZZ`` to ``snf.int_solve_all``, and the elimination routines (``rref``,
 ``rank``, ``nullspace``, ``Echelon``) need a field.
 
-There is one elimination loop over a field, ``Echelon.add``: ``rref``
-adds its rows one by one to an empty ``Echelon``, and ``rank``,
-``nullspace``, ``solve_all`` and an ``Echelon`` started from rows all
-read their reduced echelon form from ``rref``.
+There is one elimination loop over a field, in ``Echelon``: it keeps
+each reduced row sparsely, as {column: value}, lifts input entries into
+the field only where they are nonzero, and does field arithmetic only on
+nonzero entries, since the boundary and relation matrices it is fed are
+mostly zeros.  ``rref`` and ``rank`` are an ``Echelon`` built from rows,
+with the dense reduced echelon form built when read; ``nullspace`` and
+``solve_all`` read their answers off the sparse rows.
 
 ``solve_all`` solves one matrix against many right-hand sides with a
 single elimination of [A | b_1 ... b_m]; ``solve`` is its one-vector case.
 """
 
-from bisect import bisect
 from fractions import Fraction
 
 from . import snf
@@ -176,53 +178,39 @@ def lift(value, coeffs):
     return coeffs.from_int(value) if isinstance(value, int) else value
 
 
-def mat_from_int(rows, field):
-    return [[field.from_int(x) for x in row] for row in rows]
-
-
-def mat_vec(a, v, field):
-    out = []
-    for row in a:
-        s = field.zero
-        for x, y in zip(row, v):
-            s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
-
-
 def rref(rows, field):
     """Reduced row echelon form, built by adding the rows one by one to an
-    empty ``Echelon``.
+    ``Echelon``.
 
-    Returns (echelon_rows, pivot_columns).  The input is not modified.
-    Zero rows are dropped from the result.
+    Returns (echelon_rows, pivot_columns) as dense lists.  The input is not
+    modified.  Zero rows are dropped from the result, and rows of unequal
+    length raise ``ValueError``.
     """
-    echelon = Echelon(field)
-    for row in rows:
-        echelon.add(row)
+    echelon = Echelon(field, rows)
     return echelon.rows, echelon.pivots
 
 
 def rank(rows, field):
-    return len(rref(rows, field)[0])
+    return len(Echelon(field, rows))
 
 
 def nullspace(rows, field):
-    """Basis of the right kernel {v : rows @ v = 0}, as a list of vectors."""
+    """Basis of the right kernel {v : rows @ v = 0}, as a list of vectors:
+    one per free column, read off the sparse rows of the echelon form."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    ech, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(ech[r][fc])
-        basis.append(v)
-    return basis
+    echelon = Echelon(field, rows)
+    ncols = echelon.width
+    basis = {}  # free column -> its kernel vector, in column order
+    for fc in range(ncols):
+        if fc not in echelon._rows:
+            basis[fc] = [field.zero] * ncols
+            basis[fc][fc] = field.one
+    for pc, row in echelon._rows.items():
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = field.neg(x)
+    return list(basis.values())
 
 
 def solve_all(rows, bs, field):
@@ -237,20 +225,19 @@ def solve_all(rows, bs, field):
     if not rows or not bs:
         return [[] for _ in bs]
     ncols = len(rows[0])
-    aug = [list(r) + [b[i] for b in bs] for i, r in enumerate(rows)]
-    ech, pivots = rref(aug, field)
-    rank_a = next((r for r, pc in enumerate(pivots) if pc >= ncols),
-                  len(pivots))
-    out = []
-    for j in range(ncols, ncols + len(bs)):
-        if any(not field.is_zero(row[j]) for row in ech[rank_a:]):
-            out.append(None)
+    echelon = Echelon(field, [list(r) + [b[i] for b in bs]
+                              for i, r in enumerate(rows)])
+    out = [[field.zero] * ncols for _ in bs]
+    inconsistent = set()
+    for pc, row in echelon._rows.items():
+        if pc >= ncols:
+            inconsistent.update(row)
             continue
-        x = [field.zero] * ncols
-        for row, pc in zip(ech, pivots[:rank_a]):
-            x[pc] = row[j]
-        out.append(x)
-    return out
+        for j, x in row.items():
+            if j >= ncols:
+                out[j - ncols][pc] = x
+    return [None if ncols + i in inconsistent else x
+            for i, x in enumerate(out)]
 
 
 def solve(rows, b, field):
@@ -262,48 +249,107 @@ def solve(rows, b, field):
 class Echelon:
     """A row space over a field, kept in reduced row echelon form.
 
+    Each kept row is stored sparsely, as {column: value} under its pivot
+    column: its entry there is one, and it has no entry on any other pivot
+    column.  Vectors come in as dense lists of ints or field elements, all
+    of the width of the first row added (``ValueError`` otherwise); their
+    entries are lifted into the field only where they are nonzero, and the
+    arithmetic touches only nonzero entries.
+
     ``reduce`` clears the pivot columns of a vector against the kept rows,
     ``contains`` tests membership, and ``add`` keeps a vector when it is
     independent of the rows so far and reports whether it was.  Testing a
     stack of vectors one by one this way eliminates each vector once
-    instead of the whole stack again for every vector.
+    instead of the whole stack again for every vector.  ``rows`` and
+    ``pivots`` are the dense reduced echelon form, built when read and kept
+    until the next ``add``.
     """
 
     def __init__(self, field, rows=()):
         self.field = require_field(field)
-        self.rows, self.pivots = rref(rows, field) if rows else ([], [])
+        self.width = None
+        self._rows = {}
+        self._dense = None
+        for row in rows:
+            self.add(row)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    @property
+    def rows(self):
+        if self._dense is None:
+            self._dense = []
+            for pc in self.pivots:
+                row = [self.field.zero] * self.width
+                for c, x in self._rows[pc].items():
+                    row[c] = x
+                self._dense.append(row)
+        return self._dense
+
+    def _reduced(self, vec):
+        """v − Σ v[p]·row_p over the pivots p in the support of v, as
+        {column: nonzero value}.  Every row is zero on the other pivot
+        columns, so each v[p] is read from the input and the order of the
+        subtractions does not matter."""
+        if self.width is not None and len(vec) != self.width:
+            raise ValueError("dimension mismatch")
+        field = self.field
+        is_zero, sub, mul = field.is_zero, field.sub, field.mul
+        v = {j: lift(x, field) for j, x in enumerate(vec)
+             if x and not is_zero(x)}
+        out = dict(v)
+        for pc, c in v.items():
+            row = self._rows.get(pc)
+            if row is None:
+                continue
+            del out[pc]
+            for j, y in row.items():
+                if j != pc:
+                    d = sub(out.get(j, field.zero), mul(c, y))
+                    if is_zero(d):
+                        del out[j]
+                    else:
+                        out[j] = d
+        return out
 
     def reduce(self, vec):
-        field = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not field.is_zero(c):
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-        return v
+        out = [self.field.zero] * len(vec)
+        for j, x in self._reduced(vec).items():
+            out[j] = x
+        return out
 
     def contains(self, vec):
-        return all(self.field.is_zero(x) for x in self.reduce(vec))
+        return not self._reduced(vec)
 
     def add(self, vec):
-        field = self.field
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if not field.is_zero(x)), None)
-        if p is None:
+        v = self._reduced(vec)
+        if self.width is None:
+            self.width = len(vec)
+        if not v:
             return False
-        inv = field.inv(v[p])
-        v = [field.mul(inv, x) for x in v]
-        for i, row in enumerate(self.rows):
-            c = row[p]
-            if not field.is_zero(c):
-                self.rows[i] = [field.sub(x, field.mul(c, y))
-                                for x, y in zip(row, v)]
-        at = bisect(self.pivots, p)
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
+        field = self.field
+        is_zero, sub, mul = field.is_zero, field.sub, field.mul
+        pc = min(v)
+        inv = field.inv(v.pop(pc))
+        v = {j: mul(inv, x) for j, x in v.items()}
+        for row in self._rows.values():
+            c = row.pop(pc, None)
+            if c is None:
+                continue
+            for j, y in v.items():
+                d = sub(row.get(j, field.zero), mul(c, y))
+                if is_zero(d):
+                    del row[j]
+                else:
+                    row[j] = d
+        v[pc] = field.one
+        self._rows[pc] = v
+        self._dense = None
         return True
 
 

@@ -118,11 +118,12 @@ def _is_pair_list(values):
         isinstance(pair, list) and len(pair) == 2 for pair in values)
 
 
-def _check_geometry_shape(geometry):
+def _check_geometry_shape(geometry, n):
     """The geometry block is an object whose lists hold the objects and
-    pairs ``GeometryOracle.from_data`` reads.  Raises a
-    ``ValidationError`` naming the class, pairing or move that is not,
-    or its index when its name is missing."""
+    pairs ``GeometryOracle.from_data`` reads, and every bordism row key
+    lists distinct torus axes in 1..n.  Raises a ``ValidationError``
+    naming the class, pairing or move that is not, or its index when its
+    name is missing."""
     if not isinstance(geometry, dict):
         raise ValidationError("the geometry block must be an object, got %r"
                               % (geometry,))
@@ -163,11 +164,15 @@ def _check_geometry_shape(geometry):
                 "coefficient] pairs" % (where,))
         for key in rows:
             try:
-                [int(part) for part in str(key).split(",") if part.strip()]
+                axes = [int(part) for part in str(key).split(",")
+                        if part.strip()]
             except ValueError:
+                axes = None
+            if (axes is None or len(set(axes)) != len(axes)
+                    or not all(1 <= a <= n for a in axes)):
                 raise ValidationError(
-                    "%s has row key %r, which is not a list of axes"
-                    % (where, key)) from None
+                    "%s has row key %r, which is not a list of distinct "
+                    "axes in 1..%d" % (where, key, n))
 
 
 def parse_fixture(data, name=None):
@@ -228,7 +233,7 @@ def parse_fixture(data, name=None):
     oracle = None
     geometry = data.get("geometry")
     if geometry is not None:
-        _check_geometry_shape(geometry)
+        _check_geometry_shape(geometry, n)
         oracle = GeometryOracle.from_data(geometry, resolve=resolve)
         _check_geometry_faces(oracle, id_map)
     label = data.get("name") or name or "fixture"

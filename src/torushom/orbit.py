@@ -273,16 +273,20 @@ class CornerComplex:
         if not hpair.free_generators or not hface.free_generators:
             return [], []
 
-        space_basis = space.basis(q + 1)
-        space_index = {c: i for i, c in enumerate(space_basis)}
+        # the nonzero entries of each column of the space boundary, lifted
+        columns = {c: [] for c in space.basis(q + 1)}
+        for i, row in enumerate(space.boundary_matrix(q + 1)):
+            for column, x in zip(columns.values(), row):
+                if x:
+                    column.append((i, coeffs.from_int(x)))
         nface = len(face.basis(q))
-        bmat = fields.mat_from_int(space.boundary_matrix(q + 1), coeffs)
         chains = []
         for rep in hpair.free_generators:
-            lifted = [coeffs.zero] * len(space_basis)
+            dvec = [coeffs.zero] * space.dim(q)
             for label, value in zip(pair.basis(q + 1), rep):
-                lifted[space_index[label]] = value
-            dvec = fields.mat_vec(bmat, lifted, coeffs)
+                if value:
+                    for i, x in columns[label]:
+                        dvec[i] = coeffs.add(dvec[i], coeffs.mul(x, value))
             if any(dvec[nface:]):
                 raise ValidationError(
                     "pair cycle leaks onto interior cells in degree %d" % q)
@@ -425,7 +429,9 @@ def _coordinate_matrix(hgroup, source, target, q, coeffs):
     generator columns."""
     gens = hgroup.free_generators
     bmat = target.boundary_matrix(q + 1)
-    mat = [[coeffs.zero] * len(gens) + [coeffs.from_int(x) for x in row]
+    zero = coeffs.zero
+    mat = [[zero] * len(gens) + [coeffs.from_int(x) if x else zero
+                                 for x in row]
            for row in bmat]
     index = {c: i for i, c in enumerate(target.basis(q))}
     for j, gen in enumerate(gens):

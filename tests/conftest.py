@@ -5,6 +5,23 @@ from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
 from torushom.posets import SimplicialPoset
 
+
+def mat_from_int(rows, field):
+    """An integer matrix with every entry lifted into ``field``."""
+    return [[field.from_int(x) for x in row] for row in rows]
+
+
+def mat_vec(a, v, field):
+    """The product a @ v over ``field``, computed densely."""
+    out = []
+    for row in a:
+        s = field.zero
+        for x, y in zip(row, v):
+            s = field.add(s, field.mul(x, y))
+        out.append(s)
+    return out
+
+
 # Orbit spaces used throughout the test suite, as vertex/edge data.
 # square: boundary of a square, four walls.
 # annulus: square outer boundary plus a triangular hole, seven walls in two

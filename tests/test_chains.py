@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import mat_vec
+
 from torushom.chains import ChainComplex, betti_numbers
 from torushom.errors import ValidationError
 from torushom.fields import GF, QQ, ZZ
@@ -103,8 +105,7 @@ class TestFieldHomology:
         assert h.free_rank == 1
         v = h.free_generators[0]
         mat = [[QQ.from_int(x) for x in row] for row in c.boundary_matrix(1)]
-        from torushom import fields
-        assert all(fields.QQ.is_zero(x) for x in fields.mat_vec(mat, v, QQ))
+        assert all(QQ.is_zero(x) for x in mat_vec(mat, v, QQ))
 
 
 class TestEmptyDegrees:

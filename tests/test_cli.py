@@ -330,6 +330,12 @@ class TestCheck:
             "x", [[4, 1]]), "bordism move L -> Lp"),
         (lambda d: d["geometry"]["bordism"][0]["rows"].__setitem__(
             "1", [[4]]), "bordism move L -> Lp"),
+        (lambda d: d["geometry"]["bordism"][0]["rows"].__setitem__(
+            "0", [[4, 1]]), "bordism move L -> Lp has row key '0'"),
+        (lambda d: d["geometry"]["bordism"][0]["rows"].__setitem__(
+            "3", [[4, 1]]), "bordism move L -> Lp has row key '3'"),
+        (lambda d: d["geometry"]["bordism"][0]["rows"].__setitem__(
+            "1,1", [[4, 1]]), "bordism move L -> Lp has row key '1,1'"),
         (lambda d: d["geometry"]["bordism"][1].__setitem__("chain", 3),
          "bordism move L -> Lpp"),
         (lambda d: d["geometry"]["bordism"][0].pop("source"),
@@ -340,7 +346,8 @@ class TestCheck:
             "poset-vertex-list", "geometry-not-an-object",
             "class-without-name", "support-entry-list",
             "pairing-without-result", "disjoint-triple", "rows-key-x",
-            "rows-entry-short", "chain-not-an-object", "move-without-source"])
+            "rows-entry-short", "rows-key-0", "rows-key-3", "rows-key-1-1",
+            "chain-not-an-object", "move-without-source"])
     def test_malformed_shapes_exit_one(self, capsys, tmp_path, mutate,
                                        named):
         check_rejects_mutation(capsys, tmp_path, mutate, named)

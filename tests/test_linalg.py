@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import mat_from_int, mat_vec
 from torushom import fields, snf
 from torushom.errors import CoefficientError
 from torushom.fields import GF, QQ, ZZ, coefficient_system
@@ -95,41 +96,41 @@ class TestIntegerSolvers:
 
 class TestFieldLinearAlgebra:
     def test_rref_rationals(self):
-        m = fields.mat_from_int([[1, 2, 3], [2, 4, 7]], QQ)
+        m = mat_from_int([[1, 2, 3], [2, 4, 7]], QQ)
         ech, pivots = fields.rref(m, QQ)
         assert pivots == [0, 2]
         assert ech[0][:3] == [1, 2, 0]
 
     def test_rank_mod_p(self):
         m = [[1, 1], [1, 1]]
-        assert fields.rank(fields.mat_from_int(m, GF(2)), GF(2)) == 1
+        assert fields.rank(mat_from_int(m, GF(2)), GF(2)) == 1
         m2 = [[2, 0], [0, 1]]
-        assert fields.rank(fields.mat_from_int(m2, GF(2)), GF(2)) == 1
-        assert fields.rank(fields.mat_from_int(m2, GF(3)), GF(3)) == 2
+        assert fields.rank(mat_from_int(m2, GF(2)), GF(2)) == 1
+        assert fields.rank(mat_from_int(m2, GF(3)), GF(3)) == 2
 
     def test_nullspace(self):
-        m = fields.mat_from_int([[1, 2, 3]], QQ)
+        m = mat_from_int([[1, 2, 3]], QQ)
         basis = fields.nullspace(m, QQ)
         assert len(basis) == 2
         for v in basis:
             assert sum(c * x for c, x in zip([1, 2, 3], v)) == 0
 
     def test_solve(self):
-        m = fields.mat_from_int([[2, 0], [0, 4]], QQ)
+        m = mat_from_int([[2, 0], [0, 4]], QQ)
         x = fields.solve(m, [QQ.from_int(1), QQ.from_int(2)], QQ)
         assert x is not None
-        assert fields.mat_vec(m, x, QQ) == [QQ.from_int(1), QQ.from_int(2)]
-        bad = fields.solve(fields.mat_from_int([[1, 1], [1, 1]], QQ),
+        assert mat_vec(m, x, QQ) == [QQ.from_int(1), QQ.from_int(2)]
+        bad = fields.solve(mat_from_int([[1, 1], [1, 1]], QQ),
                            [QQ.from_int(0), QQ.from_int(1)], QQ)
         assert bad is None
 
     def test_row_space_predicates(self):
         f = QQ
-        a = fields.mat_from_int([[1, 0], [0, 1]], f)
-        b = fields.mat_from_int([[1, 1], [1, -1]], f)
+        a = mat_from_int([[1, 0], [0, 1]], f)
+        b = mat_from_int([[1, 1], [1, -1]], f)
         assert fields.row_spaces_equal(a, b, f)
         assert fields.row_space_contains(b, [f.from_int(3), f.from_int(5)], f)
-        c = fields.mat_from_int([[1, 1]], f)
+        c = mat_from_int([[1, 1]], f)
         assert not fields.row_spaces_equal(a, c, f)
 
     def test_gf2_inverse(self):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mat_from_int
 from torushom import fields, snf
 from torushom.errors import CoefficientError, ValidationError
 from torushom.fields import GF, QQ, ZZ
@@ -39,7 +40,7 @@ def assert_coordinates(cx, q, coeffs):
         if coeffs is ZZ:
             assert snf.int_solve_all(bmat, [rest])[0] is not None
         else:
-            columns = fields.mat_from_int(zip(*bmat), coeffs)
+            columns = mat_from_int(zip(*bmat), coeffs)
             assert fields.Echelon(coeffs, columns).contains(rest)
     span = fields.Echelon(QQ if coeffs is ZZ else coeffs, coords)
     assert len(span) == len(coords)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
+from conftest import mat_from_int, mat_vec
 from torushom import chains, fields, snf
 from torushom.fields import GF, QQ, ZZ
 from torushom.generator import polygon_with_holes
@@ -69,7 +70,7 @@ def reference_solve(rows, b, field):
 
 
 def _solves(rows, x, b, field):
-    return fields.mat_vec(rows, x, field) == b
+    return mat_vec(rows, x, field) == b
 
 
 class TestIntegerSolveAll:
@@ -105,7 +106,7 @@ class TestFieldSolveAll:
     @given(systems(), st.sampled_from([QQ, GF(5)]))
     def test_matches_one_at_a_time(self, system, field):
         rows, bs = system
-        rows = fields.mat_from_int(rows, field)
+        rows = mat_from_int(rows, field)
         bs = [[field.from_int(x) for x in b] for b in bs]
         batch = fields.solve_all(rows, bs, field)
         assert len(batch) == len(bs)
