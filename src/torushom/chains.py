@@ -2,6 +2,10 @@
 over Z, Q, or a prime field.  Integer homology comes with representative
 cycles for both free and torsion generators.
 
+Over Z a group takes two Smith forms: the one of the boundary into the
+degree gives the torsion, and the kernel of the boundary out of it on the
+rest of that form's basis gives the free part (see ``_homology_int``).
+
 A complex is not changed after construction, so ``ChainComplex.homology``
 computes each (degree, coefficients) group once and hands the same
 ``HomologyGroup`` to every later caller: treat groups and their generator
@@ -118,9 +122,6 @@ class ChainComplex:
     def boundary_of(self, k, vec):
         return snf.int_mat_vec(self.boundary_matrix(k), vec)
 
-    def is_cycle(self, k, vec):
-        return not any(self.boundary_of(k, vec))
-
     def homology(self, k, coeffs=ZZ):
         """Homology in degree k, computed once per (k, coeffs) and shared
         by every later call."""
@@ -138,48 +139,34 @@ class ChainComplex:
             self._homology[key] = group
         return group
 
-    def _kernel_columns(self, k):
-        n = self.dim(k)
-        if self.dim(k - 1) == 0:
-            return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-        return snf.int_kernel(self.boundary_matrix(k))
-
     def _homology_int(self, k):
+        """In the basis P = U^-1 of the Smith form of the boundary into
+        degree k, the boundaries are spanned by d_1 p_1, ..., d_s p_s; those
+        p_i are cycles, the ones with d_i > 1 generate the torsion, and the
+        free part is P[:, s:] times the kernel of the boundary on it."""
         labels = self.basis(k)
-        kernel = self._kernel_columns(k)
-        r = len(kernel)
-        if r == 0:
-            return _zero_group(labels, ZZ)
-        kmat = [[kernel[j][i] for j in range(r)] for i in range(len(labels))]
-        bdry = self.boundary_matrix(k + 1)
-        m = self.dim(k + 1)
-        coords = snf.int_solve_all(
-            kmat, [[row[j] for row in bdry] for j in range(m)])
-        if any(y is None for y in coords):
-            raise ValidationError(
-                "boundary column is not a cycle in degree %d" % k)
-        if coords:
-            ymat = [[coords[j][i] for j in range(m)] for i in range(r)]
-            u, d, _ = snf.smith_normal_form(ymat)
-            factors = snf.diagonal_entries(d)
-            uinv = snf.int_inverse(u)
+        upper = self.boundaries.get(k + 1)
+        if upper is None:
+            p, factors = snf.int_identity(len(labels)), []
         else:
-            factors = []
-            uinv = snf.int_identity(r)
+            _, d, _, p = snf.smith_normal_form(upper)
+            factors = snf.diagonal_entries(d)
         s = len(factors)
-        free_gens = []
-        torsion_gens = []
-        for i in range(r):
-            gen_coords = [uinv[t][i] for t in range(r)]
-            vec = snf.int_mat_vec(kmat, gen_coords)
-            if i < s:
-                if factors[i] > 1:
-                    torsion_gens.append((factors[i], vec))
-            else:
-                free_gens.append(vec)
-        torsion = [o for o, _ in torsion_gens]
-        return HomologyGroup(len(free_gens), torsion, free_gens, torsion_gens,
-                             labels, ZZ)
+        columns = [list(col) for col in zip(*p)]
+        lower = self.boundaries.get(k)
+        if lower is None:
+            free_gens = columns[s:]
+        else:
+            images = snf.int_mat_mul(lower, p)
+            if any(any(row[:s]) for row in images):
+                raise ValidationError(
+                    "boundary column is not a cycle in degree %d" % k)
+            kernel = snf.int_kernel([row[s:] for row in images])
+            free_gens = snf.int_mat_mul(kernel, columns[s:])
+        torsion_gens = [(f, columns[i]) for i, f in enumerate(factors)
+                        if f > 1]
+        return HomologyGroup(len(free_gens), [f for f, _ in torsion_gens],
+                             free_gens, torsion_gens, labels, ZZ)
 
     def _homology_field(self, k, field):
         labels = self.basis(k)
@@ -195,7 +182,3 @@ class ChainComplex:
         reps = [v for v in kernel if span.add(v)]
         return HomologyGroup(len(reps), [], reps, [], labels, field)
 
-
-def betti_numbers(complex_, coeffs):
-    """Ranks of homology in every degree, as a dict."""
-    return {k: complex_.homology(k, coeffs).rank for k in complex_.degrees()}

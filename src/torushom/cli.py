@@ -116,7 +116,7 @@ def cmd_report(args):
 
     relations = []
     for q in range(m.n + 1):
-        first, _ = m.first_kind_rows(q)
+        first = m.diagonal_page(q, field, "initial").rows
         second = []
         if q <= m.n - 2:
             second, _ = m.second_kind_rows(q, field)

@@ -62,6 +62,7 @@ class TorusManifold:
         charmat.check_star(ZZ)
         self._quotients = {}
         self._pages = {}
+        self._integral = {}
 
     def quotient(self, field=QQ):
         quo = self._quotients.get(field)
@@ -143,20 +144,19 @@ class TorusManifold:
         return tuple(self.diagonal_page(q, field, kind).dimension
                      for q in range(self.n + 1))
 
-    def _diagonal_int(self, q, kind):
-        """Free rank and torsion of the integral diagonal in degree 2q."""
-        rows, _ = self.first_kind_rows(q)
-        rows = [list(r) for r in rows]
-        if kind == "limit" and 0 <= q <= self.n - 2:
-            extra, _ = self.second_kind_rows(q, ZZ)
-            rows.extend(extra)
-        gens = self.generators(q)
-        if not rows:
-            return len(gens), []
-        factors = snf.invariant_factors(rows)
-        free = len(gens) - len(factors)
-        torsion = [f for f in factors if f > 1]
-        return free, torsion
+    def _diagonal_int(self, q):
+        """Free rank and torsion of the integral limit page in degree 2q,
+        factored once per q and shared by later calls."""
+        found = self._integral.get(q)
+        if found is None:
+            rows, _ = self.first_kind_rows(q)
+            if q <= self.n - 2:
+                rows = rows + self.second_kind_rows(q, ZZ)[0]
+            factors = snf.invariant_factors(rows) if rows else []
+            found = (len(self.generators(q)) - len(factors),
+                     [f for f in factors if f > 1])
+            self._integral[q] = found
+        return found
 
     # --- bigraded decomposition ----------------------------------------
 
@@ -169,7 +169,7 @@ class TorusManifold:
             return BigradedComponent(1)
         if k == l:
             if coeffs is ZZ:
-                free, torsion = self._diagonal_int(k, "limit")
+                free, torsion = self._diagonal_int(k)
             else:
                 free, torsion = self.diagonal_page(k, coeffs).dimension, []
             pair = self.corner.homology("pair", k, coeffs)

@@ -316,7 +316,7 @@ class CornerComplex:
                 kept_rows.append(row)
         if coeffs is not ZZ or self._spans_lattice(kept_rows, coords):
             return keep, kept_rows
-        u, _, _ = snf.smith_normal_form(coords)
+        u, _, _, _ = snf.smith_normal_form(coords)
         keep, kept_rows = [], []
         for factors, row in zip(u, snf.int_mat_mul(u, coords)):
             if not any(row):

@@ -1,9 +1,13 @@
 """Integer matrix routines: Smith normal form with transform tracking,
 integer kernels and solves, exact determinants.
 
+``smith_normal_form`` also keeps W = U^-1, mirroring each row operation
+on U by its inverse column operation on W: the image of m is spanned by
+d_1 w_1, d_2 w_2, ... over the columns w_i of W.
+
 Solving factors once: ``int_solve_all`` reads every right-hand side of
 one matrix off a single Smith form, ``int_solve`` is its one-vector case,
-and ``int_inverse`` takes the inverse from one Smith form as well.
+and ``int_inverse`` takes the inverse and its existence from one form.
 
 All matrices are lists of row lists of Python ints.
 """
@@ -60,17 +64,20 @@ def smith_normal_form(m):
     """Decompose an integer matrix as U @ m @ V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries
-    d_1 | d_2 | ... .  Returns (U, D, V).
+    d_1 | d_2 | ... .  Returns (U, D, V, W) with W = U^-1.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     a = [list(row) for row in m]
     u = int_identity(nrows)
     v = int_identity(ncols)
+    # W kept by columns: wt[i] is column i of W
+    wt = int_identity(nrows)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        wt[i], wt[j] = wt[j], wt[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -82,6 +89,7 @@ def smith_normal_form(m):
         # row[dst] += q * row[src]
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        wt[src] = [x - q * y for x, y in zip(wt[src], wt[dst])]
 
     def add_col(dst, src, q):
         for row in a:
@@ -92,6 +100,7 @@ def smith_normal_form(m):
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        wt[i] = [-x for x in wt[i]]
 
     t = 0
     bound = min(nrows, ncols)
@@ -142,7 +151,7 @@ def smith_normal_form(m):
             continue
         t += 1
 
-    return u, a, v
+    return u, a, v, [list(row) for row in zip(*wt)]
 
 
 def diagonal_entries(d):
@@ -155,8 +164,7 @@ def diagonal_entries(d):
 
 def invariant_factors(m):
     """Nonzero diagonal of the Smith form: d_1 | d_2 | ... ."""
-    _, d, _ = smith_normal_form(m)
-    return diagonal_entries(d)
+    return diagonal_entries(smith_normal_form(m)[1])
 
 
 def int_kernel(m):
@@ -168,7 +176,7 @@ def int_kernel(m):
     ncols = len(m[0]) if m else 0
     if not m:
         return [[0] * 0 for _ in range(0)]
-    _, d, v = smith_normal_form(m)
+    _, d, v, _ = smith_normal_form(m)
     r = len(diagonal_entries(d))
     basis = []
     for j in range(r, ncols):
@@ -190,7 +198,7 @@ def int_solve_all(m, bs):
     if not bs:
         return []
     ncols = len(m[0]) if m else 0
-    u, d, v = smith_normal_form(m)
+    u, d, v, _ = smith_normal_form(m)
     diag = [d[i][i] if i < ncols else 0 for i in range(nrows)]
     u_cols = list(zip(*u))
     out = []
@@ -227,10 +235,15 @@ def int_solve(m, b):
 
 
 def int_inverse(m):
-    """Inverse of a unimodular integer matrix: with U @ m @ V = I from one
-    Smith form, the inverse is V @ U."""
-    det = int_det(m)
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular (det=%d)" % det)
-    u, _, v = smith_normal_form(m)
+    """Inverse of a unimodular integer matrix: with U @ m @ V = D from one
+    Smith form, m is unimodular exactly when D = I, and then the inverse
+    is V @ U."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    u, d, v, _ = smith_normal_form(m)
+    bad = [d[i][i] for i in range(n) if d[i][i] != 1]
+    if bad:
+        raise ValueError("matrix is not unimodular (invariant factors %s "
+                         "are not 1)" % ", ".join(map(str, bad)))
     return int_mat_mul(v, u)

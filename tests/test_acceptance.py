@@ -194,7 +194,7 @@ def test_criterion_7_structural_invariance():
         ncols = rng.randrange(1, 6)
         mat = [[rng.randrange(-9, 10) for _ in range(ncols)]
                for _ in range(nrows)]
-        u, d, v = snf.smith_normal_form(mat)
+        u, d, v, _ = snf.smith_normal_form(mat)
         assert snf.int_mat_mul(snf.int_mat_mul(u, mat), v) == d
         assert abs(snf.int_det(u)) == 1
         assert abs(snf.int_det(v)) == 1

@@ -1,11 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, ilcm
+from sympy import ZZ as SYMPY_ZZ
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from conftest import mat_vec
 
-from torushom.chains import ChainComplex, betti_numbers
+from torushom.chains import ChainComplex
 from torushom.errors import ValidationError
 from torushom.fields import GF, QQ, ZZ
 from torushom import snf
+
+
+def ranks(c, coeffs):
+    return {k: c.homology(k, coeffs).rank for k in c.degrees()}
 
 
 def circle():
@@ -37,6 +46,12 @@ class TestValidation:
             ChainComplex({0: ["v"], 1: ["e"], 2: ["F"]},
                          {1: [[1]], 2: [[1]]})
 
+    def test_unchecked_complex_fails_on_integral_homology(self):
+        c = ChainComplex({0: ["v"], 1: ["e"], 2: ["F"]},
+                         {1: [[1]], 2: [[1]]}, check=False)
+        with pytest.raises(ValidationError, match="not a cycle in degree 1"):
+            c.homology(1)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             ChainComplex({0: ["v", "w"], 1: ["e"]}, {1: [[1]]})
@@ -49,7 +64,7 @@ class TestIntegerHomology:
         h1 = c.homology(1)
         assert (h0.free_rank, h0.torsion) == (1, [])
         assert (h1.free_rank, h1.torsion) == (1, [])
-        assert c.is_cycle(1, h1.free_generators[0])
+        assert not any(c.boundary_of(1, h1.free_generators[0]))
 
     def test_projective_plane(self):
         c = projective_plane()
@@ -65,7 +80,7 @@ class TestIntegerHomology:
 
     def test_torus(self):
         c = torus_cw()
-        assert betti_numbers(c, ZZ) == {0: 1, 1: 2, 2: 1}
+        assert ranks(c, ZZ) == {0: 1, 1: 2, 2: 1}
         assert all(not c.homology(k).torsion for k in (0, 1, 2))
 
     def test_klein_bottle(self):
@@ -80,24 +95,98 @@ class TestIntegerHomology:
         h1 = c.homology(1)
         assert len(h1.free_generators) == 2
         for g in h1.free_generators:
-            assert c.is_cycle(1, g)
+            assert not any(c.boundary_of(1, g))
         assert len(snf.invariant_factors(
             [list(g) for g in h1.free_generators])) == 2
+
+
+ENTRY = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def three_term_complexes(draw):
+    """C_2 -> C_1 -> C_0 with a random first boundary and a second boundary
+    K @ A, where the columns of K span the kernel of the first over Q
+    (scaled to integers, so not always saturated) and A is random: the
+    groups often have torsion in degrees 0 and 1."""
+    dims = [draw(st.integers(min_value=0, max_value=5)) for _ in range(3)]
+    d1 = [draw(st.lists(ENTRY, min_size=dims[1], max_size=dims[1]))
+          for _ in range(dims[0])]
+    if dims[0]:
+        kernel = []
+        for vec in Matrix(d1).nullspace():
+            scale = ilcm(1, *[x.q for x in vec]) * draw(st.integers(1, 3))
+            kernel.append([int(x * scale) for x in vec])
+    else:
+        kernel = [[int(i == j) for i in range(dims[1])]
+                  for j in range(dims[1])]
+    mix = [draw(st.lists(ENTRY, min_size=dims[2], max_size=dims[2]))
+           for _ in kernel]
+    d2 = [[sum(kernel[t][i] * mix[t][j] for t in range(len(kernel)))
+           for j in range(dims[2])] for i in range(dims[1])]
+    return dims, {1: d1, 2: d2}
+
+
+def _is_boundary(bdry, vec):
+    """Whether ``vec`` is an integer combination of the columns of
+    ``bdry``, read off sympy's Smith form S @ bdry @ T = D."""
+    if not bdry or not bdry[0]:
+        return not any(vec)
+    d, s, _ = smith_normal_decomp(Matrix(bdry), domain=SYMPY_ZZ)
+    y = s * Matrix(vec)
+    for i, yi in enumerate(y):
+        di = d[i, i] if i < d.cols else 0
+        if (yi % di if di else yi):
+            return False
+    return True
+
+
+class TestRandomComplexes:
+    @settings(deadline=None, max_examples=150)
+    @given(three_term_complexes())
+    def test_groups_and_generators_match_sympy(self, complex_data):
+        dims, bdry = complex_data
+        c = ChainComplex({k: ["c%d_%d" % (k, i) for i in range(n)]
+                          for k, n in enumerate(dims)}, bdry)
+        mats = {k: c.boundary_matrix(k) for k in range(4)}
+
+        def rank(k):
+            return Matrix(mats[k]).rank() if mats[k] and mats[k][0] else 0
+
+        for k in range(3):
+            group = c.homology(k)
+            upper = mats[k + 1]
+            factors = []
+            if upper and upper[0]:
+                factors = [abs(int(f)) for f in invariant_factors(
+                    Matrix(upper), domain=SYMPY_ZZ)]
+            assert group.free_rank == dims[k] - rank(k) - rank(k + 1)
+            assert group.torsion == [f for f in factors if f > 1]
+            for gen in group.free_generators + [
+                    t for _, t in group.torsion_generators]:
+                assert not any(c.boundary_of(k, gen))
+            if group.free_rank:
+                stacked = [list(col) for col in zip(*upper)] \
+                    + group.free_generators
+                assert Matrix(stacked).rank() == rank(k + 1) + group.free_rank
+            for order, gen in group.torsion_generators:
+                assert _is_boundary(upper, [order * x for x in gen])
+                assert not _is_boundary(upper, gen)
 
 
 class TestFieldHomology:
     def test_projective_plane_mod_two(self):
         c = projective_plane()
         f2 = GF(2)
-        assert betti_numbers(c, f2) == {0: 1, 1: 1, 2: 1}
+        assert ranks(c, f2) == {0: 1, 1: 1, 2: 1}
 
     def test_projective_plane_rational(self):
         c = projective_plane()
-        assert betti_numbers(c, QQ) == {0: 1, 1: 0, 2: 0}
-        assert betti_numbers(c, GF(3)) == {0: 1, 1: 0, 2: 0}
+        assert ranks(c, QQ) == {0: 1, 1: 0, 2: 0}
+        assert ranks(c, GF(3)) == {0: 1, 1: 0, 2: 0}
 
     def test_klein_bottle_mod_two(self):
-        assert betti_numbers(klein_bottle_cw(), GF(2)) == {0: 1, 1: 2, 2: 1}
+        assert ranks(klein_bottle_cw(), GF(2)) == {0: 1, 1: 2, 2: 1}
 
     def test_field_representatives_are_cycles(self):
         c = circle()

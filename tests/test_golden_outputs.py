@@ -5,8 +5,9 @@ stdout and stderr of one ``torushom`` run, made in-process through
 ``cli.main``:
 
 - ``report --json`` and ``check --json`` under the coefficients q, z, f2
-  and f5, on the bundled digon, square and square_hole and on four
-  ``torushom example`` outputs;
+  and f5, on the bundled digon, square and square_hole and on five
+  ``torushom example`` outputs, the largest of which, (12,6,6) with 24
+  walls, pins the integral path at the size the benchmark runs;
 - those ``example`` outputs themselves;
 - ``intersect square_hole A B --json`` under q for every ordered pair of
   fifteen named terms.
@@ -31,7 +32,7 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 COEFFS = ("q", "z", "f2", "f5")
 BUNDLED = ("digon", "square", "square_hole")
-EXAMPLES = (("4", 1), ("4,3", 2), ("5,4,3", 3), ("6,4", 5))
+EXAMPLES = (("4", 1), ("4,3", 2), ("5,4,3", 3), ("6,4", 5), ("12,6,6", 3))
 TERMS = (["dia:%s:e%s" % (name, word)
           for name in ("L", "Lp", "Lpp") for word in ("0", "1", "2", "12")]
          + ["spine:eta", "face:1", "face:*"])

@@ -13,15 +13,22 @@ def is_diagonal(m):
                for j in range(len(m[0])) if i != j)
 
 
+def is_inverse_pair(u, w):
+    """U @ W = W @ U = I."""
+    identity = snf.int_identity(len(u))
+    return snf.int_mat_mul(u, w) == identity == snf.int_mat_mul(w, u)
+
+
 class TestSmithNormalForm:
     def test_small_example(self):
         m = [[2, 4], [6, 8]]
-        u, d, v = snf.smith_normal_form(m)
+        u, d, v, w = snf.smith_normal_form(m)
         assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
         assert [d[0][0], d[1][1]] == [2, 4]
         assert is_diagonal(d)
         assert snf.int_det(u) in (1, -1)
         assert snf.int_det(v) in (1, -1)
+        assert is_inverse_pair(u, w)
 
     def test_divisibility_fixup(self):
         # diag(2, 3) is not in Smith form; its invariant factors are 1, 6
@@ -31,15 +38,23 @@ class TestSmithNormalForm:
         assert snf.invariant_factors(snf.int_identity(3)) == [1, 1, 1]
 
     def test_zero_matrix(self):
-        u, d, v = snf.smith_normal_form([[0, 0], [0, 0]])
+        u, d, v, w = snf.smith_normal_form([[0, 0], [0, 0]])
         assert d == [[0, 0], [0, 0]]
+        assert w == snf.int_identity(2)
         assert snf.invariant_factors([[0, 0], [0, 0]]) == []
 
     def test_rectangular(self):
         m = [[1, 2, 3], [4, 5, 6]]
-        u, d, v = snf.smith_normal_form(m)
+        u, d, v, w = snf.smith_normal_form(m)
         assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
+        assert is_inverse_pair(u, w)
         assert snf.invariant_factors(m) == [1, 3]
+
+    def test_inverse_transform_without_rows_or_columns(self):
+        assert snf.smith_normal_form([])[3] == []
+        u, d, v, w = snf.smith_normal_form([[], []])
+        assert (u, d, v, w) == ([[1, 0], [0, 1]], [[], []], [],
+                                [[1, 0], [0, 1]])
 
     def test_random_matrices_satisfy_contract(self):
         rng = random.Random(20240917)
@@ -47,11 +62,12 @@ class TestSmithNormalForm:
             nr = rng.randint(1, 5)
             nc = rng.randint(1, 5)
             m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-            u, d, v = snf.smith_normal_form(m)
+            u, d, v, w = snf.smith_normal_form(m)
             assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
             assert is_diagonal(d)
             assert snf.int_det(u) in (1, -1)
             assert snf.int_det(v) in (1, -1)
+            assert is_inverse_pair(u, w)
             diag = snf.diagonal_entries(d)
             assert all(x > 0 for x in diag)
             for a, b in zip(diag, diag[1:]):
@@ -83,10 +99,12 @@ class TestIntegerSolvers:
         assert snf.int_mat_mul(m, inv) == snf.int_identity(2)
 
     def test_inverse_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invariant factors 2 are not 1"):
             snf.int_inverse([[2, 0], [0, 1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invariant factors 0 are not 1"):
             snf.int_inverse([[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="not square"):
+            snf.int_inverse([[1, 0]])
 
     def test_det(self):
         assert snf.int_det([[1, 2], [3, 4]]) == -2

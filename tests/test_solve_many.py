@@ -40,7 +40,7 @@ def systems(draw, max_rows=6, max_cols=5):
 def reference_int_solve(m, b):
     """One Smith form per right-hand side, with dense products."""
     nrows, ncols = len(m), len(m[0]) if m else 0
-    u, d, v = snf.smith_normal_form(m)
+    u, d, v, _ = snf.smith_normal_form(m)
     y = snf.int_mat_vec(u, b)
     x = [0] * ncols
     for i in range(nrows):
@@ -157,19 +157,21 @@ class TestInverse:
 
 
 class TestFactorOnce:
-    """Each boundary matrix is factored once per homology group, and a
-    group is computed once per complex."""
+    """An integral homology group costs at most two Smith forms, one of the
+    boundary into its degree and one for the kernel of the boundary out of
+    it, with no inverse and no batch solve; a group is computed once per
+    complex."""
 
     @staticmethod
-    def _count_smith_forms(monkeypatch):
+    def _count(monkeypatch, name):
         calls = []
-        original = snf.smith_normal_form
+        original = getattr(snf, name)
 
-        def counting(m):
+        def counting(*args):
             calls.append(1)
-            return original(m)
+            return original(*args)
 
-        monkeypatch.setattr(snf, "smith_normal_form", counting)
+        monkeypatch.setattr(snf, name, counting)
         return calls
 
     @staticmethod
@@ -178,17 +180,34 @@ class TestFactorOnce:
         return corner.complex_for(selector)
 
     def test_integral_homology_factors_each_matrix_once(self, monkeypatch):
-        calls = self._count_smith_forms(monkeypatch)
-        for selector in ("boundary", "space", "pair"):
-            cx = self._complex(selector)
+        complexes = [self._complex(selector)
+                     for selector in ("boundary", "space", "pair")]
+        calls = self._count(monkeypatch, "smith_normal_form")
+        inverses = self._count(monkeypatch, "int_inverse")
+        solves = self._count(monkeypatch, "int_solve_all")
+        for cx in complexes:
             for k in cx.degrees():
                 before = len(calls)
                 group = cx.homology(k)
-                assert len(calls) - before <= 4
+                assert len(calls) - before <= 2
                 before = len(calls)
                 assert cx.homology(k) is group
                 assert cx.homology(k, ZZ) is group
                 assert len(calls) == before
+        assert calls
+        assert not inverses and not solves
+    def test_integral_diagonal_is_factored_once_per_degree(self,
+                                                          monkeypatch):
+        m = polygon_with_holes((6, 4, 3), seed=3).manifold
+        calls = self._count(monkeypatch, "invariant_factors")
+        table = m.bigraded_table(ZZ)
+        first = len(calls)
+        assert m.total_betti(ZZ) == tuple(
+            sum(comp.free_rank for (k, l), comp in table.items()
+                if k + l == total) for total in range(2 * m.n + 1))
+        m.euler_characteristic(ZZ)
+        assert 0 < first <= m.n
+        assert len(calls) == first
 
     def test_fresh_complex_gives_an_equal_group(self):
         def view(group):
@@ -216,10 +235,10 @@ class TestFactorOnce:
         # One vertex, two loops and a disc on twice the first: H_1 = Z + Z/2.
         cx = chains.ChainComplex({0: ["v"], 1: ["a", "b"], 2: ["F"]},
                                  {1: [[0, 0]], 2: [[2], [0]]})
-        calls = self._count_smith_forms(monkeypatch)
+        calls = self._count(monkeypatch, "smith_normal_form")
         group = cx.homology(1)
         assert (group.free_rank, group.torsion) == (1, [2])
-        assert len(calls) <= 4
+        assert len(calls) <= 2
         calls.clear()
         assert cx.homology(1) is group
         assert not calls
