@@ -2,11 +2,19 @@
 rank-n simplicial poset.  The rows attached to the vertices of any maximal
 cell must form an invertible matrix over the chosen coefficients; that is
 what makes the associated quotient space a manifold.
+
+``push`` carries chains over the rank-k elements along the axes: a chain
+paired with an axis subset A of size n-k goes to the row whose g-entry is
+chain[g] * c(g, A), with c the signed complementary minor
+(``c_coefficient``).  Both kinds of relation rows and the socle-placement
+vectors are such pushes, of different chains.
 """
+
+from itertools import combinations
 
 from . import snf
 from .errors import StarConditionError, ValidationError
-from .fields import ZZ, is_int
+from .fields import ZZ, is_int, lift
 
 
 class CharacteristicMatrix:
@@ -98,8 +106,29 @@ class CharacteristicMatrix:
 
     def axis_subsets(self, size):
         """All subsets of {1..n} of the given size, sorted."""
-        from itertools import combinations
         return [frozenset(c) for c in combinations(range(1, self.n + 1), size)]
+
+    def push(self, k, chains, coeffs=ZZ):
+        """Rows of ``chains`` pushed along the axes.
+
+        ``chains`` holds (label, vector) pairs, each vector running over
+        the rank-k elements in ``poset.elements_of_rank(k)`` order.  Each
+        chain gives one row per axis subset A of size n-k, in
+        ``axis_subsets`` order, whose g-entry is chain[g] * c(g, A) in
+        ``coeffs``; its label is (label, sorted A).  Each coefficient
+        c(g, A) is computed once per call.  Returns the rows and labels.
+        """
+        gens = self.poset.elements_of_rank(k)
+        axes_list = self.axis_subsets(self.n - k)
+        minors = [[coeffs.from_int(self.c_coefficient(g, axes))
+                   for g in gens] for axes in axes_list]
+        rows, labels = [], []
+        for label, chain in chains:
+            chain = [lift(z, coeffs) for z in chain]
+            for axes, column in zip(axes_list, minors):
+                rows.append([coeffs.mul(z, c) for z, c in zip(chain, column)])
+                labels.append((label, tuple(sorted(axes))))
+        return rows, labels
 
     def __repr__(self):
         return "<CharacteristicMatrix n=%d on %d vertices>" % (

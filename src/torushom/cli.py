@@ -116,11 +116,9 @@ def cmd_report(args):
 
     relations = []
     for q in range(m.n + 1):
-        first = m.diagonal_page(q, field, "initial").rows
-        second = []
-        if q <= m.n - 2:
-            second, _ = m.second_kind_rows(q, field)
-        relations.append((q, len(first), len(second)))
+        first = len(m.diagonal_page(q, field, "initial").rows)
+        relations.append(
+            (q, first, len(m.diagonal_page(q, field).rows) - first))
 
     initial = m.diagonal_dimensions(field, "initial")
     limit = m.diagonal_dimensions(field, "limit")

@@ -274,10 +274,6 @@ class BordismDatum:
                 "bordism %s->%s has no row for %s"
                 % (self.source, self.target, format_axes(axes)))
 
-    def as_rows(self, charmat, axes_list):
-        """The row form of the corrections over the given axis words."""
-        return {frozenset(a): self.face_part(a, charmat) for a in axes_list}
-
     def __repr__(self):
         form = "chain" if self.chain is not None else "rows"
         return "BordismDatum(%r -> %r, %s)" % (self.source, self.target,
@@ -412,23 +408,6 @@ class IntersectionCalculator:
                 raise ValidationError(
                     "expected a CycleExpression, got %r" % (arg,))
         return self._expand(x, y, 0)
-
-    def rewrite(self, expr, datum):
-        """Apply one bordism move to every matching diaphragm term."""
-        out = CycleExpression()
-        hit = False
-        for key, c in expr.iter_terms():
-            if key[0] == DIAPHRAGM and key[1] == datum.source:
-                hit = True
-                for rkey, rc in self._rewritten_term(key, datum).iter_terms():
-                    out.add_term(rkey, rc * c)
-            else:
-                out.add_term(key, c)
-        if not hit:
-            raise MismatchedDatumError(
-                "bordism %s->%s matched no term of %r"
-                % (datum.source, datum.target, expr))
-        return out
 
     def reduced_faces(self, expr):
         """Face part of an expression as coordinates over the surviving

@@ -53,14 +53,6 @@ class FaceRing:
     def weight(self, mono):
         return sum(self.poset.rank(e) for e in mono)
 
-    def is_multichain(self, mono):
-        for i in range(len(mono)):
-            for j in range(i + 1, len(mono)):
-                a, b = mono[i], mono[j]
-                if not (self.poset.le(a, b) or self.poset.le(b, a)):
-                    return False
-        return True
-
     def _straighten(self, mono):
         """Express a monomial in the multichain basis; returns a dict."""
         mono = self.monomial(mono)
@@ -159,23 +151,23 @@ def hilbert_series(poset, maxdeg):
 
 def linear_relations(poset, charmat, signs, k):
     """Integer relation rows among the rank-k elements, one per pair of a
-    rank-(k-1) element J and an axis subset A of size n-k: the entry of a
-    cover I of J is its incidence sign times its complementary minor
-    c(I, A).  Returns the rows and their (J, A) labels."""
+    rank-(k-1) element J and an axis subset A of size n-k.  The chain of
+    J is its cell boundary, sum of signs[(I, J)] * e_I over the covers I
+    of J; its rows are that chain pushed along the axes
+    (``CharacteristicMatrix.push``), so the entry of a cover I is its
+    incidence sign times its complementary minor c(I, A).  Returns the
+    rows and their (J, A) labels."""
+    if k < 1:
+        return [], []
     gens = poset.elements_of_rank(k)
     col = {g: i for i, g in enumerate(gens)}
-    rows, labels = [], []
-    if k >= 1:
-        for j_elt in poset.elements_of_rank(k - 1):
-            covers = poset.upper_covers(j_elt)
-            for axes in charmat.axis_subsets(charmat.n - k):
-                row = [0] * len(gens)
-                for i_elt in covers:
-                    row[col[i_elt]] += (signs[(i_elt, j_elt)]
-                                        * charmat.c_coefficient(i_elt, axes))
-                rows.append(row)
-                labels.append((j_elt, tuple(sorted(axes))))
-    return rows, labels
+    chains = []
+    for j_elt in poset.elements_of_rank(k - 1):
+        chain = [0] * len(gens)
+        for i_elt in poset.upper_covers(j_elt):
+            chain[col[i_elt]] += signs[(i_elt, j_elt)]
+        chains.append((j_elt, chain))
+    return charmat.push(k, chains)
 
 
 class GradedPresentation:
@@ -469,10 +461,6 @@ class FaceRingQuotient:
         field_rows = [[self.field.from_int(x) for x in r] for r in rows]
         field_vec = [self.field.from_int(x) for x in vec]
         return row_space_contains(field_rows, field_vec, self.field)
-
-    def graded_dimensions(self):
-        return tuple(self.presentation(k).dimension
-                     for k in range(self.n + 1))
 
     def __repr__(self):
         return "<FaceRingQuotient n=%d over %r>" % (self.n, self.field)

@@ -23,9 +23,10 @@ its deeper faces, each with an id and its wall set (cells of rank three
 and up also record their ``faces`` when written out, so that shapes with
 repeated wall sets survive a round trip).  ``lambda`` gives one integer
 row of length ``n`` per wall.  JSON object keys are always strings, so
-keys of ``lambda`` and of bordism chains are matched back to declared
-ids by their string form; mixed ids whose string forms collide are
-rejected.  The ``geometry`` block follows
+keys of ``lambda`` and of bordism chains, and interior-cell boundary
+references, are matched back to declared ids by their string form; mixed
+ids whose string forms collide are rejected, and so is an interior cell
+whose id has the string form of a poset id.  The ``geometry`` block follows
 ``cycles.GeometryOracle.from_data``.  Incidence signs are not stored:
 fixtures always use the vertex-order convention.
 
@@ -219,6 +220,11 @@ def parse_fixture(data, name=None):
         raise ValidationError("fixture entry 'interior_cells' must be a "
                               "list of cells, got %r" % (interior,))
     interior = [InteriorCell.from_data(cell) for cell in interior]
+    for cell in interior:
+        if str(cell.id) in id_map:
+            raise ValidationError(
+                "interior cell id %r collides with face %r as the string %r"
+                % (cell.id, id_map[str(cell.id)], str(cell.id)))
     interior = [InteriorCell(cell.id, cell.dim,
                              [(resolve(ref), coeff)
                               for ref, coeff in cell.boundary])

@@ -1,10 +1,17 @@
-"""Objects that exist once: the poset's chain complex, and the initial
-diagonal pages, which are the face ring quotient's presentations."""
+"""Objects that exist once: the poset's chain complex, the initial
+diagonal pages, which are the face ring quotient's presentations, and the
+second-kind rows, which the limit pages hold."""
+
+from collections import Counter
 
 import pytest
 
-from torushom.fields import GF, QQ
+from torushom.charmat import CharacteristicMatrix
+from torushom.cli import main
+from torushom.fields import GF, QQ, ZZ
+from torushom.fixtures import dumps_fixture
 from torushom.generator import polygon_with_holes
+from torushom.manifold import TorusManifold
 from torushom.posets import SimplicialPoset
 
 
@@ -53,3 +60,66 @@ def test_limit_page_extends_the_initial_page(manifold, field):
         assert {label[0] for label in limit.row_labels[first:]} == {"pair"}
         assert limit.generators == initial.generators
         assert manifold.diagonal_page(q, field, "limit") is limit
+
+
+@pytest.fixture
+def example_file(tmp_path):
+    target = tmp_path / "example.json"
+    target.write_text(dumps_fixture(polygon_with_holes((12, 6, 6), seed=3)))
+    return str(target)
+
+
+def _count_second_kind_rows(monkeypatch):
+    calls = []
+    original = TorusManifold.second_kind_rows
+
+    def counting(self, q, coeffs=ZZ):
+        calls.append((q, coeffs))
+        return original(self, q, coeffs)
+
+    monkeypatch.setattr(TorusManifold, "second_kind_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", ["q", "z", "f5"])
+def test_report_builds_second_kind_rows_once_per_degree_and_field(
+        example_file, monkeypatch, capsys, coeffs):
+    calls = _count_second_kind_rows(monkeypatch)
+    assert main(["report", example_file, "--json", "--coeffs", coeffs]) == 0
+    capsys.readouterr()
+    assert calls
+    assert max(Counter(calls).values()) == 1, calls
+
+
+def test_check_builds_second_kind_rows_once(example_file, monkeypatch,
+                                            capsys):
+    calls = _count_second_kind_rows(monkeypatch)
+    assert main(["check", example_file, "--json"]) == 0
+    capsys.readouterr()
+    assert calls == [(0, QQ)]
+
+
+def test_push_computes_each_coefficient_once(example_file, monkeypatch,
+                                             capsys):
+    counts = []
+    push = CharacteristicMatrix.push
+    c_coefficient = CharacteristicMatrix.c_coefficient
+
+    def counting_push(self, *args, **kwargs):
+        counts.append(Counter())
+        return push(self, *args, **kwargs)
+
+    def counting_coefficient(self, element, axes):
+        if counts:
+            counts[-1][(element, frozenset(axes))] += 1
+        return c_coefficient(self, element, axes)
+
+    monkeypatch.setattr(CharacteristicMatrix, "push", counting_push)
+    monkeypatch.setattr(CharacteristicMatrix, "c_coefficient",
+                        counting_coefficient)
+    assert main(["report", example_file, "--json"]) == 0
+    capsys.readouterr()
+    assert len(counts) >= 3  # first kind, second kind, socle placement
+    for per_call in counts:
+        assert not per_call or max(per_call.values()) == 1
+    assert sum(sum(c.values()) for c in counts) <= 276

@@ -340,6 +340,8 @@ class TestCheck:
          "bordism move L -> Lpp"),
         (lambda d: d["geometry"]["bordism"][0].pop("source"),
          "bordism move 0"),
+        (lambda d: d["interior_cells"][0].__setitem__("id", "5"),
+         "interior cell id '5' collides with face 5"),
     ], ids=["cell-id-list", "cell-id-float", "reference-list",
             "poset-cells-not-a-list", "poset-cell-not-an-object",
             "poset-cell-without-vertices", "poset-cell-id-list",
@@ -347,7 +349,8 @@ class TestCheck:
             "class-without-name", "support-entry-list",
             "pairing-without-result", "disjoint-triple", "rows-key-x",
             "rows-entry-short", "rows-key-0", "rows-key-3", "rows-key-1-1",
-            "chain-not-an-object", "move-without-source"])
+            "chain-not-an-object", "move-without-source",
+            "cell-id-collides-with-wall"])
     def test_malformed_shapes_exit_one(self, capsys, tmp_path, mutate,
                                        named):
         check_rejects_mutation(capsys, tmp_path, mutate, named)

@@ -218,9 +218,9 @@ class TestBordismDatum:
     def test_chain_and_row_forms_agree(self, annulus_charmat):
         chain = BordismDatum("L", "Lpp", chain={1: 1, 5: 1})
         rows = BordismDatum("L", "Lpp",
-                            rows=chain.as_rows(annulus_charmat,
-                                               [frozenset({1}),
-                                                frozenset({2})]))
+                            rows={axes: chain.face_part(axes, annulus_charmat)
+                                  for axes in (frozenset({1}),
+                                               frozenset({2}))})
         for axes in (frozenset({1}), frozenset({2})):
             assert chain.face_part(axes, annulus_charmat) == \
                 rows.face_part(axes, annulus_charmat)
@@ -247,11 +247,30 @@ def _calc_over(manifold, field, max_depth=4):
                                   max_depth=max_depth)
 
 
+def rewrite(calc, expr, datum):
+    """Apply one bordism move to every matching diaphragm term of an
+    expression, through the calculator's own term rewriting."""
+    out = CycleExpression()
+    hit = False
+    for key, c in expr.iter_terms():
+        if key[0] == "diaphragm" and key[1] == datum.source:
+            hit = True
+            for rkey, rc in calc._rewritten_term(key, datum).iter_terms():
+                out.add_term(rkey, rc * c)
+        else:
+            out.add_term(key, c)
+    if not hit:
+        raise MismatchedDatumError(
+            "bordism %s->%s matched no term of %r"
+            % (datum.source, datum.target, expr))
+    return out
+
+
 class TestRewrite:
     def test_row_rewrite_emits_corrections(self, annulus_calc):
         datum = annulus_calc.oracle.data_for("L")[0]
-        out = annulus_calc.rewrite(CycleExpression.diaphragm("L", (1,)),
-                                   datum)
+        out = rewrite(annulus_calc, CycleExpression.diaphragm("L", (1,)),
+                      datum)
         assert out.terms == {
             ("diaphragm", "Lp", frozenset({1})): 1,
             ("face", 4): 1,
@@ -260,8 +279,8 @@ class TestRewrite:
 
     def test_chain_rewrite_emits_corrections(self, annulus_calc):
         datum = annulus_calc.oracle.data_for("L")[1]
-        out = annulus_calc.rewrite(CycleExpression.diaphragm("L", (2,)),
-                                   datum)
+        out = rewrite(annulus_calc, CycleExpression.diaphragm("L", (2,)),
+                      datum)
         assert out.terms == {
             ("diaphragm", "Lpp", frozenset({2})): 1,
             ("face", 1): -1,
@@ -272,7 +291,7 @@ class TestRewrite:
         datum = annulus_calc.oracle.data_for("L")[0]
         expr = (CycleExpression.diaphragm("L", (1,), 2)
                 + CycleExpression.face(3, 7))
-        out = annulus_calc.rewrite(expr, datum)
+        out = rewrite(annulus_calc, expr, datum)
         assert out.terms[("face", 3)] == 7
         assert out.terms[("face", 4)] == 2
         assert out.terms[("diaphragm", "Lp", frozenset({1}))] == 2
@@ -280,15 +299,15 @@ class TestRewrite:
     def test_rewrite_without_matching_term_fails(self, annulus_calc):
         datum = annulus_calc.oracle.data_for("L")[0]
         with pytest.raises(MismatchedDatumError):
-            annulus_calc.rewrite(CycleExpression.diaphragm("Lp", (1,)),
-                                 datum)
+            rewrite(annulus_calc, CycleExpression.diaphragm("Lp", (1,)),
+                    datum)
 
     def test_rewrite_difference_cancels_formally(self, annulus_calc):
         for datum in annulus_calc.oracle.data_for("L"):
             for axis in (1, 2):
                 expr = CycleExpression.diaphragm("L", (axis,))
-                diff = annulus_calc.rewrite(expr, datum) - expr
-                assert annulus_calc.rewrite(diff, datum).is_zero()
+                diff = rewrite(annulus_calc, expr, datum) - expr
+                assert rewrite(annulus_calc, diff, datum).is_zero()
 
 
 class TestIntersection:

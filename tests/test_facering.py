@@ -16,6 +16,11 @@ def ring(poset):
     return FaceRing(poset)
 
 
+def graded_dimensions(quotient):
+    return tuple(quotient.presentation(k).dimension
+                 for k in range(quotient.n + 1))
+
+
 class TestMultiplication:
     def test_vertices_spanning_an_edge(self, square_poset):
         r = ring(square_poset)
@@ -103,7 +108,8 @@ class TestMonomials:
         r = ring(annulus_poset)
         for w in range(4):
             for mono in r.monomials_of_weight(w):
-                assert r.is_multichain(mono)
+                assert all(r.poset.le(a, b)
+                           for i, a in enumerate(mono) for b in mono[i + 1:])
 
     def test_hilbert_matches_enumeration(self, square_poset, annulus_poset,
                                          digon_poset):
@@ -132,7 +138,7 @@ class TestPresentations:
         for poset, charmat, want in cases:
             for field in (QQ, GF(2), GF(3), GF(5)):
                 q = FaceRingQuotient(poset, charmat, field)
-                assert q.graded_dimensions() == want
+                assert graded_dimensions(q) == want
                 assert want == poset.h_prime_vector(field)
 
     def test_degree_one_rows_read_off_parameter_columns(self, annulus_poset,
@@ -314,7 +320,7 @@ class TestSignedQuotient:
     def test_flipped_dimensions_agree(self, annulus_poset, annulus_charmat):
         flipped = self.build(annulus_poset, annulus_charmat, {2, 4, 10, 12})
         plain = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
-        assert flipped.graded_dimensions() == plain.graded_dimensions()
+        assert graded_dimensions(flipped) == graded_dimensions(plain)
 
     def test_transported_socle_stays_socle(self, annulus_poset,
                                            annulus_charmat):
