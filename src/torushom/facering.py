@@ -135,6 +135,17 @@ class FaceRing:
         return out
 
 
+def _add_scaled(field, target, coeff, vec):
+    """target += coeff·vec for vectors kept as {column: nonzero field
+    value}; coeff is a nonzero field element."""
+    for c, x in vec.items():
+        y = field.add(target.get(c, field.zero), field.mul(coeff, x))
+        if field.is_zero(y):
+            del target[c]
+        else:
+            target[c] = y
+
+
 def hilbert_series(poset, maxdeg):
     """Dimensions of the graded pieces of the face ring, by algebraic degree
     0..maxdeg.  The count of multichains with rank sum j has the closed form
@@ -233,8 +244,10 @@ class GradedPresentation:
             v[i] = lift(c, self.field)
         return v
 
-    def is_zero(self, vec):
-        return all(self.field.is_zero(x) for x in self.reduce(vec))
+    def reduce_sparse(self, vec):
+        """``reduce`` of a vector given as {column: nonzero field value},
+        answered in the same form."""
+        return self._echelon.reduce_sparse(vec)
 
     def __repr__(self):
         return "<GradedPresentation deg %d: %d generators, dim %d>" % (
@@ -249,6 +262,16 @@ class FaceRingQuotient:
     one row per pair (J, A) with J of rank k-1 and A a coordinate subset of
     the complementary size.  Vertex multiplication descends to these
     presentations and its kernel across all vertices is the socle.
+
+    Every multiplication by a vertex goes through one product path: the
+    product x_i·x_g of a vertex i and a rank-k generator g is built on
+    first use and kept per (i, k, g), unreduced, as {rank-(k+1) column:
+    field value}.  It is nonzero only for the vertices on a maximal cell
+    above g.  When i lies below g, x_i is first eliminated through the
+    inverse of the vertex matrix of the maximal cell chosen above g
+    (``simplex_above``), inverted once per cell.  ``vertex_action``,
+    ``action_matrix`` and ``in_socle`` sum the kept products over the
+    nonzero coordinates of their input and reduce each sum once.
     """
 
     def __init__(self, poset, charmat, field=QQ, signs=None,
@@ -267,6 +290,8 @@ class FaceRingQuotient:
         charmat.check_star(field)
         self._presentations = {}
         self._substitutions = {}
+        self._reaches = {}
+        self._products = {}
         self._actions = {}
 
     def _build_orientation(self):
@@ -319,8 +344,7 @@ class FaceRingQuotient:
     def simplex_above(self, e):
         """The maximal cell used to eliminate vertices of e: least by vertex
         set unless a custom chooser was supplied."""
-        tops = [m for m in self.poset.elements_of_rank(self.n)
-                if self.poset.le(e, m)]
+        tops = self.poset.tops_above(e)
         if not tops:
             raise ValidationError("no maximal cell above %r" % (e,))
         if self._choice is not None:
@@ -333,78 +357,127 @@ class FaceRingQuotient:
                                         repr(m)))
 
     def _substitution(self, top):
-        """Rows expressing each vertex of a maximal cell in terms of the
-        outside vertices, modulo the linear system."""
+        """The inverse of the vertex matrix of a maximal cell (rows the
+        axes, columns its vertices in sorted order), from one solve
+        against the n unit vectors, kept per cell.  Modulo the linear
+        system, x_w = -Σ_u (Σ_j inv[w][j]·λ_u[j])·x_u over the vertices u
+        outside the cell.  Returns (vertex → its row, inverse)."""
         cached = self._substitutions.get(repr(top))
         if cached is not None:
             return cached
+        field = self.field
         inside = sorted(self.poset.ver(top))
-        outside = [v for v in self.poset.vertices() if v not in inside]
-        matrix = [[self.field.from_int(self.charmat.row(w)[j])
-                   for w in inside] for j in range(self.n)]
-        rhs = [[self.field.neg(self.field.from_int(self.charmat.row(u)[j]))
-                for j in range(self.n)] for u in outside]
-        table = {w: {} for w in inside}
-        for u, x in zip(outside, solve_all(matrix, rhs, self.field)):
-            if x is None:
-                raise ValidationError(
-                    "vertex matrix of %r is singular over %r"
-                    % (top, self.field))
-            for w, c in zip(inside, x):
-                if not self.field.is_zero(c):
-                    table[w][u] = c
-        self._substitutions[repr(top)] = table
-        return table
+        matrix = [[field.from_int(self.charmat.row(w)[j]) for w in inside]
+                  for j in range(self.n)]
+        units = [[field.one if r == j else field.zero for r in range(self.n)]
+                 for j in range(self.n)]
+        columns = solve_all(matrix, units, field)
+        if any(x is None for x in columns):
+            raise ValidationError(
+                "vertex matrix of %r is singular over %r" % (top, field))
+        position = {w: r for r, w in enumerate(inside)}
+        inverse = [[columns[j][r] for j in range(self.n)]
+                   for r in range(len(inside))]
+        self._substitutions[repr(top)] = position, inverse
+        return position, inverse
+
+    def _reach(self, g):
+        """The vertices on some maximal cell above g: x_i·x_g is zero for
+        every other vertex i, since i and g then span no common cell."""
+        reach = self._reaches.get(g)
+        if reach is None:
+            reach = sorted(set().union(*(self.poset.ver(m)
+                                         for m in self.poset.tops_above(g))))
+            self._reaches[g] = reach
+        return reach
+
+    def _product(self, i, k, col):
+        """x_i·x_g for the rank-k generator g in column ``col``, unreduced,
+        as {rank-(k+1) column: nonzero field value}; built on first use
+        and kept.  Callers must not modify it."""
+        key = (i, k, col)
+        product = self._products.get(key)
+        if product is not None:
+            return product
+        field = self.field
+        dst = self.presentation(k + 1)
+        g = self.presentation(k).generators[col]
+        product = {}
+        base = self._orient(i) * self._orient(g)
+
+        def add_joins(a, coeff):
+            _add_scaled(field, product, coeff,
+                        {dst.column(j): field.from_int(base * self._orient(j))
+                         for j in self.poset.join_set(a, g)})
+
+        if g is BOTTOM:
+            product[dst.column(i)] = field.one
+        elif not self.poset.le(i, g):
+            add_joins(i, field.one)
+        else:
+            top = self.simplex_above(g)
+            position, inverse = self._substitution(top)
+            row = inverse[position[i]]
+            inside = position.keys()
+            for u in self._reach(g):
+                if u in inside:
+                    continue
+                cu = field.zero
+                for r, x in zip(row, self.charmat.row(u)):
+                    if x:
+                        cu = field.add(cu, field.mul(r, field.from_int(x)))
+                if not field.is_zero(cu):
+                    add_joins(u, field.neg(cu))
+        self._products[key] = product
+        return product
+
+    def _check_vertex(self, i):
+        try:
+            ok = self.poset.ver(i) == {i}
+        except KeyError:
+            ok = False
+        if not ok:
+            raise ValidationError("%r is not a vertex" % (i,))
 
     def vertex_action(self, i, vec, k):
         """Multiplication by a vertex: coordinates over the rank-k
-        generators go to reduced coordinates over the rank-(k+1) ones."""
+        generators go to reduced coordinates over the rank-(k+1) ones.
+        The kept products x_i·x_g are summed over the nonzero coordinates
+        of the input, and the sum is reduced once."""
         src = self.presentation(k)
         dst = self.presentation(k + 1)
-        if i not in self.poset.ver(i):
-            raise ValidationError("%r is not a vertex" % (i,))
-        v = [lift(x, self.field) for x in vec]
-        if len(v) != len(src.generators):
+        self._check_vertex(i)
+        if len(vec) != len(src.generators):
             raise ValidationError("vector does not match degree-%d generators"
                                   % k)
-        out = [self.field.zero] * len(dst.generators)
-
-        def add_joins(a, elt, coeff, base):
-            for j_elt in self.poset.join_set(a, elt):
-                c = dst.column(j_elt)
-                signed = self.field.mul(
-                    coeff, self.field.from_int(base * self._orient(j_elt)))
-                out[c] = self.field.add(out[c], signed)
-
-        for idx, coeff in enumerate(v):
-            if self.field.is_zero(coeff):
+        out = {}
+        for col, coeff in enumerate(vec):
+            if not coeff:
                 continue
-            elt = src.generators[idx]
-            base = self._orient(i) * self._orient(elt)
-            if elt is BOTTOM:
-                c = dst.column(i)
-                out[c] = self.field.add(out[c], coeff)
-            elif not self.poset.le(i, elt):
-                add_joins(i, elt, coeff, base)
-            else:
-                top = self.simplex_above(elt)
-                for u, cu in self._substitution(top)[i].items():
-                    add_joins(u, elt, self.field.mul(coeff, cu), base)
-        return dst.reduce(out)
+            coeff = lift(coeff, self.field)
+            if not self.field.is_zero(coeff):
+                _add_scaled(self.field, out, coeff, self._product(i, k, col))
+        image = [self.field.zero] * len(dst.generators)
+        for c, x in dst.reduce_sparse(out).items():
+            image[c] = x
+        return image
 
     def action_matrix(self, i, k):
         """Matrix of multiplication by vertex i from the degree-k basis to
-        the degree-(k+1) basis (rows index the target)."""
+        the degree-(k+1) basis (rows index the target).  A basis generator
+        is its own reduction, so column g is the reduced product x_i·x_g."""
         key = (repr(i), k)
         cached = self._actions.get(key)
         if cached is not None:
             return cached
+        self._check_vertex(i)
         src = self.presentation(k)
         dst = self.presentation(k + 1)
         cols = []
-        for g in src.basis:
-            image = self.vertex_action(i, src.unit(g), k)
-            cols.append([image[c] for c in dst._basis_cols])
+        for col in src._basis_cols:
+            image = dst.reduce_sparse(self._product(i, k, col))
+            cols.append([image.get(c, self.field.zero)
+                         for c in dst._basis_cols])
         matrix = [[cols[j][r] for j in range(len(cols))]
                   for r in range(len(dst.basis))]
         self._actions[key] = matrix
@@ -428,9 +501,21 @@ class FaceRingQuotient:
         return [src.lift(coords) for coords in coords_list]
 
     def in_socle(self, vec, k):
-        v = self.presentation(k).reduce(vec)
-        return all(self.presentation(k + 1).is_zero(
-            self.vertex_action(i, v, k)) for i in self.poset.vertices())
+        """Whether every vertex kills a degree-k vector.  The vector is
+        reduced once; the image under a vertex is the sum of the kept
+        products over its nonzero coordinates, and only a nonempty image
+        is reduced."""
+        src = self.presentation(k)
+        dst = self.presentation(k + 1)
+        images = {}
+        for col, coeff in enumerate(src.reduce(vec)):
+            if self.field.is_zero(coeff):
+                continue
+            for i in self._reach(src.generators[col]):
+                _add_scaled(self.field, images.setdefault(i, {}), coeff,
+                            self._product(i, k, col))
+        return not any(image and dst.reduce_sparse(image)
+                       for image in images.values())
 
     # --- membership in the parameter ideal -----------------------------
 

@@ -256,7 +256,9 @@ class Echelon:
     entries are lifted into the field only where they are nonzero, and the
     arithmetic touches only nonzero entries.
 
-    ``reduce`` clears the pivot columns of a vector against the kept rows,
+    ``reduce`` clears the pivot columns of a vector against the kept rows
+    (``reduce_sparse`` does so for a vector given as {column: value}; it
+    is the one reduction loop, and the dense entries lift into it),
     ``contains`` tests membership, and ``add`` keeps a vector when it is
     independent of the rows so far and reports whether it was.  Testing a
     stack of vectors one by one this way eliminates each vector once
@@ -291,17 +293,22 @@ class Echelon:
                 self._dense.append(row)
         return self._dense
 
-    def _reduced(self, vec):
-        """v − Σ v[p]·row_p over the pivots p in the support of v, as
-        {column: nonzero value}.  Every row is zero on the other pivot
-        columns, so each v[p] is read from the input and the order of the
-        subtractions does not matter."""
+    def _sparse(self, vec):
+        """A dense vector as {column: nonzero field value}."""
         if self.width is not None and len(vec) != self.width:
             raise ValueError("dimension mismatch")
+        is_zero = self.field.is_zero
+        return {j: lift(x, self.field) for j, x in enumerate(vec)
+                if x and not is_zero(x)}
+
+    def reduce_sparse(self, v):
+        """v − Σ v[p]·row_p over the pivots p in the support of v, for v
+        given as {column: nonzero field value}, in the same form; v is not
+        modified.  Every row is zero on the other pivot columns, so each
+        v[p] is read from the input and the order of the subtractions does
+        not matter."""
         field = self.field
         is_zero, sub, mul = field.is_zero, field.sub, field.mul
-        v = {j: lift(x, field) for j, x in enumerate(vec)
-             if x and not is_zero(x)}
         out = dict(v)
         for pc, c in v.items():
             row = self._rows.get(pc)
@@ -319,15 +326,15 @@ class Echelon:
 
     def reduce(self, vec):
         out = [self.field.zero] * len(vec)
-        for j, x in self._reduced(vec).items():
+        for j, x in self.reduce_sparse(self._sparse(vec)).items():
             out[j] = x
         return out
 
     def contains(self, vec):
-        return not self._reduced(vec)
+        return not self.reduce_sparse(self._sparse(vec))
 
     def add(self, vec):
-        v = self._reduced(vec)
+        v = self.reduce_sparse(self._sparse(vec))
         if self.width is None:
             self.width = len(vec)
         if not v:

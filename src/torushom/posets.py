@@ -28,6 +28,8 @@ class SimplicialPoset:
     """
 
     def __init__(self, vertices, cells, check=True):
+        self._sorted = None
+        self._tops_above = None
         self._ver = {BOTTOM: frozenset()}
         self._faces = {BOTTOM: {}}
         self._on_vertices = {frozenset(): [BOTTOM]}
@@ -120,11 +122,14 @@ class SimplicialPoset:
     # --- basic queries -------------------------------------------------
 
     def elements(self, include_bottom=False):
-        out = [e for e in self._ver if e is not BOTTOM]
-        out.sort(key=lambda e: (len(self._ver[e]), repr(e)))
+        """The elements by rank, then by repr; sorted on first use and
+        kept, and handed out as a fresh list."""
+        if self._sorted is None:
+            self._sorted = sorted((e for e in self._ver if e is not BOTTOM),
+                                  key=lambda e: (len(self._ver[e]), repr(e)))
         if include_bottom:
-            out.insert(0, BOTTOM)
-        return out
+            return [BOTTOM] + self._sorted
+        return list(self._sorted)
 
     def vertices(self):
         return sorted(self._by_rank.get(1, []))
@@ -166,6 +171,19 @@ class SimplicialPoset:
 
     def upper_covers(self, e):
         return list(self._covers[e])
+
+    def tops_above(self, e):
+        """The elements of top rank above e (e itself if it has top rank),
+        in ``elements_of_rank`` order.  They are found for every element
+        at once on first use, from the faces of each top element, and
+        kept."""
+        if self._tops_above is None:
+            above = {f: [] for f in self._ver}
+            for m in self.elements_of_rank(self.top_rank):
+                for f in self._below[m]:
+                    above[f].append(m)
+            self._tops_above = above
+        return list(self._tops_above[e])
 
     def maximal_elements(self):
         out = []
@@ -359,17 +377,22 @@ class SimplicialPoset:
 
     def buchsbaum_check(self, field=QQ):
         """Purity plus vanishing reduced homology of every proper link below
-        its top degree.  Returns (ok, list of failures)."""
+        its top degree.  Returns (ok, list of failures).
+
+        Only the degrees -1 .. top-2 of a link can fail, top being the
+        corank of its element, so only those are computed, and no link is
+        built where that range is empty (top elements)."""
         failures = []
         if not self.is_pure():
             failures.append(("purity", None))
         n = self.top_rank
         for e in self.elements():
-            lk = self.link(e)
             top = n - self.rank(e)
-            betti = lk.reduced_betti(field)
+            if top < 1:
+                continue
+            chains = self.link(e).simplex_chain_complex()
             for j in range(-1, top - 1):
-                if betti.get(j):
+                if chains.homology(j, field).rank:
                     failures.append((e, j))
         return (not failures, failures)
 

@@ -1,14 +1,18 @@
 """Objects that exist once: the poset's chain complex, the initial
-diagonal pages, which are the face ring quotient's presentations, and the
-second-kind rows, which the limit pages hold."""
+diagonal pages, which are the face ring quotient's presentations, the
+second-kind rows, which the limit pages hold, and the inverse of each
+maximal cell's vertex matrix.  Work whose answer is fixed is not done:
+no link of a top element is built, and no empty product is reduced."""
 
 from collections import Counter
 
 import pytest
 
+from torushom import facering
 from torushom.charmat import CharacteristicMatrix
 from torushom.cli import main
-from torushom.fields import GF, QQ, ZZ
+from torushom.facering import FaceRingQuotient
+from torushom.fields import GF, QQ, ZZ, Echelon
 from torushom.fixtures import dumps_fixture
 from torushom.generator import polygon_with_holes
 from torushom.manifold import TorusManifold
@@ -123,3 +127,73 @@ def test_push_computes_each_coefficient_once(example_file, monkeypatch,
     for per_call in counts:
         assert not per_call or max(per_call.values()) == 1
     assert sum(sum(c.values()) for c in counts) <= 276
+
+
+def test_report_inverts_each_cell_matrix_once_per_field(
+        example_file, monkeypatch, capsys):
+    solves, cells = [], []
+    solve_all = facering.solve_all
+    substitution = FaceRingQuotient._substitution
+
+    def counting_solve(rows, bs, field):
+        solves.append((len(rows), field, [list(b) for b in bs]))
+        return solve_all(rows, bs, field)
+
+    def recording(self, top):
+        before = len(solves)
+        out = substitution(self, top)
+        if len(solves) > before:
+            cells.append((self.field, top))
+        return out
+
+    monkeypatch.setattr(facering, "solve_all", counting_solve)
+    monkeypatch.setattr(FaceRingQuotient, "_substitution", recording)
+    assert main(["report", example_file, "--json"]) == 0
+    capsys.readouterr()
+    assert solves and len(cells) == len(solves)
+    for n, field, bs in solves:
+        # one solve against the n unit vectors: the inverse
+        assert bs == [[field.one if r == j else field.zero
+                       for r in range(n)] for j in range(n)]
+    assert max(Counter(cells).values()) == 1
+
+
+def test_buchsbaum_check_builds_no_link_of_a_top_element(
+        example_file, monkeypatch, capsys):
+    ranks = []
+    link = SimplicialPoset.link
+
+    def recording(self, e):
+        ranks.append((self.rank(e), self.top_rank))
+        return link(self, e)
+
+    monkeypatch.setattr(SimplicialPoset, "link", recording)
+    assert main(["report", example_file, "--json"]) == 0
+    capsys.readouterr()
+    assert ranks
+    assert all(rank < top for rank, top in ranks), ranks
+
+
+def test_in_socle_reduces_no_empty_product(example_file, monkeypatch,
+                                           capsys):
+    inside, reductions = [], []
+    in_socle = FaceRingQuotient.in_socle
+    reduce_sparse = Echelon.reduce_sparse
+
+    def flagged(self, vec, k):
+        inside.append(True)
+        try:
+            return in_socle(self, vec, k)
+        finally:
+            inside.pop()
+
+    def recording(self, v):
+        if inside:
+            reductions.append(bool(v))
+        return reduce_sparse(self, v)
+
+    monkeypatch.setattr(FaceRingQuotient, "in_socle", flagged)
+    monkeypatch.setattr(Echelon, "reduce_sparse", recording)
+    assert main(["report", example_file, "--json"]) == 0
+    capsys.readouterr()
+    assert reductions and all(reductions), reductions.count(False)

@@ -165,7 +165,7 @@ class TestKernelOfRestriction:
     def test_kernel_row_survives_initial_page(self, annulus_manifold):
         page = annulus_manifold.diagonal_page(0, QQ, "initial")
         for row in annulus_manifold.kernel_of_g(2):
-            assert not page.is_zero(row)
+            assert not all(QQ.is_zero(x) for x in page.reduce(row))
 
     def test_degree_range(self, annulus_manifold):
         with pytest.raises(ValidationError):
