@@ -1,15 +1,29 @@
 """Integer matrix routines: Smith normal form with transform tracking,
 integer kernels and solves, exact determinants.
 
-``smith_normal_form`` also keeps W = U^-1, mirroring each row operation
-on U by its inverse column operation on W: the image of m is spanned by
-d_1 w_1, d_2 w_2, ... over the columns w_i of W.
+``smith_normal_form`` is one sparse elimination loop, the integer
+counterpart of ``fields.Echelon``.  Its working rows are dicts
+{column: value}, and a column index lists the rows with an entry in each
+column, so a row or column step touches only nonzero entries.  The pivot
+is a live entry of least magnitude, and among those one of least
+fill-in (other entries in its row times other entries in its column), so
+the unit entries of boundary and relation matrices are eliminated first
+and cheaply.  A remainder left by the integer quotients becomes the next
+pivot (Euclid's step); once a pivot's row and column are clear it must
+divide every entry left, or a row holding an offending entry is added to
+its row.  Pivot positions are recorded rather than swapped into place,
+and the permutation is applied once at the end.
+
+The transforms are kept sparse as well: the rows of U, the columns of V,
+and W = U^-1 by columns, each row operation on U mirrored by its inverse
+column operation on W.  The image of m is spanned by d_1 w_1, d_2 w_2,
+... over the columns w_i of W.
 
 Solving factors once: ``int_solve_all`` reads every right-hand side of
 one matrix off a single Smith form, ``int_solve`` is its one-vector case,
 and ``int_inverse`` takes the inverse and its existence from one form.
 
-All matrices are lists of row lists of Python ints.
+Matrices passed in and returned are lists of row lists of Python ints.
 """
 
 
@@ -64,94 +78,149 @@ def smith_normal_form(m):
     """Decompose an integer matrix as U @ m @ V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries
-    d_1 | d_2 | ... .  Returns (U, D, V, W) with W = U^-1.
+    d_1 | d_2 | ... .  Returns (U, D, V, W) with W = U^-1, all dense.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    a = [list(row) for row in m]
-    u = int_identity(nrows)
-    v = int_identity(ncols)
-    # W kept by columns: wt[i] is column i of W
-    wt = int_identity(nrows)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        wt[i], wt[j] = wt[j], wt[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    a = [{j: x for j, x in enumerate(row) if x} for row in m]
+    cols = [set() for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    u = [{i: 1} for i in range(nrows)]
+    wt = [{i: 1} for i in range(nrows)]  # wt[i] is column i of W
+    v = [{j: 1} for j in range(ncols)]  # v[j] is column j of V
 
     def add_row(dst, src, q):
-        # row[dst] += q * row[src]
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        wt[src] = [x - q * y for x, y in zip(wt[src], wt[dst])]
+        # row dst += q * row src, with U alike and the inverse on W
+        row = a[dst]
+        for j, x in a[src].items():
+            y = row.get(j, 0) + q * x
+            if y:
+                row[j] = y
+                cols[j].add(dst)
+            else:
+                del row[j]
+                cols[j].discard(dst)
+        _axpy(u[dst], u[src], q)
+        _axpy(wt[src], wt[dst], -q)
 
     def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        # column dst += q * column src, with V alike
+        for i in cols[src]:
+            row = a[i]
+            y = row.get(dst, 0) + q * row[src]
+            if y:
+                row[dst] = y
+                cols[dst].add(i)
+            else:
+                del row[dst]
+                cols[dst].discard(i)
+        _axpy(v[dst], v[src], q)
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        wt[i] = [-x for x in wt[i]]
-
-    t = 0
-    bound = min(nrows, ncols)
-    while t < bound:
-        # locate the nonzero entry of least magnitude in the working block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        if a[t][t] < 0:
-            negate_row(t)
-        pivot = a[t][t]
-
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                add_row(i, t, -(a[i][t] // pivot))
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            if a[t][j]:
-                add_col(j, t, -(a[t][j] // pivot))
-                if a[t][j]:
-                    dirty = True
-        if dirty:
+    pivots = []
+    found = _pivot(a, cols)
+    while found is not None:
+        r, c = found
+        if a[r][c] < 0:
+            for vec in (a[r], u[r], wt[r]):
+                for k in vec:
+                    vec[k] = -vec[k]
+        p = a[r][c]
+        for i in [i for i in cols[c] if i != r]:
+            q = a[i][c] // p
+            if q:
+                add_row(i, r, -q)
+        for j in [j for j in a[r] if j != c]:
+            q = a[r][j] // p
+            if q:
+                add_col(j, c, -q)
+        # Euclid step: a remainder left in the pivot's row or column is
+        # smaller than p and becomes the pivot
+        rest = [(abs(a[i][c]), i, c) for i in cols[c] if i != r]
+        rest += [(abs(x), r, j) for j, x in a[r].items() if j != c]
+        if rest:
+            found = min(rest)[1:]
             continue
-
-        # row and column are clear; enforce divisibility of the tail block
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % pivot:
-                    offender = i
-                    break
+        # row and column are clear; p must divide every entry left
+        if p > 1:
+            offender = next((i for i, row in enumerate(a) if i != r
+                             and any(x % p for x in row.values())), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        t += 1
+                add_row(r, offender, 1)
+                continue
+        pivots.append((r, c, p))
+        cols[c].discard(r)
+        a[r] = {}
+        found = _pivot(a, cols)
 
-    return u, a, v, [list(row) for row in zip(*wt)]
+    row_order = _order([r for r, _, _ in pivots], nrows)
+    col_order = _order([c for _, c, _ in pivots], ncols)
+    d = [[0] * ncols for _ in range(nrows)]
+    for t, (_, _, p) in enumerate(pivots):
+        d[t][t] = p
+    return ([_dense(u[i], nrows) for i in row_order], d,
+            _dense_columns([v[j] for j in col_order], ncols),
+            _dense_columns([wt[i] for i in row_order], nrows))
+
+
+def _pivot(a, cols):
+    """Position of a live entry of least magnitude, and among those of
+    least fill-in (other entries in its row x other entries in its
+    column), the first such in row order.  A unit whose fill-in meets the
+    lower bound set by the shortest row and column ends the search.  None
+    when every row is empty."""
+    shortest = min(filter(None, map(len, a)), default=0)
+    if not shortest:
+        return None
+    floor = (shortest - 1) * (min(filter(None, map(len, cols))) - 1)
+    best = None
+    for i, row in enumerate(a):
+        if not row:
+            continue
+        others = len(row) - 1
+        for j, x in row.items():
+            mag = x if x > 0 else -x
+            if best is not None and mag > best[0]:
+                continue
+            fill = others * (len(cols[j]) - 1)
+            if best is None or (mag, fill) < best[:2]:
+                if mag == 1 and fill == floor:
+                    return i, j
+                best = (mag, fill, i, j)
+    return best[2:]
+
+
+def _axpy(dst, src, q):
+    """dst += q * src for sparse vectors {index: value}."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _order(first, n):
+    """``first`` followed by the rest of range(n) in order."""
+    taken = set(first)
+    return first + [k for k in range(n) if k not in taken]
+
+
+def _dense(vec, n):
+    out = [0] * n
+    for k, x in vec.items():
+        out[k] = x
+    return out
+
+
+def _dense_columns(columns, n):
+    """The n-row dense matrix with the given sparse columns."""
+    out = [[0] * len(columns) for _ in range(n)]
+    for t, col in enumerate(columns):
+        for k, x in col.items():
+            out[k][t] = x
+    return out
 
 
 def diagonal_entries(d):
@@ -173,15 +242,11 @@ def int_kernel(m):
     The basis spans a saturated sublattice: any integer solution is an
     integer combination of it.
     """
-    ncols = len(m[0]) if m else 0
     if not m:
-        return [[0] * 0 for _ in range(0)]
+        return []
     _, d, v, _ = smith_normal_form(m)
     r = len(diagonal_entries(d))
-    basis = []
-    for j in range(r, ncols):
-        basis.append([v[i][j] for i in range(ncols)])
-    return basis
+    return [[row[j] for row in v] for j in range(r, len(m[0]))]
 
 
 def int_solve_all(m, bs):

@@ -1,0 +1,302 @@
+"""The sparse Smith normal form against the dense elimination it replaced,
+and against sympy.
+
+``DenseSmithReference`` is the dense loop that ``snf.smith_normal_form``
+used before its rows were kept sparse: it rescans the whole working block
+for the entry of least magnitude and swaps it into place.  It lives here
+only as the reference.  Every comparison checks the whole contract of the
+sparse form: U @ m @ V = D, W @ U = U @ W = I, |det U| = |det V| = 1,
+d_1 | d_2 | ..., and the same diagonal as the reference and as sympy's
+invariant factors.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy import ZZ as SYMPY_ZZ
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
+
+from torushom import snf
+from torushom.chains import ChainComplex
+from torushom.generator import polygon_with_holes
+
+
+class DenseSmithReference:
+    """U @ m @ V = D by dense elimination, with W = U^-1 kept alongside;
+    the result is in ``u``, ``d``, ``v`` and ``w``."""
+
+    def __init__(self, m):
+        nrows = len(m)
+        ncols = len(m[0]) if m else 0
+        a = [list(row) for row in m]
+        u = snf.int_identity(nrows)
+        v = snf.int_identity(ncols)
+        wt = snf.int_identity(nrows)  # wt[i] is column i of W
+
+        def swap_rows(i, j):
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+            wt[i], wt[j] = wt[j], wt[i]
+
+        def swap_cols(i, j):
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+        def add_row(dst, src, q):
+            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+            wt[src] = [x - q * y for x, y in zip(wt[src], wt[dst])]
+
+        def add_col(dst, src, q):
+            for row in a:
+                row[dst] += q * row[src]
+            for row in v:
+                row[dst] += q * row[src]
+
+        def negate_row(i):
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+            wt[i] = [-x for x in wt[i]]
+
+        t = 0
+        while t < min(nrows, ncols):
+            best = None
+            for i in range(t, nrows):
+                for j in range(t, ncols):
+                    x = a[i][j]
+                    if x and (best is None
+                              or abs(x) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            if best[0] != t:
+                swap_rows(t, best[0])
+            if best[1] != t:
+                swap_cols(t, best[1])
+            if a[t][t] < 0:
+                negate_row(t)
+            pivot = a[t][t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // pivot))
+                    dirty = dirty or bool(a[i][t])
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // pivot))
+                    dirty = dirty or bool(a[t][j])
+            if dirty:
+                continue
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(a[i][j] % pivot
+                                    for j in range(t + 1, ncols))), None)
+            if offender is not None:
+                add_row(t, offender, 1)
+                continue
+            t += 1
+        self.u, self.d, self.v = u, a, v
+        self.w = [list(row) for row in zip(*wt)]
+
+
+def sympy_factors(m):
+    """Nonzero invariant factors of m by sympy, positive."""
+    if not m or not m[0]:
+        return []
+    return [abs(int(f)) for f in invariant_factors(Matrix(m), domain=SYMPY_ZZ)
+            if f]
+
+
+def assert_smith_contract(m, result):
+    u, d, v, w = result
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    assert [len(row) for row in u] == [nrows] * nrows
+    assert [len(row) for row in w] == [nrows] * nrows
+    assert [len(row) for row in v] == [ncols] * ncols
+    assert [len(row) for row in d] == [ncols] * nrows
+    assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
+    identity = snf.int_identity(nrows)
+    assert snf.int_mat_mul(w, u) == identity == snf.int_mat_mul(u, w)
+    assert abs(snf.int_det(u)) == 1
+    assert abs(snf.int_det(v)) == 1
+    diag = [d[i][i] for i in range(min(nrows, ncols))]
+    assert all(d[i][j] == 0 for i in range(nrows) for j in range(ncols)
+               if i != j)
+    factors = snf.diagonal_entries(d)
+    assert diag == factors + [0] * (len(diag) - len(factors))
+    assert all(f > 0 for f in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    reference = DenseSmithReference(m)
+    assert factors == snf.diagonal_entries(reference.d)
+    assert factors == sympy_factors(m)
+    return factors
+
+
+@st.composite
+def small_matrices(draw):
+    """0..8 x 0..8 matrices with entries in -9..9; some rows and columns
+    are zeroed, so zero rows and columns turn up often."""
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(0, 8))
+    m = [draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+         for _ in range(nrows)]
+    zeroed = st.lists(st.sampled_from([False, False, False, True]))
+    for i, gone in enumerate(draw(zeroed)[:nrows]):
+        if gone:
+            m[i] = [0] * ncols
+    for j, gone in enumerate(draw(zeroed)[:ncols]):
+        if gone:
+            for row in m:
+                row[j] = 0
+    return m
+
+
+@st.composite
+def boundary_matrices(draw):
+    """Sparse matrices shaped like cellular boundaries: up to 24 x 24,
+    every column with at most three entries, each +1 or -1."""
+    nrows = draw(st.integers(1, 24))
+    ncols = draw(st.integers(1, 24))
+    m = [[0] * ncols for _ in range(nrows)]
+    for j in range(ncols):
+        rows = draw(st.sets(st.integers(0, nrows - 1),
+                            max_size=min(3, nrows)))
+        for i in sorted(rows):
+            m[i][j] = draw(st.sampled_from([1, -1]))
+    return m
+
+
+class TestAgainstDenseReference:
+    @settings(deadline=None, max_examples=200)
+    @given(small_matrices())
+    def test_small_matrices(self, m):
+        assert_smith_contract(m, snf.smith_normal_form(m))
+
+    @settings(deadline=None, max_examples=100)
+    @given(boundary_matrices())
+    def test_boundary_shaped_matrices(self, m):
+        assert_smith_contract(m, snf.smith_normal_form(m))
+
+    @pytest.mark.parametrize("m", [[], [[]], [[], [], []],
+                                   [[0, 0, 0]], [[0], [0]]])
+    def test_empty_and_zero_shapes(self, m):
+        assert assert_smith_contract(m, snf.smith_normal_form(m)) == []
+
+    @pytest.mark.parametrize("m,factors", [
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[4, 0], [0, 6]], [2, 12]),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 6]),
+    ])
+    def test_divisibility_fixup(self, m, factors):
+        assert assert_smith_contract(m, snf.smith_normal_form(m)) == factors
+
+    def test_polygon_boundaries(self):
+        corner = polygon_with_holes((6, 4, 3), seed=3).manifold.corner
+        seen = 0
+        for selector in ("boundary", "space", "pair"):
+            for mat in corner.complex_for(selector).boundaries.values():
+                assert_smith_contract(mat, snf.smith_normal_form(mat))
+                seen += 1
+        assert seen >= 4
+
+
+# --- torsion that outlives the unit pivots ------------------------------
+
+# The six-vertex triangulation of the real projective plane.
+RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+def cw_complex(edges, faces):
+    """A 2-complex from oriented edges (tail, head) and faces given as
+    {edge index: coefficient}; ChainComplex checks that the boundary
+    squares to zero."""
+    vertices = sorted({x for edge in edges for x in edge}, key=str)
+    index = {x: i for i, x in enumerate(vertices)}
+    d1 = [[0] * len(edges) for _ in vertices]
+    for j, (tail, head) in enumerate(edges):
+        d1[index[tail]][j] -= 1
+        d1[index[head]][j] += 1
+    d2 = [[face.get(i, 0) for face in faces] for i in range(len(edges))]
+    return ChainComplex({0: ["v%s" % x for x in vertices],
+                         1: ["e%d" % j for j in range(len(edges))],
+                         2: ["f%d" % j for j in range(len(faces))]},
+                        {1: d1, 2: d2})
+
+
+def rp2_cells():
+    edges = sorted({pair for a, b, c in RP2_TRIANGLES
+                    for pair in ((a, b), (a, c), (b, c))})
+    index = {edge: i for i, edge in enumerate(edges)}
+    faces = [{index[(b, c)]: 1, index[(a, c)]: -1, index[(a, b)]: 1}
+             for a, b, c in RP2_TRIANGLES]
+    return edges, faces
+
+
+def rp2():
+    return cw_complex(*rp2_cells())
+
+
+def rp2_wedge_mod3(k):
+    """RP^2 wedged at vertex 1 with a circle of k edges that bounds a
+    2-cell three times: H_1 = Z/2 + Z/3 = Z/6, and the Smith form of the
+    second boundary needs the divisibility fix-up after its unit pivots."""
+    edges, faces = rp2_cells()
+    loop = [1] + ["c%d" % i for i in range(1, k)] + [1]
+    first = len(edges)
+    edges = edges + list(zip(loop, loop[1:]))
+    faces = faces + [{first + i: 3 for i in range(k)}]
+    return cw_complex(edges, faces)
+
+
+def _sympy_diagonal(mat):
+    if not mat or not mat[0]:
+        return [], None
+    d, s, _ = smith_normal_decomp(Matrix(mat), domain=SYMPY_ZZ)
+    return [abs(int(d[i, i])) for i in range(min(d.rows, d.cols))], s
+
+
+def _is_boundary(mat, vec):
+    diag, s = _sympy_diagonal(mat)
+    if s is None:
+        return not any(vec)
+    y = s * Matrix(vec)
+    return all((yi % diag[i] if i < len(diag) and diag[i] else yi) == 0
+               for i, yi in enumerate(y))
+
+
+def assert_group_matches_sympy(c, k):
+    group = c.homology(k)
+    lower, upper = c.boundary_matrix(k), c.boundary_matrix(k + 1)
+    lower_rank = sum(1 for x in _sympy_diagonal(lower)[0] if x)
+    upper_diag = [x for x in _sympy_diagonal(upper)[0] if x]
+    assert group.free_rank == len(c.basis(k)) - lower_rank - len(upper_diag)
+    assert group.torsion == [x for x in upper_diag if x > 1]
+    for gen in group.free_generators:
+        assert not any(c.boundary_of(k, gen))
+    for order, gen in group.torsion_generators:
+        assert not any(c.boundary_of(k, gen))
+        assert _is_boundary(upper, [order * x for x in gen])
+        assert not _is_boundary(upper, gen)
+    return group
+
+
+class TestTorsionAtSize:
+    def test_projective_plane(self):
+        c = rp2()
+        groups = [assert_group_matches_sympy(c, k) for k in range(3)]
+        assert [g.describe() for g in groups] == ["Z", "Z/2", "0"]
+        assert snf.invariant_factors(c.boundary_matrix(2)) == [1] * 9 + [2]
+
+    @pytest.mark.parametrize("k", [3, 12, 40])
+    def test_wedge_with_mod_three_moore_space(self, k):
+        c = rp2_wedge_mod3(k)
+        groups = [assert_group_matches_sympy(c, q) for q in range(3)]
+        assert [(g.free_rank, g.torsion) for g in groups] == [
+            (1, []), (0, [6]), (0, [])]
+        bdry = c.boundary_matrix(2)
+        factors = assert_smith_contract(bdry, snf.smith_normal_form(bdry))
+        assert factors == [1] * 10 + [6]
