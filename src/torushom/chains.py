@@ -140,31 +140,48 @@ class ChainComplex:
         return group
 
     def _homology_int(self, k):
-        """In the basis P = U^-1 of the Smith form of the boundary into
-        degree k, the boundaries are spanned by d_1 p_1, ..., d_s p_s; those
-        p_i are cycles, the ones with d_i > 1 generate the torsion, and the
-        free part is P[:, s:] times the kernel of the boundary on it."""
+        """In the basis W = U^-1 of the Smith form of the boundary into
+        degree k, the boundaries are spanned by d_1 w_1, ..., d_s w_s; those
+        w_i are cycles, the ones with d_i > 1 generate the torsion, and the
+        free part is the kernel of the boundary on w_{s+1}, ... .  The
+        sparse w_i go through the sparse columns of the boundary."""
         labels = self.basis(k)
+        n = len(labels)
         upper = self.boundaries.get(k + 1)
         if upper is None:
-            p, factors = snf.int_identity(len(labels)), []
+            factors, basis = [], [{i: 1} for i in range(n)]
         else:
-            _, d, _, p = snf.smith_normal_form(upper)
-            factors = snf.diagonal_entries(d)
+            factors, _, _, basis = snf.smith_normal_form(upper)
         s = len(factors)
-        columns = [list(col) for col in zip(*p)]
+
+        def chain(weights, columns):
+            out = [0] * n
+            for q, col in zip(weights, columns):
+                for i, x in col.items():
+                    out[i] += q * x
+            return out
+
         lower = self.boundaries.get(k)
         if lower is None:
-            free_gens = columns[s:]
+            free_gens = [chain([1], [w]) for w in basis[s:]]
         else:
-            images = snf.int_mat_mul(lower, p)
+            cols = [{} for _ in range(n)]
+            for i, row in enumerate(lower):
+                for j, x in enumerate(row):
+                    if x:
+                        cols[j][i] = x
+            images = [[0] * n for _ in lower]
+            for t, w in enumerate(basis):
+                for j, q in w.items():
+                    for i, x in cols[j].items():
+                        images[i][t] += q * x
             if any(any(row[:s]) for row in images):
                 raise ValidationError(
                     "boundary column is not a cycle in degree %d" % k)
             kernel = snf.int_kernel([row[s:] for row in images])
-            free_gens = snf.int_mat_mul(kernel, columns[s:])
-        torsion_gens = [(f, columns[i]) for i, f in enumerate(factors)
-                        if f > 1]
+            free_gens = [chain(kv, basis[s:]) for kv in kernel]
+        torsion_gens = [(f, chain([1], [basis[i]]))
+                        for i, f in enumerate(factors) if f > 1]
         return HomologyGroup(len(free_gens), [f for f, _ in torsion_gens],
                              free_gens, torsion_gens, labels, ZZ)
 

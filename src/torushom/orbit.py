@@ -302,40 +302,31 @@ class CornerComplex:
             coords.append(sol[:ngen])
         return self._independent_rows(chains, coords, coeffs)
 
-    def _independent_rows(self, chains, coords, coeffs):
-        """Select chains whose homology coordinates form a basis of the
-        span of all of them, and return them with their coordinate rows.
-        Over the integers a greedy choice can span a smaller lattice; in
-        that case recombine through the normal form U·coords·V = D, whose
-        nonzero rows of U·coords are the coordinates of the mixed chains."""
-        span = fields.Echelon(QQ if coeffs is ZZ else coeffs)
-        keep, kept_rows = [], []
-        for chain, row in zip(chains, coords):
-            if span.add(row):
-                keep.append(chain)
-                kept_rows.append(row)
-        if coeffs is not ZZ or self._spans_lattice(kept_rows, coords):
-            return keep, kept_rows
-        u, _, _, _ = snf.smith_normal_form(coords)
-        keep, kept_rows = [], []
-        for factors, row in zip(u, snf.int_mat_mul(u, coords)):
-            if not any(row):
-                continue
-            mixed = [0] * len(chains[0])
-            for j, factor in enumerate(factors):
-                if factor:
-                    for i, value in enumerate(chains[j]):
-                        mixed[i] += factor * value
-            keep.append(mixed)
-            kept_rows.append(row)
-        return keep, kept_rows
-
     @staticmethod
-    def _spans_lattice(kept_rows, all_rows):
-        if not kept_rows:
-            return all(not any(row) for row in all_rows)
-        mat = [list(col) for col in zip(*kept_rows)]
-        return all(x is not None for x in snf.int_solve_all(mat, all_rows))
+    def _independent_rows(chains, coords, coeffs):
+        """Chains whose homology coordinates form a basis of the span of
+        all of them, with their coordinate rows.  Over a field the greedy
+        choice does.  Over Z the first r rows of U in one Smith form
+        U·coords·V = D, r the rank, mix the chains and the coordinates; the
+        other rows give chains with zero coordinates, boundaries whose
+        pushes are sums of first-kind rows, so the relation lattice is that
+        of all the chains."""
+        if coeffs is not ZZ:
+            span = fields.Echelon(coeffs)
+            kept = [i for i, row in enumerate(coords) if span.add(row)]
+            return [chains[i] for i in kept], [coords[i] for i in kept]
+        factors, u, _, _ = snf.smith_normal_form(coords)
+
+        def mix(weights, vectors):
+            out = [0] * len(vectors[0])
+            for j, q in weights.items():
+                for i, x in enumerate(vectors[j]):
+                    out[i] += q * x
+            return out
+
+        rows = u[:len(factors)]
+        return ([mix(w, chains) for w in rows],
+                [mix(w, coords) for w in rows])
 
     # --- validation ----------------------------------------------------
 

@@ -353,12 +353,17 @@ class SimplicialPoset:
 
     def link(self, e):
         """The poset of elements above e, re-ranked.  Ids are carried over;
-        the vertices of the link are the covers of e."""
+        the vertices of the link are the covers of e.  The elements above
+        e are found rank by rank, walking up the covers from e."""
         if e is BOTTOM:
             return SimplicialPoset(self.vertices(),
                                    [self._cell_spec(x) for x in self.elements()
                                     if self.rank(x) >= 2])
-        above = [x for x in self.elements() if self.le(e, x) and x != e]
+        above, level = [], [e]
+        while level:
+            level = sorted({x for y in level for x in self._covers[y]},
+                           key=repr)
+            above += level
         base = self._ver[e]
         link_vertices = [x for x in above if self.rank(x) == self.rank(e) + 1]
         cells = []

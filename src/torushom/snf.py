@@ -16,14 +16,18 @@ and the permutation is applied once at the end.
 
 The transforms are kept sparse as well: the rows of U, the columns of V,
 and W = U^-1 by columns, each row operation on U mirrored by its inverse
-column operation on W.  The image of m is spanned by d_1 w_1, d_2 w_2,
-... over the columns w_i of W.
+column operation on W.  They are handed out that way, with the invariant
+factors in place of D, and no dense matrix is built: each caller reads
+only the part it needs.  The image of m is spanned by d_1 w_1, d_2 w_2,
+... over the columns w_i of W, and its kernel by the columns of V past
+the rank.
 
 Solving factors once: ``int_solve_all`` reads every right-hand side of
 one matrix off a single Smith form, ``int_solve`` is its one-vector case,
 and ``int_inverse`` takes the inverse and its existence from one form.
 
-Matrices passed in and returned are lists of row lists of Python ints.
+Matrices passed in, and those the other routines return, are lists of
+row lists of Python ints.
 """
 
 
@@ -75,10 +79,13 @@ def int_det(m):
 
 
 def smith_normal_form(m):
-    """Decompose an integer matrix as U @ m @ V = D.
+    """Decompose an integer matrix as U @ m @ V = D, D diagonal.
 
-    U and V are unimodular; D is diagonal with nonnegative entries
-    d_1 | d_2 | ... .  Returns (U, D, V, W) with W = U^-1, all dense.
+    Returns (factors, U, V, W) with W = U^-1: ``factors`` is the nonzero
+    diagonal [d_1, ..., d_r] of D, positive with d_1 | d_2 | ...; U (by
+    rows), V and W (by columns) are unimodular, each row or column a
+    sparse {index: value} dict, in pivot order: the first r belong to
+    d_1, ..., d_r, and the columns of V past r span the kernel of m.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -156,12 +163,8 @@ def smith_normal_form(m):
 
     row_order = _order([r for r, _, _ in pivots], nrows)
     col_order = _order([c for _, c, _ in pivots], ncols)
-    d = [[0] * ncols for _ in range(nrows)]
-    for t, (_, _, p) in enumerate(pivots):
-        d[t][t] = p
-    return ([_dense(u[i], nrows) for i in row_order], d,
-            _dense_columns([v[j] for j in col_order], ncols),
-            _dense_columns([wt[i] for i in row_order], nrows))
+    return ([p for _, _, p in pivots], [u[i] for i in row_order],
+            [v[j] for j in col_order], [wt[i] for i in row_order])
 
 
 def _pivot(a, cols):
@@ -207,55 +210,31 @@ def _order(first, n):
     return first + [k for k in range(n) if k not in taken]
 
 
-def _dense(vec, n):
-    out = [0] * n
-    for k, x in vec.items():
-        out[k] = x
-    return out
-
-
-def _dense_columns(columns, n):
-    """The n-row dense matrix with the given sparse columns."""
-    out = [[0] * len(columns) for _ in range(n)]
-    for t, col in enumerate(columns):
-        for k, x in col.items():
-            out[k][t] = x
-    return out
-
-
-def diagonal_entries(d):
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
-
-
 def invariant_factors(m):
     """Nonzero diagonal of the Smith form: d_1 | d_2 | ... ."""
-    return diagonal_entries(smith_normal_form(m)[1])
+    return smith_normal_form(m)[0]
 
 
 def int_kernel(m):
-    """Basis of {x : m @ x = 0} over Z, as a list of column vectors.
+    """Basis of {x : m @ x = 0} over Z, as a list of column vectors: the
+    columns of V past the rank.
 
     The basis spans a saturated sublattice: any integer solution is an
     integer combination of it.
     """
     if not m:
         return []
-    _, d, v, _ = smith_normal_form(m)
-    r = len(diagonal_entries(d))
-    return [[row[j] for row in v] for j in range(r, len(m[0]))]
+    factors, _, v, _ = smith_normal_form(m)
+    return [[col.get(j, 0) for j in range(len(m[0]))]
+            for col in v[len(factors):]]
 
 
 def int_solve_all(m, bs):
     """Integer solutions x of m @ x = b for every b in ``bs``, each None
-    when there is none, read off one Smith form U @ m @ V = D.
-
-    U @ b is accumulated over the nonzero entries of b only, which keeps
-    the per-vector cost low for sparse right-hand sides such as boundary
-    columns.
+    when there is none, read off one Smith form U @ m @ V = D: with
+    y = U @ b, x = V @ (y_t / d_t)_t when y is zero past the rank and d_t
+    divides y_t.  U @ b goes through the columns of U at the nonzero
+    entries of b only, which is cheap for sparse right-hand sides.
     """
     nrows = len(m)
     if any(len(b) != nrows for b in bs):
@@ -263,35 +242,25 @@ def int_solve_all(m, bs):
     if not bs:
         return []
     ncols = len(m[0]) if m else 0
-    u, d, v, _ = smith_normal_form(m)
-    diag = [d[i][i] if i < ncols else 0 for i in range(nrows)]
-    u_cols = list(zip(*u))
+    factors, u, v, _ = smith_normal_form(m)
+    u_cols = [{} for _ in range(nrows)]  # u_cols[j] is column j of U
+    for t, row in enumerate(u):
+        for j, x in row.items():
+            u_cols[j][t] = x
     out = []
     for b in bs:
-        y = [0] * nrows
+        y = {}
         for j, bj in enumerate(b):
             if bj:
-                for i, x in enumerate(u_cols[j]):
-                    if x:
-                        y[i] += x * bj
-        out.append(_solve_diagonal(diag, y, v))
+                _axpy(y, u_cols[j], bj)
+        if any(t >= len(factors) or yt % factors[t] for t, yt in y.items()):
+            out.append(None)
+            continue
+        x = {}
+        for t, yt in y.items():
+            _axpy(x, v[t], yt // factors[t])
+        out.append([x.get(i, 0) for i in range(ncols)])
     return out
-
-
-def _solve_diagonal(diag, y, v):
-    """V @ x' for the integer x' with D @ x' = y, or None when there is
-    none; ``diag`` is the diagonal of D, padded with zeros to len(y)."""
-    x_prime = []
-    for i, (yi, di) in enumerate(zip(y, diag)):
-        if di:
-            q, rest = divmod(yi, di)
-            if rest:
-                return None
-            if q:
-                x_prime.append((i, q))
-        elif yi:
-            return None
-    return [sum(row[i] * q for i, q in x_prime) for row in v]
 
 
 def int_solve(m, b):
@@ -306,9 +275,15 @@ def int_inverse(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    u, d, v, _ = smith_normal_form(m)
-    bad = [d[i][i] for i in range(n) if d[i][i] != 1]
+    factors, u, v, _ = smith_normal_form(m)
+    bad = [f for f in factors if f != 1] + [0] * (n - len(factors))
     if bad:
         raise ValueError("matrix is not unimodular (invariant factors %s "
                          "are not 1)" % ", ".join(map(str, bad)))
-    return int_mat_mul(v, u)
+    out = [[0] * n for _ in range(n)]
+    for col, row in zip(v, u):
+        for i, x in col.items():
+            target = out[i]
+            for j, y in row.items():
+                target[j] += x * y
+    return out

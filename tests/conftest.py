@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from torushom.charmat import CharacteristicMatrix
@@ -20,6 +22,25 @@ def mat_vec(a, v, field):
             s = field.add(s, field.mul(x, y))
         out.append(s)
     return out
+
+
+def dense_smith(result):
+    """The sparse Smith form (factors, U, V, W) that
+    ``snf.smith_normal_form`` returns for an nrows x ncols matrix, as dense
+    (U, D, V, W) with the factors on the diagonal of D.  U comes as rows,
+    V and W as columns, each {index: value}; every index must be in range
+    and every stored value nonzero."""
+    factors, u, v, w = result
+    nrows, ncols = len(u), len(v)
+    assert len(w) == nrows
+    for vecs, size in ((u, nrows), (v, ncols), (w, nrows)):
+        assert all(0 <= k < size and x for vec in vecs for k, x in vec.items())
+    d = [[0] * ncols for _ in range(nrows)]
+    for t, f in enumerate(factors):
+        d[t][t] = f
+    return ([[row.get(j, 0) for j in range(nrows)] for row in u], d,
+            [[col.get(i, 0) for col in v] for i in range(ncols)],
+            [[col.get(i, 0) for col in w] for i in range(nrows)])
 
 
 # Orbit spaces used throughout the test suite, as vertex/edge data.
@@ -64,6 +85,23 @@ def build_annulus_charmat(poset=None):
 
 def build_digon_charmat(poset=None):
     return CharacteristicMatrix(poset or build_digon_poset(), DIGON_ROWS)
+
+
+def build_cross_polytope(n):
+    """The boundary of the n-dimensional cross-polytope with its
+    characteristic rows: vertex i is +e_i and vertex i + n is -e_i, both
+    with row e_i, and the cells are the vertex sets holding no pair
+    i, i + n.  Returns (poset, rows)."""
+    vertices = list(range(1, 2 * n + 1))
+    cells = []
+    for k in range(2, n + 1):
+        for axes in combinations(range(1, n + 1), k):
+            for flips in product((0, n), repeat=k):
+                cells.append({"id": 2 * n + 1 + len(cells),
+                              "vertices": [a + f for a, f in zip(axes, flips)]})
+    rows = {v: tuple(int((v - 1) % n == j) for j in range(n))
+            for v in vertices}
+    return SimplicialPoset(vertices, cells), rows
 
 
 @pytest.fixture

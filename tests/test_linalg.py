@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import mat_from_int, mat_vec
+from conftest import dense_smith, mat_from_int, mat_vec
 from torushom import fields, snf
 from torushom.errors import CoefficientError
 from torushom.fields import GF, QQ, ZZ, coefficient_system
@@ -22,7 +22,7 @@ def is_inverse_pair(u, w):
 class TestSmithNormalForm:
     def test_small_example(self):
         m = [[2, 4], [6, 8]]
-        u, d, v, w = snf.smith_normal_form(m)
+        u, d, v, w = dense_smith(snf.smith_normal_form(m))
         assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
         assert [d[0][0], d[1][1]] == [2, 4]
         assert is_diagonal(d)
@@ -38,21 +38,21 @@ class TestSmithNormalForm:
         assert snf.invariant_factors(snf.int_identity(3)) == [1, 1, 1]
 
     def test_zero_matrix(self):
-        u, d, v, w = snf.smith_normal_form([[0, 0], [0, 0]])
+        u, d, v, w = dense_smith(snf.smith_normal_form([[0, 0], [0, 0]]))
         assert d == [[0, 0], [0, 0]]
         assert w == snf.int_identity(2)
         assert snf.invariant_factors([[0, 0], [0, 0]]) == []
 
     def test_rectangular(self):
         m = [[1, 2, 3], [4, 5, 6]]
-        u, d, v, w = snf.smith_normal_form(m)
+        u, d, v, w = dense_smith(snf.smith_normal_form(m))
         assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
         assert is_inverse_pair(u, w)
         assert snf.invariant_factors(m) == [1, 3]
 
     def test_inverse_transform_without_rows_or_columns(self):
-        assert snf.smith_normal_form([])[3] == []
-        u, d, v, w = snf.smith_normal_form([[], []])
+        assert dense_smith(snf.smith_normal_form([]))[3] == []
+        u, d, v, w = dense_smith(snf.smith_normal_form([[], []]))
         assert (u, d, v, w) == ([[1, 0], [0, 1]], [[], []], [],
                                 [[1, 0], [0, 1]])
 
@@ -62,13 +62,14 @@ class TestSmithNormalForm:
             nr = rng.randint(1, 5)
             nc = rng.randint(1, 5)
             m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-            u, d, v, w = snf.smith_normal_form(m)
+            result = snf.smith_normal_form(m)
+            u, d, v, w = dense_smith(result)
             assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
             assert is_diagonal(d)
             assert snf.int_det(u) in (1, -1)
             assert snf.int_det(v) in (1, -1)
             assert is_inverse_pair(u, w)
-            diag = snf.diagonal_entries(d)
+            diag = result[0]
             assert all(x > 0 for x in diag)
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0

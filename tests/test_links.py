@@ -1,0 +1,89 @@
+"""Links walk up the covers of their element.
+
+``SimplicialPoset.link`` reaches the elements above e rank by rank
+through the upper covers, and calls no ``le``.  ``scan_link`` below is
+the construction it replaced, which tests ``le(e, x)`` for every element
+x of the poset; each link must have the same elements, vertices, vertex
+sets and covers as that reference.
+"""
+
+import pytest
+
+from conftest import build_cross_polytope
+from torushom import cli
+from torushom.fixtures import bundled_names, dumps_fixture, resolve_fixture
+from torushom.generator import polygon_with_holes
+from torushom.posets import SimplicialPoset
+
+
+def scan_link(poset, e):
+    above = [x for x in poset.elements() if poset.le(e, x) and x != e]
+    base = poset.ver(e)
+    rank = poset.rank(e)
+    cells = []
+    for x in above:
+        if poset.rank(x) <= rank + 1:
+            continue
+        extra = sorted(poset.ver(x) - base)
+        cells.append({"id": x,
+                      "vertices": [poset.face(x, base | {v}) for v in extra],
+                      "faces": [poset.face(x, poset.ver(x) - {v})
+                                for v in extra]})
+    return SimplicialPoset([x for x in above if poset.rank(x) == rank + 1],
+                           cells)
+
+
+def _posets():
+    for name in bundled_names():
+        yield name, resolve_fixture(name).manifold.poset
+    yield "6,4,3 seed 3", polygon_with_holes((6, 4, 3), seed=3).manifold.poset
+    for n in (3, 4):
+        yield "cross-polytope %d" % n, build_cross_polytope(n)[0]
+
+
+@pytest.mark.parametrize("name,poset", list(_posets()),
+                         ids=[name for name, _ in _posets()])
+def test_links_match_the_scan(name, poset):
+    for e in poset.elements():
+        link, reference = poset.link(e), scan_link(poset, e)
+        elements = reference.elements(include_bottom=True)
+        assert link.elements(include_bottom=True) == elements, (name, e)
+        assert link.vertices() == reference.vertices()
+        for x in elements:
+            assert link.upper_covers(x) == reference.upper_covers(x)
+            assert link.lower_covers(x) == reference.lower_covers(x)
+            assert link.ver(x) == reference.ver(x)
+
+
+def test_cross_polytope_links_are_spheres():
+    poset, _ = build_cross_polytope(4)
+    vertex = poset.link(1)
+    assert vertex.f_vector() == (1, 6, 12, 8)
+    assert poset.buchsbaum_check() == (True, [])
+
+
+def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
+    target = tmp_path / "example.json"
+    target.write_text(dumps_fixture(polygon_with_holes((6, 4, 3), seed=3)))
+    link, le = SimplicialPoset.link, SimplicialPoset.le
+    depth, links, inside = [0], [], []
+
+    def counted_link(self, e):
+        links.append(e)
+        depth[0] += 1
+        try:
+            return link(self, e)
+        finally:
+            depth[0] -= 1
+
+    def counted_le(self, a, b):
+        if depth[0]:
+            inside.append((a, b))
+        return le(self, a, b)
+
+    monkeypatch.setattr(SimplicialPoset, "link", counted_link)
+    monkeypatch.setattr(SimplicialPoset, "le", counted_le)
+    assert cli.main(["report", str(target)]) == 0
+    capsys.readouterr()
+    assert links
+    assert inside == []

@@ -5,7 +5,7 @@ and against sympy.
 used before its rows were kept sparse: it rescans the whole working block
 for the entry of least magnitude and swaps it into place.  It lives here
 only as the reference.  Every comparison checks the whole contract of the
-sparse form: U @ m @ V = D, W @ U = U @ W = I, |det U| = |det V| = 1,
+sparse form, made dense by ``conftest.dense_smith``: U @ m @ V = D, W @ U = U @ W = I, |det U| = |det V| = 1,
 d_1 | d_2 | ..., and the same diagonal as the reference and as sympy's
 invariant factors.
 """
@@ -17,6 +17,7 @@ from sympy import Matrix
 from sympy import ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
+from conftest import dense_smith
 from torushom import snf
 from torushom.chains import ChainComplex
 from torushom.generator import polygon_with_holes
@@ -109,8 +110,16 @@ def sympy_factors(m):
             if f]
 
 
+def nonzero_diagonal(d):
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))
+            if d[i][i]]
+
+
 def assert_smith_contract(m, result):
-    u, d, v, w = result
+    """Checks the sparse Smith form ``result`` of m through its dense
+    (U, D, V, W), and returns its invariant factors."""
+    factors = result[0]
+    u, d, v, w = dense_smith(result)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     assert [len(row) for row in u] == [nrows] * nrows
@@ -125,12 +134,12 @@ def assert_smith_contract(m, result):
     diag = [d[i][i] for i in range(min(nrows, ncols))]
     assert all(d[i][j] == 0 for i in range(nrows) for j in range(ncols)
                if i != j)
-    factors = snf.diagonal_entries(d)
+    assert factors == nonzero_diagonal(d)
     assert diag == factors + [0] * (len(diag) - len(factors))
     assert all(f > 0 for f in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
     reference = DenseSmithReference(m)
-    assert factors == snf.diagonal_entries(reference.d)
+    assert factors == nonzero_diagonal(reference.d)
     assert factors == sympy_factors(m)
     return factors
 
