@@ -6,6 +6,11 @@ a compact term syntax, ``example`` generates a polygon-with-holes
 fixture as JSON, and ``check`` runs the structural validations plus the
 cross-checks and sets the exit code accordingly.
 
+Exit codes: 0 on success, 1 on malformed input or a product that cannot
+be resolved, 2 when ``check`` finds a problem (and on a usage error, from
+argparse), and 3 on an internal error, any other exception, which is
+reported on one line of stderr without a traceback.
+
 Fixtures are named either by a bundled name (see ``torushom report
 --help``) or by a path to a fixture file.  All output is deterministic
 for a given input.
@@ -23,6 +28,8 @@ from .fixtures import bundled_names, dumps_fixture, resolve_fixture
 from .generator import polygon_with_holes
 from .posets import BOTTOM
 
+INTERNAL_ERROR = 3
+
 
 def main(argv=None):
     parser = _build_parser()
@@ -32,6 +39,10 @@ def main(argv=None):
     except TorushomError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def _build_parser():

@@ -1,7 +1,9 @@
 """Intersection products of homology classes given by position data.
 
 Three shapes of class appear.  Face classes are carried by the closed
-faces of the orbit space and multiply through the face ring.  The other
+faces of the orbit space and multiply in the quotient of the face ring by
+the linear system, every pair through ``FaceRingQuotient.face_product``.
+The other
 two are named classes living over a geometry table: spines (interior
 cycles of the orbit space swept around by part of the torus) and
 diaphragms (chains leaning on the boundary whose torus directions close
@@ -18,7 +20,6 @@ backtracking search through bordism moves bounded by ``max_depth``.
 
 from .errors import (ValidationError, UnresolvableError,
                      DegreeOverflowError, MismatchedDatumError)
-from .facering import FaceRing
 from .fields import QQ, is_int, lift, require_field
 from .posets import BOTTOM
 
@@ -385,7 +386,9 @@ def _axes_from(obj):
 
 class IntersectionCalculator:
     """Expands and resolves intersection products over one manifold and
-    one geometry table."""
+    one geometry table.  A product of two faces is read from the
+    manifold's face-ring quotient (``FaceRingQuotient.face_product``);
+    the unit and a product past the top degree are handled here."""
 
     def __init__(self, manifold, oracle, field=QQ, max_depth=4):
         require_field(field)
@@ -396,7 +399,6 @@ class IntersectionCalculator:
         self.poset = manifold.poset
         self.charmat = manifold.charmat
         self.n = manifold.n
-        self._ring = None
 
     # -- public -----------------------------------------------------------
 
@@ -588,37 +590,7 @@ class IntersectionCalculator:
                 "face product of coranks %d and %d overflows the grading "
                 "(top corank %d)" % (ra, rb, self.n))
         quo = self.manifold.quotient(self.field)
-        if ra == 1:
-            vec = quo.vertex_action(a, quo.presentation(rb).unit(b), rb)
-        elif rb == 1:
-            vec = quo.vertex_action(b, quo.presentation(ra).unit(a), ra)
-        else:
-            vec = self._ring_product(a, b, weight, quo)
+        vec = quo.face_product(a, b)
         gens = quo.presentation(weight).generators
         return [((FACE, g), c) for g, c in zip(gens, vec)
                 if not self.field.is_zero(c)]
-
-    def _ring_product(self, a, b, weight, quo):
-        if self._ring is None:
-            self._ring = FaceRing(self.poset)
-        ring = self._ring
-        product = ring.mul(ring.generator(a), ring.generator(b))
-        out = [self.field.zero] * len(quo.presentation(weight).generators)
-        for mono, c in sorted(product.items(), key=repr):
-            part = self._monomial_vector(mono, quo)
-            lifted = self.field.from_int(c)
-            out = [self.field.add(x, self.field.mul(lifted, y))
-                   for x, y in zip(out, part)]
-        return quo.presentation(weight).reduce(out)
-
-    def _monomial_vector(self, mono, quo):
-        weight = sum(self._rank_of(e) for e in mono)
-        if len(mono) == 1:
-            return quo.presentation(weight).unit(mono[0])
-        head = mono[0]
-        if self._rank_of(head) != 1:
-            raise UnresolvableError(
-                "cannot reduce a nested face product %r: the smallest "
-                "factor is not a facet" % (mono,))
-        inner = self._monomial_vector(mono[1:], quo)
-        return quo.vertex_action(head, inner, weight - 1)

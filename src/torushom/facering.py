@@ -1,138 +1,26 @@
 """The face ring of a simplicial poset and its quotient by the linear system.
 
-The ring is spanned by multichain monomials v_{I_1}...v_{I_t} with
-I_1 <= ... <= I_t in the poset.  A product of two generators straightens by
-the meet-join law
+The face ring is generated by one x_e per poset element, with x_bottom = 1
+and the meet-join law (Stanley, "f-vectors and h-vectors of simplicial
+posets", 1991)
 
-    v_I * v_J = v_{I ^ J} * sum of v_K over the minimal upper bounds K,
+    x_a * x_b = x_{a ^ b} * sum of x_r over the minimal upper bounds r,
 
-where an empty set of upper bounds kills the term and a bottom meet drops
-out of the monomial.  Structure constants are all +1, so the ring is built
-over the integers and coefficients are mapped into a field only at the
-linear-algebra boundary.
+where an empty set of upper bounds kills the product.  The quotient by the
+linear system is presented degree by degree on the single-element
+generators (``FaceRingQuotient``).  A product of two faces in it is
+straightened by this law, and what remains is multiplied by vertices
+through the kept products of a vertex and a generator.
 
-Degrees are algebraic throughout this module: a monomial has weight equal
-to its rank sum, which is half its topological degree.
+Degrees are algebraic throughout this module: x_e has the rank of e as
+its degree, half its topological degree.
 """
 
 from math import comb
 
 from .errors import ValidationError
-from .fields import (QQ, Echelon, lift, nullspace, row_space_contains,
-                     solve_all)
+from .fields import QQ, Echelon, lift, nullspace, solve_all
 from .posets import BOTTOM
-
-
-def _sort_key(poset, e):
-    return (poset.rank(e), repr(e))
-
-
-class FaceRing:
-    """Multiplication and monomial bookkeeping for one simplicial poset.
-
-    Elements of the ring are plain dicts mapping monomials (tuples of poset
-    element ids, sorted by rank) to integer coefficients.
-    """
-
-    def __init__(self, poset):
-        self.poset = poset
-        self._straightened = {}
-
-    def one(self):
-        return {(): 1}
-
-    def generator(self, e):
-        if e is BOTTOM:
-            return self.one()
-        return {(e,): 1}
-
-    def monomial(self, parts):
-        """Canonical form of a product of generators (not yet straightened)."""
-        return tuple(sorted(parts, key=lambda e: _sort_key(self.poset, e)))
-
-    def weight(self, mono):
-        return sum(self.poset.rank(e) for e in mono)
-
-    def _straighten(self, mono):
-        """Express a monomial in the multichain basis; returns a dict."""
-        mono = self.monomial(mono)
-        cached = self._straightened.get(mono)
-        if cached is not None:
-            return cached
-        pair = None
-        for i in range(len(mono)):
-            for j in range(i + 1, len(mono)):
-                a, b = mono[i], mono[j]
-                if not (self.poset.le(a, b) or self.poset.le(b, a)):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            result = {mono: 1}
-        else:
-            i, j = pair
-            a, b = mono[i], mono[j]
-            rest = [mono[t] for t in range(len(mono)) if t not in (i, j)]
-            joins = self.poset.join_set(a, b)
-            result = {}
-            if joins:
-                meet = self.poset.meet(a, b)
-                base = rest if meet is BOTTOM else rest + [meet]
-                for k in joins:
-                    for m, c in self._straighten(base + [k]).items():
-                        result[m] = result.get(m, 0) + c
-                result = {m: c for m, c in result.items() if c}
-        self._straightened[mono] = result
-        return result
-
-    def mul(self, x, y):
-        out = {}
-        for ma, ca in x.items():
-            for mb, cb in y.items():
-                for m, c in self._straighten(ma + mb).items():
-                    out[m] = out.get(m, 0) + ca * cb * c
-        return {m: c for m, c in out.items() if c}
-
-    def add(self, x, y):
-        out = dict(x)
-        for m, c in y.items():
-            out[m] = out.get(m, 0) + c
-        return {m: c for m, c in out.items() if c}
-
-    def scale(self, c, x):
-        if not c:
-            return {}
-        return {m: c * v for m, v in x.items()}
-
-    def monomials_of_weight(self, w):
-        """All multichain monomials of the given rank sum, canonically
-        ordered."""
-        elems = sorted((e for e in self.poset.elements()),
-                       key=lambda e: _sort_key(self.poset, e))
-        out = []
-
-        def extend(prefix, total):
-            if total == w:
-                out.append(tuple(prefix))
-                return
-            last = prefix[-1] if prefix else None
-            for e in elems:
-                r = self.poset.rank(e)
-                if total + r > w:
-                    continue
-                if last is not None:
-                    if _sort_key(self.poset, e) < _sort_key(self.poset, last):
-                        continue
-                    if not self.poset.le(last, e):
-                        continue
-                prefix.append(e)
-                extend(prefix, total + r)
-                prefix.pop()
-
-        extend([], 0)
-        out.sort()
-        return out
 
 
 def _add_scaled(field, target, coeff, vec):
@@ -272,6 +160,9 @@ class FaceRingQuotient:
     (``simplex_above``), inverted once per cell.  ``vertex_action``,
     ``action_matrix`` and ``in_socle`` sum the kept products over the
     nonzero coordinates of their input and reduce each sum once.
+    ``face_product`` multiplies two faces by straightening them in the
+    face ring and multiplying by the shared vertices through
+    ``vertex_action``.
     """
 
     def __init__(self, poset, charmat, field=QQ, signs=None,
@@ -279,7 +170,6 @@ class FaceRingQuotient:
         self.poset = poset
         self.charmat = charmat
         self.field = field
-        self.ring = FaceRing(poset)
         if signs is None:
             signs = poset.default_sign_convention()
         else:
@@ -462,6 +352,39 @@ class FaceRingQuotient:
             image[c] = x
         return image
 
+    def face_product(self, a, b):
+        """Reduced coordinates of x_a·x_b over the generators of rank
+        rank(a) + rank(b).  The meet-join law writes x_a·x_b as
+        x_m·Σ x_ρ over the elements ρ of ``join_set(a, b)`` (none when a
+        and b span no common cell), m being the face of ρ on the shared
+        vertices.  For m ≤ ρ, x_m·x_ρ is x_ρ times each shared vertex in
+        turn: their product is the sum of the faces on that vertex set,
+        and every such face other than m multiplies x_ρ to zero.  In the
+        oriented generators of the presentations the sign of each step is
+        o(a)·o(b)·o(ρ)·Π o(v) over the shared vertices v; the signs of m
+        and of the faces between cancel."""
+        field = self.field
+        poset = self.poset
+        dst = self.presentation(poset.rank(a) + poset.rank(b))
+        out = {}
+        shared = sorted(poset.ver(a) & poset.ver(b))
+        sign = self._orient(a) * self._orient(b)
+        for v in shared:
+            sign *= self._orient(v)
+        for rho in poset.join_set(a, b):
+            k = poset.rank(rho)
+            vec = self.presentation(k).unit(rho)
+            for v in shared:
+                vec = self.vertex_action(v, vec, k)
+                k += 1
+            _add_scaled(field, out, field.from_int(sign * self._orient(rho)),
+                        {c: x for c, x in enumerate(vec)
+                         if not field.is_zero(x)})
+        image = [field.zero] * len(dst.generators)
+        for c, x in dst.reduce_sparse(out).items():
+            image[c] = x
+        return image
+
     def action_matrix(self, i, k):
         """Matrix of multiplication by vertex i from the degree-k basis to
         the degree-(k+1) basis (rows index the target).  A basis generator
@@ -516,36 +439,6 @@ class FaceRingQuotient:
                             self._product(i, k, col))
         return not any(image and dst.reduce_sparse(image)
                        for image in images.values())
-
-    # --- membership in the parameter ideal -----------------------------
-
-    def theta_rows(self, k):
-        """Products of each linear parameter with each monomial of weight
-        k-1, as integer vectors over the weight-k monomial basis."""
-        monos = self.ring.monomials_of_weight(k)
-        col = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for j in range(1, self.n + 1):
-            theta = {(v,): c for v, c in self.charmat.theta(j).items()}
-            for m in self.ring.monomials_of_weight(k - 1):
-                product = self.ring.mul(theta, {m: 1})
-                row = [0] * len(monos)
-                for mono, c in product.items():
-                    row[col[mono]] += c
-                rows.append(row)
-        return monos, rows
-
-    def theta_span_contains(self, element_coeffs, k):
-        """Whether a combination of rank-k generators lies in the span of
-        the degree-k part of the parameter ideal."""
-        monos, rows = self.theta_rows(k)
-        col = {m: i for i, m in enumerate(monos)}
-        vec = [0] * len(monos)
-        for e, c in element_coeffs.items():
-            vec[col[(e,)]] += c * self._orient(e)
-        field_rows = [[self.field.from_int(x) for x in r] for r in rows]
-        field_vec = [self.field.from_int(x) for x in vec]
-        return row_space_contains(field_rows, field_vec, self.field)
 
     def __repr__(self):
         return "<FaceRingQuotient n=%d over %r>" % (self.n, self.field)

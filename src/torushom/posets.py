@@ -349,53 +349,49 @@ class SimplicialPoset:
             out.append(h[k] + comb(n, k) * corr)
         return tuple(out)
 
-    # --- links and local acyclicity ------------------------------------
+    # --- local acyclicity ----------------------------------------------
 
-    def link(self, e):
-        """The poset of elements above e, re-ranked.  Ids are carried over;
-        the vertices of the link are the covers of e.  The elements above
-        e are found rank by rank, walking up the covers from e."""
-        if e is BOTTOM:
-            return SimplicialPoset(self.vertices(),
-                                   [self._cell_spec(x) for x in self.elements()
-                                    if self.rank(x) >= 2])
-        above, level = [], [e]
-        while level:
-            level = sorted({x for y in level for x in self._covers[y]},
+    def _local_complex(self, e, signs):
+        """The chains of the elements above e, reached rank by rank through
+        the covers: e spans degree -1 and an element of rank r sits in
+        degree r - rank(e) - 1.  The elements above e are closed upward, so
+        this is a quotient of the augmented complex, ∂∂ = 0 holds without a
+        check, and its homology is the reduced homology of the link of e."""
+        bases, boundaries = {-1: [e]}, {}
+        level, deg = [e], -1
+        while True:
+            upper = sorted({x for y in level for x in self._covers[y]},
                            key=repr)
-            above += level
-        base = self._ver[e]
-        link_vertices = [x for x in above if self.rank(x) == self.rank(e) + 1]
-        cells = []
-        for x in above:
-            if self.rank(x) <= self.rank(e) + 1:
-                continue
-            extra = sorted(self._ver[x] - base)
-            lverts = [self._faces[x][base | {v}] for v in extra]
-            faces = [self._faces[x][self._ver[x] - {v}] for v in extra]
-            cells.append({"id": x, "vertices": lverts, "faces": faces})
-        return SimplicialPoset(link_vertices, cells)
-
-    def _cell_spec(self, e):
-        return {"id": e, "vertices": sorted(self._ver[e]),
-                "faces": list(set(self.lower_covers(e)))}
+            if not upper:
+                return ChainComplex(bases, boundaries, check=False)
+            index = {f: i for i, f in enumerate(level)}
+            mat = [[0] * len(upper) for _ in level]
+            for j, x in enumerate(upper):
+                for f in self.lower_covers(x):
+                    if f in index:
+                        mat[index[f]][j] = signs[(x, f)]
+            deg += 1
+            bases[deg], boundaries[deg] = upper, mat
+            level = upper
 
     def buchsbaum_check(self, field=QQ):
         """Purity plus vanishing reduced homology of every proper link below
         its top degree.  Returns (ok, list of failures).
 
-        Only the degrees -1 .. top-2 of a link can fail, top being the
-        corank of its element, so only those are computed, and no link is
-        built where that range is empty (top elements)."""
+        The homology of a link is read from the local complex of its
+        element under the vertex-order signs.  Only the degrees -1 .. top-2
+        can fail, top being the corank of the element, so only those are
+        computed, and top elements are skipped."""
         failures = []
         if not self.is_pure():
             failures.append(("purity", None))
         n = self.top_rank
+        signs = self.default_sign_convention()
         for e in self.elements():
             top = n - self.rank(e)
             if top < 1:
                 continue
-            chains = self.link(e).simplex_chain_complex()
+            chains = self._local_complex(e, signs)
             for j in range(-1, top - 1):
                 if chains.homology(j, field).rank:
                     failures.append((e, j))

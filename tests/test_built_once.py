@@ -1,8 +1,9 @@
 """Objects that exist once: the poset's chain complex, the initial
 diagonal pages, which are the face ring quotient's presentations, the
 second-kind rows, which the limit pages hold, and the inverse of each
-maximal cell's vertex matrix.  Work whose answer is fixed is not done:
-no link of a top element is built, and no empty product is reduced."""
+maximal cell's vertex matrix.  Work that is not needed is not done: the
+Buchsbaum check builds no link poset, and no empty product is
+reduced."""
 
 from collections import Counter
 
@@ -158,20 +159,28 @@ def test_report_inverts_each_cell_matrix_once_per_field(
     assert max(Counter(cells).values()) == 1
 
 
-def test_buchsbaum_check_builds_no_link_of_a_top_element(
-        example_file, monkeypatch, capsys):
-    ranks = []
-    link = SimplicialPoset.link
+def test_buchsbaum_check_builds_no_poset(example_file, monkeypatch, capsys):
+    checks, built = [], []
+    buchsbaum_check = SimplicialPoset.buchsbaum_check
+    init = SimplicialPoset.__init__
 
-    def recording(self, e):
-        ranks.append((self.rank(e), self.top_rank))
-        return link(self, e)
+    def flagged(self, field=QQ):
+        checks.append(True)
+        try:
+            return buchsbaum_check(self, field)
+        finally:
+            checks.pop()
 
-    monkeypatch.setattr(SimplicialPoset, "link", recording)
+    def recording(self, *args, **kwargs):
+        if checks:
+            built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialPoset, "buchsbaum_check", flagged)
+    monkeypatch.setattr(SimplicialPoset, "__init__", recording)
     assert main(["report", example_file, "--json"]) == 0
     capsys.readouterr()
-    assert ranks
-    assert all(rank < top for rank, top in ranks), ranks
+    assert built == []
 
 
 def test_in_socle_reduces_no_empty_product(example_file, monkeypatch,

@@ -361,3 +361,17 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(target))
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestInternalError:
+    def test_unexpected_exception_gets_its_own_exit_code(self, capsys,
+                                                         monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_report", broken)
+        code, out, err = run(capsys, "report", "square")
+        assert code == cli.INTERNAL_ERROR
+        assert code not in (0, 1, 2)
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"

@@ -1,15 +1,19 @@
 """Links walk up the covers of their element.
 
-``SimplicialPoset.link`` reaches the elements above e rank by rank
-through the upper covers, and calls no ``le``.  ``scan_link`` below is
-the construction it replaced, which tests ``le(e, x)`` for every element
-x of the poset; each link must have the same elements, vertices, vertex
-sets and covers as that reference.
+The Buchsbaum check reads the homology of each link from the local
+complex of its element (``SimplicialPoset._local_complex``), whose
+elements are reached rank by rank through the upper covers, with no call
+to ``le``.  ``scan_link`` below is the construction the walk replaced,
+which tests ``le(e, x)`` for every element x of the poset.  The local
+complex must have the elements above e by rank, and the link built as a
+poset by the walk (``link``, the reference of the Buchsbaum tests) the
+same elements, vertices, vertex sets and covers as the scan.
 """
 
 import pytest
 
 from conftest import build_cross_polytope
+from test_posets import link
 from torushom import cli
 from torushom.fixtures import bundled_names, dumps_fixture, resolve_fixture
 from torushom.generator import polygon_with_holes
@@ -44,20 +48,26 @@ def _posets():
 @pytest.mark.parametrize("name,poset", list(_posets()),
                          ids=[name for name, _ in _posets()])
 def test_links_match_the_scan(name, poset):
+    signs = poset.default_sign_convention()
     for e in poset.elements():
-        link, reference = poset.link(e), scan_link(poset, e)
+        walked, reference = link(poset, e), scan_link(poset, e)
         elements = reference.elements(include_bottom=True)
-        assert link.elements(include_bottom=True) == elements, (name, e)
-        assert link.vertices() == reference.vertices()
+        assert walked.elements(include_bottom=True) == elements, (name, e)
+        assert walked.vertices() == reference.vertices()
         for x in elements:
-            assert link.upper_covers(x) == reference.upper_covers(x)
-            assert link.lower_covers(x) == reference.lower_covers(x)
-            assert link.ver(x) == reference.ver(x)
+            assert walked.upper_covers(x) == reference.upper_covers(x)
+            assert walked.lower_covers(x) == reference.lower_covers(x)
+            assert walked.ver(x) == reference.ver(x)
+        local = poset._local_complex(e, signs)
+        assert local.basis(-1) == [e]
+        for k in range(1, poset.top_rank - poset.rank(e) + 1):
+            assert sorted(local.basis(k - 1), key=repr) == \
+                sorted(reference.elements_of_rank(k), key=repr), (name, e)
 
 
 def test_cross_polytope_links_are_spheres():
     poset, _ = build_cross_polytope(4)
-    vertex = poset.link(1)
+    vertex = link(poset, 1)
     assert vertex.f_vector() == (1, 6, 12, 8)
     assert poset.buchsbaum_check() == (True, [])
 
@@ -65,14 +75,14 @@ def test_cross_polytope_links_are_spheres():
 def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
     target = tmp_path / "example.json"
     target.write_text(dumps_fixture(polygon_with_holes((6, 4, 3), seed=3)))
-    link, le = SimplicialPoset.link, SimplicialPoset.le
+    local, le = SimplicialPoset._local_complex, SimplicialPoset.le
     depth, links, inside = [0], [], []
 
-    def counted_link(self, e):
+    def counted_local(self, e, signs):
         links.append(e)
         depth[0] += 1
         try:
-            return link(self, e)
+            return local(self, e, signs)
         finally:
             depth[0] -= 1
 
@@ -81,7 +91,7 @@ def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
             inside.append((a, b))
         return le(self, a, b)
 
-    monkeypatch.setattr(SimplicialPoset, "link", counted_link)
+    monkeypatch.setattr(SimplicialPoset, "_local_complex", counted_local)
     monkeypatch.setattr(SimplicialPoset, "le", counted_le)
     assert cli.main(["report", str(target)]) == 0
     capsys.readouterr()

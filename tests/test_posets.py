@@ -136,18 +136,62 @@ class TestCounting:
         assert digon_poset.reduced_betti(GF(2))[1] == 1
 
 
+def link(poset, e):
+    """The poset of elements above e, re-ranked.  Ids are carried over;
+    the vertices of the link are the covers of e.  The elements above e
+    are found rank by rank, walking up the covers from e."""
+    if e is BOTTOM:
+        return SimplicialPoset(
+            poset.vertices(),
+            [{"id": x, "vertices": sorted(poset.ver(x)),
+              "faces": poset.lower_covers(x)}
+             for x in poset.elements() if poset.rank(x) >= 2])
+    above, level = [], [e]
+    while level:
+        level = sorted({x for y in level for x in poset.upper_covers(y)},
+                       key=repr)
+        above += level
+    base = poset.ver(e)
+    cells = []
+    for x in above:
+        if poset.rank(x) <= poset.rank(e) + 1:
+            continue
+        extra = sorted(poset.ver(x) - base)
+        cells.append({"id": x,
+                      "vertices": [poset.face(x, base | {v}) for v in extra],
+                      "faces": [poset.face(x, poset.ver(x) - {v})
+                                for v in extra]})
+    return SimplicialPoset(
+        [x for x in above if poset.rank(x) == poset.rank(e) + 1], cells)
+
+
+def reference_buchsbaum(poset, field):
+    """The Buchsbaum check over every degree of every link, each built as
+    a poset with its own chain complex."""
+    failures = []
+    if not poset.is_pure():
+        failures.append(("purity", None))
+    n = poset.top_rank
+    for e in poset.elements():
+        betti = link(poset, e).reduced_betti(field)
+        for j in range(-1, n - poset.rank(e) - 1):
+            if betti.get(j):
+                failures.append((e, j))
+    return (not failures, failures)
+
+
 class TestLinks:
     def test_vertex_link_in_annulus(self, annulus_poset):
-        lk = annulus_poset.link(1)
+        lk = link(annulus_poset, 1)
         assert lk.f_vector() == (1, 2)
         assert set(lk.vertices()) == {8, 11}
 
     def test_digon_vertex_link(self, digon_poset):
-        lk = digon_poset.link(1)
+        lk = link(digon_poset, 1)
         assert set(lk.vertices()) == {3, 4}
 
     def test_bottom_link_is_copy(self, square_poset):
-        lk = square_poset.link(BOTTOM)
+        lk = link(square_poset, BOTTOM)
         assert lk.f_vector() == square_poset.f_vector()
 
     def test_triangle_link_is_empty(self):
@@ -156,7 +200,7 @@ class TestLinks:
                              {"id": "f", "vertices": [1, 3]},
                              {"id": "g", "vertices": [2, 3]},
                              {"id": "T", "vertices": [1, 2, 3]}])
-        assert p.link("T").f_vector() == (1,)
+        assert link(p, "T").f_vector() == (1,)
 
 
 class TestBuchsbaum:

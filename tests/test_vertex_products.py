@@ -1,8 +1,10 @@
 """Multiplication by a vertex through the kept sparse products, checked
 against the dense loop it replaced: every vertex times every generator in
 every degree, the action matrices and socle membership.  The Buchsbaum
-check, which now computes link homology only in the degrees that can
-fail, is checked against the loop over every degree of every link."""
+check, which reads the homology of each link from the local complex of
+its element and only in the degrees that can fail, is checked against
+the loop over every degree of every link, built as a poset
+(``test_posets.reference_buchsbaum``)."""
 
 import random
 
@@ -12,9 +14,12 @@ from torushom.errors import ValidationError
 from torushom.facering import FaceRingQuotient
 from torushom.fields import GF, QQ, lift, solve_all
 from torushom.fixtures import bundled_names, resolve_fixture
+from torushom.generator import polygon_with_holes
 from torushom.posets import BOTTOM, SimplicialPoset
 
-from test_posets import triangle_pair_at_vertex
+from conftest import build_cross_polytope
+from test_cross_polytope import build_digon_square_join
+from test_posets import reference_buchsbaum, triangle_pair_at_vertex
 from test_push import SHAPES, _fixture, _poset_and_charmat, \
     tetrahedron_boundary
 
@@ -104,20 +109,6 @@ class DenseReference:
         v = quo.presentation(k).reduce(vec)
         return all(all(quo.field.is_zero(x) for x in dst.reduce(
             self.vertex_action(i, v, k))) for i in quo.poset.vertices())
-
-
-def reference_buchsbaum(poset, field):
-    """The Buchsbaum check over every degree of every link."""
-    failures = []
-    if not poset.is_pure():
-        failures.append(("purity", None))
-    n = poset.top_rank
-    for e in poset.elements():
-        betti = poset.link(e).reduced_betti(field)
-        for j in range(-1, n - poset.rank(e) - 1):
-            if betti.get(j):
-                failures.append((e, j))
-    return (not failures, failures)
 
 
 # --- helpers -------------------------------------------------------------
@@ -289,6 +280,10 @@ BUCHSBAUM_POSETS = {
     "triangle_pair_at_vertex": triangle_pair_at_vertex,
     "impure": _impure_poset,
     "tetrahedron": lambda: tetrahedron_boundary()[0],
+    "cross3": lambda: build_cross_polytope(3)[0],
+    "cross4": lambda: build_cross_polytope(4)[0],
+    "digon_square_join": lambda: build_digon_square_join()[0],
+    "12,6,6 seed 3": lambda: polygon_with_holes((12, 6, 6), seed=3).poset,
 }
 for _name in bundled_names():
     BUCHSBAUM_POSETS[_name] = (lambda name=_name:
