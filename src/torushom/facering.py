@@ -19,15 +19,16 @@ its degree, half its topological degree.
 from math import comb
 
 from .errors import ValidationError
-from .fields import QQ, Echelon, lift, nullspace, solve_all
+from .fields import QQ, Echelon, lift, nullspace, plain, solve_all
 from .posets import BOTTOM
 
 
 def _add_scaled(field, target, coeff, vec):
     """target += coeff·vec for vectors kept as {column: nonzero field
-    value}; coeff is a nonzero field element."""
+    value}; coeff is a nonzero field element.  Plain int values and
+    coefficients keep the target's values plain ints."""
     for c, x in vec.items():
-        y = field.add(target.get(c, field.zero), field.mul(coeff, x))
+        y = field.add(target.get(c, 0), field.mul(coeff, x))
         if field.is_zero(y):
             del target[c]
         else:
@@ -73,16 +74,16 @@ class GradedPresentation:
     """One graded piece of a module given by labelled generators and
     relation rows over a field.
 
-    The relation matrix is row reduced once; pivot generators are
-    eliminated and the surviving generators form the reduction basis.
+    The relation rows are kept as given, ints or field values, and row
+    reduced once; pivot generators are eliminated and the surviving
+    generators form the reduction basis.
     """
 
     def __init__(self, degree, generators, rows, field, row_labels=None):
         self.degree = degree
         self.generators = list(generators)
         self.field = field
-        self.rows = [[lift(x, field) if x else field.zero for x in r]
-                     for r in rows]
+        self.rows = [list(r) for r in rows]
         self.row_labels = list(row_labels) if row_labels is not None else None
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValidationError("row labels do not match relation rows")
@@ -136,6 +137,11 @@ class GradedPresentation:
         """``reduce`` of a vector given as {column: nonzero field value},
         answered in the same form."""
         return self._echelon.reduce_sparse(vec)
+
+    def contains_sparse(self, vec):
+        """Whether a vector given as {column: nonzero field value} reduces
+        to zero; no field value is made."""
+        return self._echelon.contains_sparse(vec)
 
     def __repr__(self):
         return "<GradedPresentation deg %d: %d generators, dim %d>" % (
@@ -251,22 +257,22 @@ class FaceRingQuotient:
         axes, columns its vertices in sorted order), from one solve
         against the n unit vectors, kept per cell.  Modulo the linear
         system, x_w = -Σ_u (Σ_j inv[w][j]·λ_u[j])·x_u over the vertices u
-        outside the cell.  Returns (vertex → its row, inverse)."""
+        outside the cell.  Returns (vertex → its row, inverse), with
+        plain int entries where they are integers."""
         cached = self._substitutions.get(repr(top))
         if cached is not None:
             return cached
         field = self.field
         inside = sorted(self.poset.ver(top))
-        matrix = [[field.from_int(self.charmat.row(w)[j]) for w in inside]
+        matrix = [[self.charmat.row(w)[j] for w in inside]
                   for j in range(self.n)]
-        units = [[field.one if r == j else field.zero for r in range(self.n)]
-                 for j in range(self.n)]
+        units = [[int(r == j) for r in range(self.n)] for j in range(self.n)]
         columns = solve_all(matrix, units, field)
         if any(x is None for x in columns):
             raise ValidationError(
                 "vertex matrix of %r is singular over %r" % (top, field))
         position = {w: r for r, w in enumerate(inside)}
-        inverse = [[columns[j][r] for j in range(self.n)]
+        inverse = [[plain(columns[j][r]) for j in range(self.n)]
                    for r in range(len(inside))]
         self._substitutions[repr(top)] = position, inverse
         return position, inverse
@@ -283,8 +289,9 @@ class FaceRingQuotient:
 
     def _product(self, i, k, col):
         """x_i·x_g for the rank-k generator g in column ``col``, unreduced,
-        as {rank-(k+1) column: nonzero field value}; built on first use
-        and kept.  Callers must not modify it."""
+        as {rank-(k+1) column: nonzero field value}, plain ints where the
+        values are integers; built on first use and kept.  Callers must
+        not modify it."""
         key = (i, k, col)
         product = self._products.get(key)
         if product is not None:
@@ -297,13 +304,13 @@ class FaceRingQuotient:
 
         def add_joins(a, coeff):
             _add_scaled(field, product, coeff,
-                        {dst.column(j): field.from_int(base * self._orient(j))
+                        {dst.column(j): base * self._orient(j)
                          for j in self.poset.join_set(a, g)})
 
         if g is BOTTOM:
-            product[dst.column(i)] = field.one
+            product[dst.column(i)] = 1
         elif not self.poset.le(i, g):
-            add_joins(i, field.one)
+            add_joins(i, 1)
         else:
             top = self.simplex_above(g)
             position, inverse = self._substitution(top)
@@ -312,10 +319,10 @@ class FaceRingQuotient:
             for u in self._reach(g):
                 if u in inside:
                     continue
-                cu = field.zero
+                cu = 0
                 for r, x in zip(row, self.charmat.row(u)):
                     if x:
-                        cu = field.add(cu, field.mul(r, field.from_int(x)))
+                        cu = field.add(cu, field.mul(r, x))
                 if not field.is_zero(cu):
                     add_joins(u, field.neg(cu))
         self._products[key] = product
@@ -344,7 +351,7 @@ class FaceRingQuotient:
         for col, coeff in enumerate(vec):
             if not coeff:
                 continue
-            coeff = lift(coeff, self.field)
+            coeff = plain(lift(coeff, self.field))
             if not self.field.is_zero(coeff):
                 _add_scaled(self.field, out, coeff, self._product(i, k, col))
         image = [self.field.zero] * len(dst.generators)
@@ -373,16 +380,19 @@ class FaceRingQuotient:
             sign *= self._orient(v)
         for rho in poset.join_set(a, b):
             k = poset.rank(rho)
-            vec = self.presentation(k).unit(rho)
-            for v in shared:
-                vec = self.vertex_action(v, vec, k)
-                k += 1
-            _add_scaled(field, out, field.from_int(sign * self._orient(rho)),
-                        {c: x for c, x in enumerate(vec)
-                         if not field.is_zero(x)})
+            if shared:
+                vec = self.presentation(k).unit(rho)
+                for v in shared:
+                    vec = self.vertex_action(v, vec, k)
+                    k += 1
+                vec = {c: x for c, x in enumerate(vec) if x}
+            else:
+                vec = {self.presentation(k).column(rho): 1}
+            _add_scaled(field, out, sign * self._orient(rho), vec)
         image = [field.zero] * len(dst.generators)
-        for c, x in dst.reduce_sparse(out).items():
-            image[c] = x
+        if out:
+            for c, x in dst.reduce_sparse(out).items():
+                image[c] = x
         return image
 
     def action_matrix(self, i, k):
@@ -434,11 +444,12 @@ class FaceRingQuotient:
         for col, coeff in enumerate(src.reduce(vec)):
             if self.field.is_zero(coeff):
                 continue
+            coeff = plain(coeff)
             for i in self._reach(src.generators[col]):
                 _add_scaled(self.field, images.setdefault(i, {}), coeff,
                             self._product(i, k, col))
-        return not any(image and dst.reduce_sparse(image)
-                       for image in images.values())
+        return all(not image or dst.contains_sparse(image)
+                   for image in images.values())
 
     def __repr__(self):
         return "<FaceRingQuotient n=%d over %r>" % (self.n, self.field)

@@ -9,19 +9,23 @@ choice between the integers and a field is made here: ``solve_all`` hands
 ``ZZ`` to ``snf.int_solve_all``, and the elimination routines (``rref``,
 ``rank``, ``nullspace``, ``Echelon``) need a field.
 
-There is one elimination loop over a field, in ``Echelon``: it keeps
-each reduced row sparsely, as {column: value}, lifts input entries into
-the field only where they are nonzero, and does field arithmetic only on
-nonzero entries, since the boundary and relation matrices it is fed are
-mostly zeros.  ``rref`` and ``rank`` are an ``Echelon`` built from rows,
-with the dense reduced echelon form built when read; ``nullspace`` and
-``solve_all`` read their answers off the sparse rows.
+There is one elimination loop over a field, in ``Echelon``, and it runs
+on plain ints, fraction-free in the manner of Bareiss (1968): rows are
+kept sparsely as {column: int}, a vector over Q has its denominators
+cleared, and each pivot p it meets is cleared by w <- e*w - w[p]*row_p,
+touching only nonzero entries, since the boundary and relation matrices
+it is fed are mostly zeros.  Q and GF(p) differ only in how a row is
+normalised and in that GF(p) reduces entries mod p.  ``Fraction``s are
+made only where values are read: ``rref`` (an ``Echelon`` built from
+rows), ``Echelon.reduce`` and the answers of ``nullspace`` and
+``solve_all``, read off the sparse rows.
 
 ``solve_all`` solves one matrix against many right-hand sides with a
 single elimination of [A | b_1 ... b_m]; ``solve`` is its one-vector case.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import snf
 from .errors import CoefficientError
@@ -178,6 +182,21 @@ def lift(value, coeffs):
     return coeffs.from_int(value) if isinstance(value, int) else value
 
 
+# The rationals of the small ints, made once and shared: most values read
+# out of the integer rows are among them.
+_SMALL = {n: Fraction(n) for n in range(-64, 65) if n}
+
+
+def plain(value):
+    """A field value as a plain int where it is one: a ``Fraction`` with
+    denominator one becomes its numerator, and any other value passes
+    through.  Sums and products of plain ints stay ints, which
+    ``Echelon`` takes without clearing denominators."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 def rref(rows, field):
     """Reduced row echelon form, built by adding the rows one by one to an
     ``Echelon``.
@@ -196,7 +215,8 @@ def rank(rows, field):
 
 def nullspace(rows, field):
     """Basis of the right kernel {v : rows @ v = 0}, as a list of vectors:
-    one per free column, read off the sparse rows of the echelon form."""
+    one per free column, read off the rows of the echelon form, each
+    divided by the negative of its pivot entry."""
     if not rows:
         return []
     echelon = Echelon(field, rows)
@@ -207,9 +227,9 @@ def nullspace(rows, field):
             basis[fc] = [field.zero] * ncols
             basis[fc][fc] = field.one
     for pc, row in echelon._rows.items():
-        for c, x in row.items():
+        for c, x in echelon._values(row, -row[pc]).items():
             if c != pc:
-                basis[c][pc] = field.neg(x)
+                basis[c][pc] = x
     return list(basis.values())
 
 
@@ -233,7 +253,7 @@ def solve_all(rows, bs, field):
         if pc >= ncols:
             inconsistent.update(row)
             continue
-        for j, x in row.items():
+        for j, x in echelon._values(row, row[pc]).items():
             if j >= ncols:
                 out[j - ncols][pc] = x
     return [None if ncols + i in inconsistent else x
@@ -247,28 +267,36 @@ def solve(rows, b, field):
 
 
 class Echelon:
-    """A row space over a field, kept in reduced row echelon form.
+    """A row space over a field, kept in reduced row echelon form on ints.
 
-    Each kept row is stored sparsely, as {column: value} under its pivot
-    column: its entry there is one, and it has no entry on any other pivot
-    column.  Vectors come in as dense lists of ints or field elements, all
-    of the width of the first row added (``ValueError`` otherwise); their
-    entries are lifted into the field only where they are nonzero, and the
-    arithmetic touches only nonzero entries.
+    Each kept row is stored sparsely, as {column: int} under its pivot
+    column, and has no entry on any other pivot column.  Over Q it is the
+    primitive integer multiple of its reduced echelon row whose pivot
+    entry is positive: the row over its pivot entry is the reduced row.
+    Over GF(p) it is the reduced row itself, pivot entry one and entries
+    in range(p).  Both run the one loop, ``_clear``; they differ in how
+    ``_normalise`` scales a row and in that GF(p) reduces entries mod p.
 
-    ``reduce`` clears the pivot columns of a vector against the kept rows
-    (``reduce_sparse`` does so for a vector given as {column: value}; it
-    is the one reduction loop, and the dense entries lift into it),
-    ``contains`` tests membership, and ``add`` keeps a vector when it is
-    independent of the rows so far and reports whether it was.  Testing a
-    stack of vectors one by one this way eliminates each vector once
-    instead of the whole stack again for every vector.  ``rows`` and
-    ``pivots`` are the dense reduced echelon form, built when read and kept
-    until the next ``add``.
+    Vectors come in as dense lists of ints or field elements (``reduce``,
+    ``contains``, ``add``), all of the width of the first row added
+    (``ValueError`` otherwise), or as {column: nonzero field element}
+    (``reduce_sparse``, ``contains_sparse``), where over Q ints count as
+    field elements.  Over Q their denominators are cleared by their lcm,
+    so the elimination is plain integer arithmetic on nonzero entries, and
+    ``Fraction``s are made only where values are read: the output of
+    ``reduce`` and ``reduce_sparse``, ``rows``, and the answers of
+    ``nullspace`` and ``solve_all``.
+
+    ``add`` keeps a vector when it is independent of the rows so far and
+    reports whether it was; testing a stack of vectors one by one this
+    way eliminates each vector once instead of the whole stack again for
+    every vector.  ``rows`` and ``pivots`` are the dense reduced echelon
+    form, built when read and kept until the next ``add``.
     """
 
     def __init__(self, field, rows=()):
         self.field = require_field(field)
+        self._modulus = field.p if isinstance(field, PrimeField) else None
         self.width = None
         self._rows = {}
         self._dense = None
@@ -287,42 +315,123 @@ class Echelon:
         if self._dense is None:
             self._dense = []
             for pc in self.pivots:
-                row = [self.field.zero] * self.width
-                for c, x in self._rows[pc].items():
-                    row[c] = x
-                self._dense.append(row)
+                row = self._rows[pc]
+                dense = [self.field.zero] * self.width
+                for c, x in self._values(row, row[pc]).items():
+                    dense[c] = x
+                self._dense.append(dense)
         return self._dense
 
     def _sparse(self, vec):
-        """A dense vector as {column: nonzero field value}."""
+        """A dense vector of ints or field values as {column: nonzero
+        value}, in the form ``_reduce`` takes."""
         if self.width is not None and len(vec) != self.width:
             raise ValueError("dimension mismatch")
-        is_zero = self.field.is_zero
-        return {j: lift(x, self.field) for j, x in enumerate(vec)
-                if x and not is_zero(x)}
+        p = self._modulus
+        if p is not None:
+            return {j: x % p for j, x in enumerate(vec) if x and x % p}
+        zero = self.field.zero  # most zeros of a dense vector: no compare
+        return {j: x for j, x in enumerate(vec) if x is not zero and x}
+
+    def _clear(self, steps):
+        """The one elimination loop.  Each step (w, pc, row) clears column
+        pc of w, a {column: nonzero int}, in place against the kept row
+        with pivot column pc: w <- e*w - w[pc]*row, e the pivot entry of
+        row.  A row is zero on every other pivot column, so a step changes
+        no other pivot entry of w but by the scaling, and steps on one w
+        may come in any order; w divided by the product of the pivot
+        entries used, which is returned, is then w reduced.  Over GF(p)
+        every pivot entry is one and each updated entry is reduced mod
+        p."""
+        p = self._modulus
+        scale = 1
+        for w, pc, row in steps:
+            c = w[pc]
+            e = row[pc]
+            if e != 1:
+                scale *= e
+                for j in w:
+                    w[j] *= e
+            for j, y in row.items():
+                x = w.get(j, 0) - c * y
+                if p:
+                    x %= p
+                if x:
+                    w[j] = x
+                else:
+                    del w[j]
+        return scale
+
+    def _reduce(self, v):
+        """v, a {column: nonzero value}, reduced against the kept rows, as
+        (w, d): w a new {column: nonzero int} and d a positive int, with
+        w/d the reduced vector.  Over Q the values are ints or
+        ``Fraction``s, whose denominators are cleared by their lcm first;
+        over GF(p) they are residues and d is one."""
+        w, d = None, 1
+        if self._modulus is None:
+            for x in v.values():
+                if type(x) is not int:
+                    d = lcm(*[y.denominator for y in v.values()])
+                    w = {j: y.numerator * (d // y.denominator)
+                         for j, y in v.items()}
+                    break
+        if w is None:
+            w = dict(v)
+        rows = self._rows
+        steps = []
+        for pc in w:
+            if pc in rows:
+                steps.append((w, pc, rows[pc]))
+        if steps:
+            d *= self._clear(steps)
+        return w, d
+
+    def _normalise(self, w, pc):
+        """Scales w, in place, to the kept form of a row with pivot column
+        pc: over Q divided by its content and signed so the pivot entry is
+        positive, over GF(p) times the inverse of its pivot entry.  The
+        content divides the pivot entry, so a pivot entry one is kept."""
+        e = w[pc]
+        if e == 1:
+            return
+        p = self._modulus
+        if p is not None:
+            g = pow(e, -1, p)
+            for j in w:
+                w[j] = w[j] * g % p
+            return
+        g = -1 if e == -1 else gcd(*w.values())
+        if e < 0 < g:
+            g = -g
+        if g != 1:
+            for j in w:
+                w[j] //= g
+
+    def _values(self, w, d):
+        """The field values w/d of the ints of w, as {column: value}."""
+        p = self._modulus
+        if p is not None:
+            if d == 1:
+                return w
+            inv = pow(d, -1, p)
+            return {j: x * inv % p for j, x in w.items()}
+        if d == 1:
+            return {j: _SMALL.get(x) or Fraction(x) for j, x in w.items()}
+        if d == -1:
+            return {j: _SMALL.get(-x) or Fraction(-x) for j, x in w.items()}
+        return {j: Fraction(x, d) for j, x in w.items()}
 
     def reduce_sparse(self, v):
-        """v − Σ v[p]·row_p over the pivots p in the support of v, for v
-        given as {column: nonzero field value}, in the same form; v is not
-        modified.  Every row is zero on the other pivot columns, so each
-        v[p] is read from the input and the order of the subtractions does
-        not matter."""
-        field = self.field
-        is_zero, sub, mul = field.is_zero, field.sub, field.mul
-        out = dict(v)
-        for pc, c in v.items():
-            row = self._rows.get(pc)
-            if row is None:
-                continue
-            del out[pc]
-            for j, y in row.items():
-                if j != pc:
-                    d = sub(out.get(j, field.zero), mul(c, y))
-                    if is_zero(d):
-                        del out[j]
-                    else:
-                        out[j] = d
-        return out
+        """v, given as {column: nonzero value}, with the pivot columns
+        cleared, in the same form; v is not modified."""
+        w, d = self._reduce(v)
+        return self._values(w, d)
+
+    def contains_sparse(self, v):
+        """Whether v, given as {column: nonzero value}, lies in the row
+        space; no field value is made."""
+        return not self._reduce(v)[0]
 
     def reduce(self, vec):
         out = [self.field.zero] * len(vec)
@@ -331,31 +440,22 @@ class Echelon:
         return out
 
     def contains(self, vec):
-        return not self.reduce_sparse(self._sparse(vec))
+        return self.contains_sparse(self._sparse(vec))
 
     def add(self, vec):
-        v = self.reduce_sparse(self._sparse(vec))
+        w, _ = self._reduce(self._sparse(vec))
         if self.width is None:
             self.width = len(vec)
-        if not v:
+        if not w:
             return False
-        field = self.field
-        is_zero, sub, mul = field.is_zero, field.sub, field.mul
-        pc = min(v)
-        inv = field.inv(v.pop(pc))
-        v = {j: mul(inv, x) for j, x in v.items()}
-        for row in self._rows.values():
-            c = row.pop(pc, None)
-            if c is None:
-                continue
-            for j, y in v.items():
-                d = sub(row.get(j, field.zero), mul(c, y))
-                if is_zero(d):
-                    del row[j]
-                else:
-                    row[j] = d
-        v[pc] = field.one
-        self._rows[pc] = v
+        pc = min(w)
+        self._normalise(w, pc)
+        touched = [(pr, row) for pr, row in self._rows.items() if pc in row]
+        self._clear([(row, pc, w) for _, row in touched])
+        for pr, row in touched:
+            if row[pr] != 1:
+                self._normalise(row, pr)
+        self._rows[pc] = w
         self._dense = None
         return True
 

@@ -203,15 +203,6 @@ class SimplicialPoset:
         return [e for e in self._on_vertices.get(target, ())
                 if self.le(a, e) and self.le(b, e)]
 
-    def meet(self, a, b):
-        """The common face of a and b on ver(a) & ver(b).  Only defined when
-        a and b have an upper bound; all choices agree."""
-        joins = self.join_set(a, b)
-        if not joins:
-            raise ValidationError("%r and %r have no join" % (a, b))
-        target = self._ver[a] & self._ver[b]
-        return self._faces[joins[0]][target]
-
     # --- validation ----------------------------------------------------
 
     def validate(self):

@@ -187,7 +187,7 @@ def test_in_socle_reduces_no_empty_product(example_file, monkeypatch,
                                            capsys):
     inside, reductions = [], []
     in_socle = FaceRingQuotient.in_socle
-    reduce_sparse = Echelon.reduce_sparse
+    contains_sparse = Echelon.contains_sparse
 
     def flagged(self, vec, k):
         inside.append(True)
@@ -199,10 +199,10 @@ def test_in_socle_reduces_no_empty_product(example_file, monkeypatch,
     def recording(self, v):
         if inside:
             reductions.append(bool(v))
-        return reduce_sparse(self, v)
+        return contains_sparse(self, v)
 
     monkeypatch.setattr(FaceRingQuotient, "in_socle", flagged)
-    monkeypatch.setattr(Echelon, "reduce_sparse", recording)
+    monkeypatch.setattr(Echelon, "contains_sparse", recording)
     assert main(["report", example_file, "--json"]) == 0
     capsys.readouterr()
     assert reductions and all(reductions), reductions.count(False)

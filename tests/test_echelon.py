@@ -1,9 +1,14 @@
-"""The incremental echelon basis and ``rref`` against sympy and against the
-dense elimination loop, and the work the sparse kernel does."""
+"""The incremental echelon basis and ``rref`` against sympy, against the
+dense elimination loop and against the Fraction loop that the integer
+loop replaced, and the work the sparse kernel does."""
 
+import dis
 import random
+import sys
+import types
 from bisect import bisect
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -204,16 +209,271 @@ def test_incremental_echelon_matches_the_dense_loop(matrix, field):
         assert sparse.contains(row)
 
 
-class CountingRationals(fields.Rationals):
-    """The rationals, counting multiplications."""
+# --- the integer loop against the Fraction loop it replaced ---------------
 
-    def __init__(self):
-        super().__init__()
-        self.products = 0
 
-    def mul(self, a, b):
-        self.products += 1
-        return a * b
+class FractionEchelon:
+    """Reference: the sparse elimination loop on field values that the
+    integer loop replaced.  Each kept row is {column: field value} with
+    entry one at its pivot and none on the other pivot columns."""
+
+    def __init__(self, field, rows=()):
+        self.field = field
+        self.width = None
+        self._rows = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    @property
+    def rows(self):
+        out = []
+        for pc in self.pivots:
+            row = [self.field.zero] * self.width
+            for c, x in self._rows[pc].items():
+                row[c] = x
+            out.append(row)
+        return out
+
+    def _sparse(self, vec):
+        return {j: fields.lift(x, self.field) for j, x in enumerate(vec)
+                if x and not self.field.is_zero(x)}
+
+    def reduce_sparse(self, v):
+        f = self.field
+        out = dict(v)
+        for pc, c in v.items():
+            row = self._rows.get(pc)
+            if row is None:
+                continue
+            del out[pc]
+            for j, y in row.items():
+                if j != pc:
+                    d = f.sub(out.get(j, f.zero), f.mul(c, y))
+                    if f.is_zero(d):
+                        del out[j]
+                    else:
+                        out[j] = d
+        return out
+
+    def reduce(self, vec):
+        out = [self.field.zero] * len(vec)
+        for j, x in self.reduce_sparse(self._sparse(vec)).items():
+            out[j] = x
+        return out
+
+    def contains(self, vec):
+        return not self.reduce_sparse(self._sparse(vec))
+
+    def add(self, vec):
+        f = self.field
+        v = self.reduce_sparse(self._sparse(vec))
+        if self.width is None:
+            self.width = len(vec)
+        if not v:
+            return False
+        pc = min(v)
+        inv = f.inv(v.pop(pc))
+        v = {j: f.mul(inv, x) for j, x in v.items()}
+        for row in self._rows.values():
+            c = row.pop(pc, None)
+            if c is None:
+                continue
+            for j, y in v.items():
+                d = f.sub(row.get(j, f.zero), f.mul(c, y))
+                if f.is_zero(d):
+                    del row[j]
+                else:
+                    row[j] = d
+        v[pc] = f.one
+        self._rows[pc] = v
+        return True
+
+
+def fraction_nullspace(rows, field):
+    if not rows:
+        return []
+    echelon = FractionEchelon(field, rows)
+    ncols = echelon.width
+    basis = {}
+    for fc in range(ncols):
+        if fc not in echelon._rows:
+            basis[fc] = [field.zero] * ncols
+            basis[fc][fc] = field.one
+    for pc, row in echelon._rows.items():
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = field.neg(x)
+    return list(basis.values())
+
+
+def fraction_solve_all(rows, bs, field):
+    if not rows or not bs:
+        return [[] for _ in bs]
+    ncols = len(rows[0])
+    echelon = FractionEchelon(field, [list(r) + [b[i] for b in bs]
+                                      for i, r in enumerate(rows)])
+    out = [[field.zero] * ncols for _ in bs]
+    inconsistent = set()
+    for pc, row in echelon._rows.items():
+        if pc >= ncols:
+            inconsistent.update(row)
+            continue
+        for j, x in row.items():
+            if j >= ncols:
+                out[j - ncols][pc] = x
+    return [None if ncols + i in inconsistent else x
+            for i, x in enumerate(out)]
+
+
+BIG_INT = st.integers(min_value=-50, max_value=50)
+# ints and fractions with denominators 2..6, a third of them zero
+RATIONAL = st.one_of(
+    st.just(0), BIG_INT,
+    st.builds(Fraction, st.integers(min_value=-30, max_value=30),
+              st.integers(min_value=2, max_value=6)))
+
+
+@st.composite
+def stacks_with_rhs(draw, entry):
+    """(rows, right-hand sides): up to 7 rows of width 0..6 and up to
+    three right-hand sides, with repeated and combined rows mixed in so
+    that stacks are often dependent."""
+    width = draw(st.integers(min_value=0, max_value=6))
+    vector = st.lists(entry, min_size=width, max_size=width)
+    rows = draw(st.lists(vector, max_size=7))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(min_value=-3, max_value=3))
+            rows.append([x + k * y for x, y in zip(a, b)])
+    height = st.lists(entry, min_size=len(rows), max_size=len(rows))
+    return rows, draw(st.lists(height, max_size=3))
+
+
+def _lifted(vec, field):
+    return [fields.lift(x, field) for x in vec]
+
+
+def _assert_values(values, field):
+    """Every value a field element: a Fraction over Q, a residue mod p."""
+    if field is QQ:
+        assert all(type(x) is Fraction for x in values)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in values)
+
+
+def _check_against_the_fraction_loop(field, rows, bs):
+    new, ref = fields.Echelon(field), FractionEchelon(field)
+    for row in rows:
+        lifted = _lifted(row, field)
+        for vec in (row, lifted):
+            assert new.reduce(vec) == ref.reduce(lifted)
+            assert new.contains(vec) is ref.contains(lifted)
+        _assert_values(new.reduce(row), field)
+        sparse = ref._sparse(row)
+        inputs = [sparse]
+        if field is QQ:  # over Q the ints are field values too
+            inputs.append({j: x for j, x in enumerate(row) if x})
+        for v in inputs:
+            got = new.reduce_sparse(v)
+            assert got == ref.reduce_sparse(sparse)
+            _assert_values(got.values(), field)
+            assert new.contains_sparse(v) is not ref.reduce_sparse(sparse)
+        assert new.add(row) is ref.add(lifted)
+        assert new.pivots == ref.pivots
+        assert new.rows == ref.rows
+        assert len(new) == len(ref.pivots)
+        for dense in new.rows:
+            _assert_values(dense, field)
+    matrix = [_lifted(r, field) for r in rows]
+    kernel = fields.nullspace(rows, field)
+    assert kernel == fraction_nullspace(matrix, field)
+    for vec in kernel:
+        _assert_values(vec, field)
+    rhs = [_lifted(b, field) for b in bs]
+    assert fields.solve_all(rows, bs, field) == \
+        fraction_solve_all(matrix, rhs, field)
+    assert fields.rref(rows, field) == (ref.rows, ref.pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks_with_rhs(BIG_INT))
+def test_integer_rows_match_the_fraction_loop_over_q(stack):
+    _check_against_the_fraction_loop(QQ, *stack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks_with_rhs(RATIONAL))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 6), 0]],
+          [[Fraction(5, 6), Fraction(-1, 4)]]))
+def test_fraction_rows_match_the_fraction_loop_over_q(stack):
+    _check_against_the_fraction_loop(QQ, *stack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks_with_rhs(BIG_INT))
+def test_integer_rows_match_the_fraction_loop_over_gf5(stack):
+    _check_against_the_fraction_loop(GF(5), *stack)
+
+
+def test_kept_rows_are_primitive_integer_rows():
+    echelon = fields.Echelon(QQ, [[2, 4, 6, 1], [Fraction(-1, 2), 0, 3, 0],
+                                  [0, 0, 0, Fraction(7, 3)]])
+    for pc, row in echelon._rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert row[pc] > 0 and gcd(*row.values()) == 1
+        assert not any(c in echelon._rows for c in row if c != pc)
+    over_gf5 = fields.Echelon(GF(5), [[2, 4, 6, 1], [-1, 0, 3, 0]])
+    for pc, row in over_gf5._rows.items():
+        assert row[pc] == 1 and all(0 < x < 5 for x in row.values())
+
+
+def _multiplications(module, call):
+    """The value of ``call()`` and the number of multiplications executed
+    in the code of ``module``'s functions and methods while it ran, by
+    tracing opcodes."""
+    targets = {}
+
+    def collect(code):
+        targets[code] = {i.offset for i in dis.get_instructions(code)
+                         if i.opname == "BINARY_MULTIPLY"
+                         or (i.opname == "BINARY_OP" and
+                             i.argrepr in ("*", "*="))}
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                collect(const)
+
+    for obj in vars(module).values():
+        for fn in [obj] + list(vars(obj).values() if isinstance(obj, type)
+                               else []):
+            fn = getattr(fn, "fget", fn)
+            code = getattr(fn, "__code__", None)
+            if code is not None and code.co_filename == module.__file__:
+                collect(code)
+    count = 0
+
+    def on_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode" and frame.f_lasti in targets[frame.f_code]:
+            count += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        if frame.f_code not in targets:
+            return None
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    sys.settrace(on_call)
+    try:
+        value = call()
+    finally:
+        sys.settrace(None)
+    return value, count
 
 
 def _signed_permutation(n):
@@ -237,11 +497,11 @@ def _polygon_boundary(n):
                                   _polygon_boundary(200)],
                          ids=["signed-permutation", "200-gon"])
 def test_work_follows_the_nonzero_entries(rows):
-    field = CountingRationals()
-    echelon = fields.Echelon(field, rows)
+    echelon, products = _multiplications(
+        fields, lambda: fields.Echelon(QQ, rows))
     nonzeros = sum(1 for row in rows for x in row if x)
     assert len(echelon) in (199, 200)
-    assert field.products <= 2 * nonzeros
+    assert products <= 2 * nonzeros
 
 
 def test_vectors_of_another_width_are_rejected():

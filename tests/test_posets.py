@@ -67,9 +67,9 @@ class TestOrderStructure:
     def test_join_and_meet(self, square_poset):
         assert square_poset.join_set(1, 2) == [5]
         assert square_poset.join_set(1, 3) == []
-        assert square_poset.meet(5, 2) == 2
+        assert meet(square_poset, 5, 2) == 2
         with pytest.raises(ValidationError):
-            square_poset.meet(5, 6)
+            meet(square_poset, 5, 6)
 
     def test_digon_join(self, digon_poset):
         assert sorted(digon_poset.join_set(1, 2)) == [3, 4]
@@ -134,6 +134,16 @@ class TestCounting:
         assert annulus_poset.reduced_betti() == {-1: 0, 0: 1, 1: 2}
         assert digon_poset.reduced_betti() == {-1: 0, 0: 0, 1: 1}
         assert digon_poset.reduced_betti(GF(2))[1] == 1
+
+
+def meet(poset, a, b):
+    """The common face of a and b on ver(a) & ver(b), read off their first
+    join.  Only defined when a and b have an upper bound; all choices
+    agree."""
+    joins = poset.join_set(a, b)
+    if not joins:
+        raise ValidationError("%r and %r have no join" % (a, b))
+    return poset.face(joins[0], poset.ver(a) & poset.ver(b))
 
 
 def link(poset, e):
