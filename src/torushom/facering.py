@@ -19,7 +19,7 @@ its degree, half its topological degree.
 from math import comb
 
 from .errors import ValidationError
-from .fields import QQ, Echelon, lift, nullspace, plain, solve_all
+from .fields import QQ, Echelon, PrimeField, lift, nullspace, plain, solve_all
 from .posets import BOTTOM
 
 
@@ -74,16 +74,18 @@ class GradedPresentation:
     """One graded piece of a module given by labelled generators and
     relation rows over a field.
 
-    The relation rows are kept as given, ints or field values, and row
-    reduced once; pivot generators are eliminated and the surviving
-    generators form the reduction basis.
+    The relation rows are kept as given, ints or field values (over
+    GF(p) each entry taken mod p), and row reduced once; pivot
+    generators are eliminated and the surviving generators form the
+    reduction basis.
     """
 
     def __init__(self, degree, generators, rows, field, row_labels=None):
         self.degree = degree
         self.generators = list(generators)
         self.field = field
-        self.rows = [list(r) for r in rows]
+        p = field.p if isinstance(field, PrimeField) else None
+        self.rows = [[x % p for x in r] if p else list(r) for r in rows]
         self.row_labels = list(row_labels) if row_labels is not None else None
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValidationError("row labels do not match relation rows")
@@ -351,7 +353,7 @@ class FaceRingQuotient:
         for col, coeff in enumerate(vec):
             if not coeff:
                 continue
-            coeff = plain(lift(coeff, self.field))
+            coeff = plain(coeff)
             if not self.field.is_zero(coeff):
                 _add_scaled(self.field, out, coeff, self._product(i, k, col))
         image = [self.field.zero] * len(dst.generators)

@@ -182,11 +182,6 @@ def lift(value, coeffs):
     return coeffs.from_int(value) if isinstance(value, int) else value
 
 
-# The rationals of the small ints, made once and shared: most values read
-# out of the integer rows are among them.
-_SMALL = {n: Fraction(n) for n in range(-64, 65) if n}
-
-
 def plain(value):
     """A field value as a plain int where it is one: a ``Fraction`` with
     denominator one becomes its numerator, and any other value passes
@@ -417,9 +412,7 @@ class Echelon:
             inv = pow(d, -1, p)
             return {j: x * inv % p for j, x in w.items()}
         if d == 1:
-            return {j: _SMALL.get(x) or Fraction(x) for j, x in w.items()}
-        if d == -1:
-            return {j: _SMALL.get(-x) or Fraction(-x) for j, x in w.items()}
+            return {j: Fraction(x) for j, x in w.items()}
         return {j: Fraction(x, d) for j, x in w.items()}
 
     def reduce_sparse(self, v):

@@ -440,7 +440,8 @@ def _multiplications(module, call):
 
     def collect(code):
         targets[code] = {i.offset for i in dis.get_instructions(code)
-                         if i.opname == "BINARY_MULTIPLY"
+                         if i.opname in ("BINARY_MULTIPLY",
+                                         "INPLACE_MULTIPLY")
                          or (i.opname == "BINARY_OP" and
                              i.argrepr in ("*", "*="))}
         for const in code.co_consts:
@@ -468,11 +469,12 @@ def _multiplications(module, call):
         frame.f_trace_opcodes = True
         return on_opcode
 
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         value = call()
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return value, count
 
 

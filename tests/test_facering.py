@@ -458,6 +458,12 @@ class TestPresentationMechanics:
         with pytest.raises(ValidationError):
             GradedPresentation(1, ["a"], [[1]], QQ, row_labels=[])
 
+    def test_rows_over_a_prime_field_are_residues(self):
+        rows = [[-1, 7, 0], [3, -5, 10]]
+        assert GradedPresentation(1, "abc", rows, GF(5)).rows == \
+            [[4, 2, 0], [3, 0, 0]]
+        assert GradedPresentation(1, "abc", rows, QQ).rows == rows
+
 
 class TestSignedQuotient:
     def build(self, poset, charmat, flips):
