@@ -18,7 +18,7 @@ from .fields import ZZ, is_int, lift
 
 
 class CharacteristicMatrix:
-    def __init__(self, poset, rows, check=True):
+    def __init__(self, poset, rows):
         self.poset = poset
         self.n = poset.top_rank
         self.rows = {}
@@ -40,7 +40,7 @@ class CharacteristicMatrix:
         extra = set(rows) - set(self.rows)
         if extra:
             raise ValidationError("rows for unknown vertices %r" % (sorted(extra, key=repr),))
-        if check and not poset.is_pure():
+        if not poset.is_pure():
             raise ValidationError(
                 "characteristic data needs a pure poset")
 

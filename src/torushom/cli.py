@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import fields
-from .cycles import CycleExpression
+from .cycles import _KIND_ALIASES, CycleExpression
 from .errors import TorushomError, ValidationError
 from .fields import QQ
 from .fixtures import bundled_names, dumps_fixture, resolve_fixture
@@ -32,10 +32,10 @@ INTERNAL_ERROR = 3
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so that a replaced handler is the one run
+        return globals()["cmd_" + args.command](args)
     except TorushomError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -55,7 +55,6 @@ def _build_parser():
     rep = sub.add_parser(
         "report", help="print the invariants of a fixture")
     _common(rep)
-    rep.set_defaults(func=cmd_report)
 
     inter = sub.add_parser(
         "intersect", help="multiply two classes of a fixture")
@@ -64,7 +63,6 @@ def _build_parser():
     inter.add_argument("right", help="second class")
     inter.add_argument("--depth", type=int, default=4,
                        help="bordism search depth limit (default 4)")
-    inter.set_defaults(func=cmd_intersect)
 
     ex = sub.add_parser(
         "example", help="generate a polygon-with-holes fixture as JSON")
@@ -73,12 +71,10 @@ def _build_parser():
     ex.add_argument("--seed", type=int, default=0,
                     help="seed for the generated characteristic rows")
     ex.add_argument("--name", default=None, help="fixture name")
-    ex.set_defaults(func=cmd_example)
 
     chk = sub.add_parser(
         "check", help="validate a fixture and run the cross-checks")
     _common(chk)
-    chk.set_defaults(func=cmd_check)
     return parser
 
 
@@ -90,6 +86,9 @@ def _common(sub):
                      help="coefficient system: q, z, or f<p> (default q)")
     sub.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON instead of text")
+
+
+_PARSER = _build_parser()
 
 
 def _load(args):
@@ -305,9 +304,11 @@ def _parse_term(chunk, fixture):
                                   % (chunk,))
         if parts[1] == "*":
             return CycleExpression.face(BOTTOM, coeff)
-        return CycleExpression.face(_resolve_element(parts[1], fixture),
-                                    coeff)
-    if kind in ("dia", "diaphragm", "spine", "spi"):
+        try:
+            return CycleExpression.face(fixture.ids[parts[1]], coeff)
+        except KeyError:
+            raise ValidationError("unknown face %r" % (parts[1],)) from None
+    if kind in _KIND_ALIASES:
         if len(parts) == 2:
             name, word = parts[1], ()
         elif len(parts) == 3:
@@ -323,9 +324,8 @@ def _parse_term(chunk, fixture):
             raise ValidationError(
                 "unknown class %r; the fixture defines %s"
                 % (name, _known_handles(fixture))) from None
-        if kind in ("dia", "diaphragm"):
-            return CycleExpression.diaphragm(name, word, coeff)
-        return CycleExpression.spine(name, word, coeff)
+        return CycleExpression([((_KIND_ALIASES[kind], name,
+                                  frozenset(word)), coeff)])
     raise ValidationError(
         "unknown term kind %r; use face, dia, or spine" % (parts[0],))
 
@@ -356,13 +356,6 @@ def _parse_word(text, n):
         raise ValidationError(
             "torus word %r must name distinct axes in 1..%d" % (text, n))
     return axes
-
-
-def _resolve_element(text, fixture):
-    for e in fixture.poset.elements():
-        if str(e) == text:
-            return e
-    raise ValidationError("unknown face %r" % (text,))
 
 
 def _known_handles(fixture):

@@ -3,14 +3,17 @@
 Three shapes of class appear.  Face classes are carried by the closed
 faces of the orbit space and multiply in the quotient of the face ring by
 the linear system, every pair through ``FaceRingQuotient.face_product``.
-The other
-two are named classes living over a geometry table: spines (interior
-cycles of the orbit space swept around by part of the torus) and
-diaphragms (chains leaning on the boundary whose torus directions close
-them up).  Products involving named classes cannot be computed from the
-combinatorics alone, so the table also declares what is known about
-them: explicit pairings, disjointness, and bordism moves that trade a
-diaphragm for a parallel one at the cost of face corrections.
+The other two are named classes living over a geometry table: spines
+(interior cycles of the orbit space swept around by part of the torus)
+and diaphragms (chains leaning on the boundary whose torus directions
+close them up).  Products involving named classes cannot be computed
+from the combinatorics alone, so the table also declares what is known
+about them: explicit pairings, disjointness, and bordism moves that trade
+a diaphragm for a parallel one at the cost of face corrections.
+
+The table is built from ``Handle`` and ``BordismDatum`` objects, whose
+faces are poset elements; ``fixtures.read_geometry`` reads it from the
+geometry block of a fixture file.
 
 The calculator expands products bilinearly and resolves each pair of
 terms by, in order: declared pairing (also looked up in swapped order,
@@ -294,8 +297,6 @@ class GeometryOracle:
     def __init__(self, handles=(), pairings=(), disjoint=(), data=()):
         self.handles = {}
         for h in handles:
-            if not isinstance(h, Handle):
-                h = Handle(**h)
             if h.name in self.handles:
                 raise ValidationError("duplicate class name %r" % h.name)
             self.handles[h.name] = h
@@ -319,8 +320,6 @@ class GeometryOracle:
             self.disjoint.add(frozenset((str(a), str(b))))
         self.data = []
         for d in data:
-            if not isinstance(d, BordismDatum):
-                d = BordismDatum(**d)
             for name in (d.source, d.target):
                 if self.handle(name).kind != DIAPHRAGM:
                     raise ValidationError(
@@ -343,43 +342,6 @@ class GeometryOracle:
     def data_for(self, name):
         name = str(name)
         return [d for d in self.data if d.source == name]
-
-    @classmethod
-    def from_data(cls, data, resolve=None):
-        """Build the table from plain dictionaries, the shape stored in
-        fixture files.  ``resolve`` maps face references in bordism data
-        to poset elements; by default they are taken as given."""
-        if resolve is None:
-            def resolve(x):
-                return x
-        handles = [Handle(c["name"], c["kind"], c["dim"],
-                          [resolve(s) for s in c.get("support", ())])
-                   for c in data.get("classes", ())]
-        pairings = [(p["left"], p["right"],
-                     [(t, c) for t, c in p["result"]])
-                    for p in data.get("pairings", ())]
-        disjoint = [tuple(pair) for pair in data.get("disjoint", ())]
-        moves = []
-        for d in data.get("bordism", ()):
-            chain = d.get("chain")
-            rows = d.get("rows")
-            if chain is not None:
-                chain = {resolve(k): v for k, v in chain.items()}
-            if rows is not None:
-                rows = {_axes_from(k): [(resolve(e), c) for e, c in v]
-                        for k, v in rows.items()}
-            moves.append(BordismDatum(d["source"], d["target"],
-                                      chain=chain, rows=rows))
-        return cls(handles, pairings, disjoint, moves)
-
-
-def _axes_from(obj):
-    if isinstance(obj, int):
-        return frozenset((obj,))
-    if isinstance(obj, str):
-        parts = [p for p in obj.split(",") if p.strip()]
-        return frozenset(int(p) for p in parts)
-    return frozenset(obj)
 
 
 # --- the calculator ------------------------------------------------------

@@ -1,7 +1,10 @@
 """Reading and writing manifold descriptions as JSON fixture files.
 
-A fixture file holds everything needed to rebuild one manifold and,
-optionally, its geometry table for intersection work:
+This module holds the whole file format: ``parse_fixture`` reads and
+checks a fixture and ``fixture_to_data`` writes one; ``read_geometry``
+and ``oracle_to_data`` do the same for the geometry block.  A fixture
+file holds everything needed to rebuild one manifold and, optionally,
+its geometry table for intersection work:
 
     {
       "name": "square_hole",
@@ -15,20 +18,21 @@ optionally, its geometry table for intersection work:
         {"id": "c", "dim": 2, "boundary": [[1, 1], [2, 1], ...]}
       ],
       "orientable": true,
-      "geometry": { ... }
+      "geometry": {"classes": [...], "pairings": [...],
+                   "disjoint": [...], "bordism": [...]}
     }
 
 ``poset.vertices`` lists the walls of the orbit space; ``poset.cells``
 its deeper faces, each with an id and its wall set (cells of rank three
 and up also record their ``faces`` when written out, so that shapes with
 repeated wall sets survive a round trip).  ``lambda`` gives one integer
-row of length ``n`` per wall.  JSON object keys are always strings, so
-keys of ``lambda`` and of bordism chains, and interior-cell boundary
-references, are matched back to declared ids by their string form; mixed
-ids whose string forms collide are rejected, and so is an interior cell
-whose id has the string form of a poset id.  The ``geometry`` block follows
-``cycles.GeometryOracle.from_data``.  Incidence signs are not stored:
-fixtures always use the vertex-order convention.
+row of length ``n`` per wall.  Ids and class names are JSON strings or
+integers, and cells are objects.  JSON object keys are always strings,
+so every face named outside the poset block is matched back to its
+element by its string form, through the one map ``Fixture.ids``; ids
+whose string forms collide are rejected, and so is an interior cell
+whose id has the string form of a poset id.  Incidence signs are not
+stored: fixtures always use the vertex-order convention.
 
 A handful of fixtures ship with the package; ``bundled_names`` lists
 them and ``resolve_fixture`` accepts either a bundled name or a path.
@@ -39,7 +43,8 @@ from importlib import resources
 from pathlib import Path
 
 from ..charmat import CharacteristicMatrix
-from ..cycles import GeometryOracle, IntersectionCalculator
+from ..cycles import (BordismDatum, GeometryOracle, Handle,
+                      IntersectionCalculator)
 from ..errors import ValidationError
 from ..fields import QQ, is_id
 from ..manifold import TorusManifold
@@ -48,11 +53,13 @@ from ..posets import SimplicialPoset
 
 
 class Fixture:
-    """A parsed fixture: the manifold plus its optional geometry table."""
+    """A parsed fixture: the manifold, its elements by the string form of
+    their ids (``ids``), and its optional geometry table."""
 
-    def __init__(self, name, manifold, oracle=None):
+    def __init__(self, name, manifold, ids, oracle=None):
         self.name = name
         self.manifold = manifold
+        self.ids = ids
         self.has_geometry = oracle is not None
         self.oracle = oracle if oracle is not None else GeometryOracle()
 
@@ -114,66 +121,16 @@ def _check_poset_shape(vertices, cells):
                 "ids; got %r" % (index, cell))
 
 
-def _is_pair_list(values):
-    return isinstance(values, list) and all(
-        isinstance(pair, list) and len(pair) == 2 for pair in values)
-
-
-def _check_geometry_shape(geometry, n):
-    """The geometry block is an object whose lists hold the objects and
-    pairs ``GeometryOracle.from_data`` reads, and every bordism row key
-    lists distinct torus axes in 1..n.  Raises a ``ValidationError``
-    naming the class, pairing or move that is not, or its index when its
-    name is missing."""
-    if not isinstance(geometry, dict):
-        raise ValidationError("the geometry block must be an object, got %r"
-                              % (geometry,))
-    lists = {key: geometry.get(key, [])
-             for key in ("classes", "pairings", "disjoint", "bordism")}
-    for key, value in lists.items():
-        if not isinstance(value, list):
-            raise ValidationError("geometry entry %r must be a list, got %r"
-                                  % (key, value))
-    for index, c in enumerate(lists["classes"]):
-        where = "class %s" % (
-            _require(c, "name", object, "geometry class %d" % index),)
-        _require(c, "kind", object, where)
-        _require(c, "dim", object, where)
-        if not _is_id_list(c.get("support", [])):
-            raise ValidationError("%s has support %r, not a list of faces"
-                                  % (where, c["support"]))
-    for index, p in enumerate(lists["pairings"]):
-        at = "geometry pairing %d" % index
-        where = "pairing of %s with %s" % (_require(p, "left", object, at),
-                                           _require(p, "right", object, at))
-        if not _is_pair_list(_require(p, "result", object, where)):
-            raise ValidationError("the result of the %s must be a list of "
-                                  "[class, coefficient] pairs, got %r"
-                                  % (where, p["result"]))
-    if not _is_pair_list(lists["disjoint"]):
-        raise ValidationError("disjoint entries must be pairs of class "
-                              "names, got %r" % (lists["disjoint"],))
-    for index, d in enumerate(lists["bordism"]):
-        at = "bordism move %d" % index
-        where = "bordism move %s -> %s" % (_require(d, "source", object, at),
-                                           _require(d, "target", object, at))
-        chain, rows = d.get("chain", {}), d.get("rows", {})
-        if not (isinstance(chain, dict) and isinstance(rows, dict)
-                and all(map(_is_pair_list, rows.values()))):
+def element_ids(poset):
+    """The elements of ``poset`` keyed by their ids' distinct string forms."""
+    ids = {}
+    for e in poset.elements():
+        key = str(e)
+        if key in ids:
             raise ValidationError(
-                "%s needs a chain object or a rows object of [face, "
-                "coefficient] pairs" % (where,))
-        for key in rows:
-            try:
-                axes = [int(part) for part in str(key).split(",")
-                        if part.strip()]
-            except ValueError:
-                axes = None
-            if (axes is None or len(set(axes)) != len(axes)
-                    or not all(1 <= a <= n for a in axes)):
-                raise ValidationError(
-                    "%s has row key %r, which is not a list of distinct "
-                    "axes in 1..%d" % (where, key, n))
+                "ids %r and %r collide as the string %r" % (ids[key], e, key))
+        ids[key] = e
+    return ids
 
 
 def parse_fixture(data, name=None):
@@ -198,22 +155,14 @@ def parse_fixture(data, name=None):
         raise ValidationError(
             "poset has faces of depth %d but the fixture declares n = %d"
             % (poset.top_rank, n))
-
-    id_map = {}
-    for e in poset.elements():
-        key = str(e)
-        if key in id_map:
-            raise ValidationError(
-                "ids %r and %r collide as the string %r"
-                % (id_map[key], e, key))
-        id_map[key] = e
+    ids = element_ids(poset)
 
     def resolve(ref):
-        return id_map.get(str(ref), ref)
+        return ids.get(str(ref), ref)
 
     lam = _require(data, "lambda", dict, "fixture")
-    rows = {resolve(key): row for key, row in lam.items()}
-    charmat = CharacteristicMatrix(poset, rows)
+    charmat = CharacteristicMatrix(
+        poset, {resolve(key): row for key, row in lam.items()})
 
     interior = data.get("interior_cells", [])
     if not isinstance(interior, list):
@@ -221,14 +170,11 @@ def parse_fixture(data, name=None):
                               "list of cells, got %r" % (interior,))
     interior = [InteriorCell.from_data(cell) for cell in interior]
     for cell in interior:
-        if str(cell.id) in id_map:
+        if str(cell.id) in ids:
             raise ValidationError(
                 "interior cell id %r collides with face %r as the string %r"
-                % (cell.id, id_map[str(cell.id)], str(cell.id)))
-    interior = [InteriorCell(cell.id, cell.dim,
-                             [(resolve(ref), coeff)
-                              for ref, coeff in cell.boundary])
-                for cell in interior]
+                % (cell.id, ids[str(cell.id)], str(cell.id)))
+        cell.boundary = [(resolve(ref), coeff) for ref, coeff in cell.boundary]
     orientable = data.get("orientable", True)
     if not isinstance(orientable, bool):
         raise ValidationError("fixture entry 'orientable' must be true or "
@@ -236,35 +182,10 @@ def parse_fixture(data, name=None):
     corner = CornerComplex(poset, interior, orientable=orientable)
     manifold = TorusManifold(corner, charmat)
 
-    oracle = None
     geometry = data.get("geometry")
-    if geometry is not None:
-        _check_geometry_shape(geometry, n)
-        oracle = GeometryOracle.from_data(geometry, resolve=resolve)
-        _check_geometry_faces(oracle, id_map)
+    oracle = None if geometry is None else read_geometry(geometry, n, ids)
     label = data.get("name") or name or "fixture"
-    return Fixture(label, manifold, oracle)
-
-
-def _check_geometry_faces(oracle, id_map):
-    """Every face a class support, a bordism chain or a bordism row names
-    must be a poset element; ``id_map`` holds the elements by their string
-    form."""
-    for h in oracle.handles.values():
-        for face in h.support:
-            if str(face) not in id_map:
-                raise ValidationError(
-                    "class %s has support face %r, which is not a face of "
-                    "the poset" % (h.name, face))
-    for d in oracle.data:
-        named = list(d.chain or ())
-        for entries in (d.rows or {}).values():
-            named.extend(elt for elt, _ in entries)
-        for face in named:
-            if str(face) not in id_map:
-                raise ValidationError(
-                    "bordism move %s -> %s names %r, which is not a face of "
-                    "the poset" % (d.source, d.target, face))
+    return Fixture(label, manifold, ids, oracle)
 
 
 def fixture_to_data(fixture):
@@ -296,6 +217,110 @@ def fixture_to_data(fixture):
     if fixture.has_geometry:
         data["geometry"] = oracle_to_data(fixture.oracle)
     return data
+
+
+def _name(entry, key, where):
+    name = _require(entry, key, object, where)
+    if not is_id(name):
+        raise ValidationError("%s has %s %r, which is not a string or "
+                              "integer" % (where, key, name))
+    return name
+
+
+def _is_pair_list(values):
+    return isinstance(values, list) and all(
+        isinstance(pair, list) and len(pair) == 2 for pair in values)
+
+
+def _face(ref, ids, where):
+    try:
+        return ids[str(ref)]
+    except KeyError:
+        raise ValidationError("%s %r, which is not a face of the poset"
+                              % (where, ref)) from None
+
+
+def _axes(key, n, where):
+    """The distinct axes in 1..n of a comma-separated ``rows`` key."""
+    try:
+        axes = [int(part) for part in str(key).split(",") if part.strip()]
+    except ValueError:
+        axes = None
+    if (axes is None or len(set(axes)) != len(axes)
+            or not all(1 <= a <= n for a in axes)):
+        raise ValidationError(
+            "%s has row key %r, which is not a list of distinct axes in "
+            "1..%d" % (where, key, n))
+    return frozenset(axes)
+
+
+def read_geometry(geometry, n, ids):
+    """The ``GeometryOracle`` of a fixture's geometry block, read in one
+    pass: each class, pairing, disjoint pair and bordism move is checked
+    as it is read, and every face it names is matched to a poset element
+    through ``ids`` (``element_ids``).  Raises a ``ValidationError`` naming
+    the class, pairing or move that is malformed, or its index when its
+    name is missing or not a string or integer."""
+    if not isinstance(geometry, dict):
+        raise ValidationError("the geometry block must be an object, got %r"
+                              % (geometry,))
+    lists = []
+    for key in ("classes", "pairings", "disjoint", "bordism"):
+        value = geometry.get(key, [])
+        if not isinstance(value, list):
+            raise ValidationError("geometry entry %r must be a list, got %r"
+                                  % (key, value))
+        lists.append(value)
+    classes, pairings, disjoint, moves = lists
+    handles = []
+    for index, c in enumerate(classes):
+        name = _name(c, "name", "geometry class %d" % index)
+        where = "class %s" % (name,)
+        kind = _require(c, "kind", object, where)
+        dim = _require(c, "dim", object, where)
+        support = c.get("support", [])
+        if not _is_id_list(support):
+            raise ValidationError("%s has support %r, not a list of faces"
+                                  % (where, support))
+        handles.append(Handle(name, kind, dim, [
+            _face(face, ids, where + " has support face")
+            for face in support]))
+    pairs = []
+    for index, p in enumerate(pairings):
+        at = "geometry pairing %d" % index
+        left, right = _name(p, "left", at), _name(p, "right", at)
+        where = "pairing of %s with %s" % (left, right)
+        result = _require(p, "result", object, where)
+        if not (_is_pair_list(result)
+                and all(is_id(target) for target, _ in result)):
+            raise ValidationError("the result of the %s must be a list of "
+                                  "[class, coefficient] pairs, got %r"
+                                  % (where, result))
+        pairs.append((left, right, result))
+    if not (_is_pair_list(disjoint)
+            and all(is_id(a) and is_id(b) for a, b in disjoint)):
+        raise ValidationError("disjoint entries must be pairs of class "
+                              "names, got %r" % (disjoint,))
+    data = []
+    for index, d in enumerate(moves):
+        at = "bordism move %d" % index
+        source, target = _name(d, "source", at), _name(d, "target", at)
+        where = "bordism move %s -> %s" % (source, target)
+        chain, rows = d.get("chain", {}), d.get("rows", {})
+        if not (isinstance(chain, dict) and isinstance(rows, dict)
+                and all(map(_is_pair_list, rows.values()))):
+            raise ValidationError(
+                "%s needs a chain object or a rows object of [face, "
+                "coefficient] pairs" % (where,))
+        names = where + " names"
+        chain = ({_face(face, ids, names): c for face, c in chain.items()}
+                 if "chain" in d else None)
+        rows = ({_axes(key, n, where): [(_face(face, ids, names), c)
+                                        for face, c in entries]
+                 for key, entries in rows.items()}
+                if "rows" in d else None)
+        data.append(BordismDatum(source, target, chain, rows))
+    return GeometryOracle(handles, pairs, disjoint, data)
 
 
 def oracle_to_data(oracle):

@@ -51,23 +51,18 @@ class InteriorCell:
 
     @classmethod
     def from_data(cls, data):
-        """A cell from a dict with ``id``, ``dim`` and ``boundary``, or an
-        (id, dim, boundary) triple."""
+        """A cell from a dict with ``id``, ``dim`` and ``boundary``."""
         if isinstance(data, InteriorCell):
             return data
-        if isinstance(data, dict):
-            try:
-                cell_id = data["id"]
-                dim = data["dim"]
-                boundary = data.get("boundary", [])
-            except KeyError as bad:
-                raise ValidationError("interior cell is missing key %s" % bad)
-        elif isinstance(data, (list, tuple)) and len(data) == 3:
-            cell_id, dim, boundary = data
-        else:
+        if not isinstance(data, dict):
             raise ValidationError(
                 "interior cell %r is not an object with id, dim and boundary"
                 % (data,))
+        try:
+            cell_id, dim = data["id"], data["dim"]
+        except KeyError as bad:
+            raise ValidationError("interior cell is missing key %s" % bad)
+        boundary = data.get("boundary", [])
         if not fields.is_id(cell_id):
             raise ValidationError(
                 "interior cell id %r is not a string or integer" % (cell_id,))

@@ -27,7 +27,7 @@ class SimplicialPoset:
     otherwise they are inferred.
     """
 
-    def __init__(self, vertices, cells, check=True):
+    def __init__(self, vertices, cells):
         self._sorted = None
         self._tops_above = None
         self._ver = {BOTTOM: frozenset()}
@@ -63,8 +63,7 @@ class SimplicialPoset:
             for f in self.lower_covers(e):
                 self._covers[f].append(e)
         self._chains = None
-        if check:
-            self.validate()
+        self.validate()
 
     def _add_cell(self, cell):
         eid = cell["id"]

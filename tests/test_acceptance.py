@@ -10,12 +10,11 @@ import json
 import random
 
 from torushom import cli, snf
-from torushom.cycles import (CycleExpression, GeometryOracle,
-                             IntersectionCalculator)
+from torushom.cycles import CycleExpression, IntersectionCalculator
 from torushom.fields import GF, QQ, ZZ
 from torushom.fields import rank as field_rank
 from torushom.fields import row_spaces_equal
-from torushom.fixtures import resolve_fixture
+from torushom.fixtures import element_ids, read_geometry, resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
@@ -176,7 +175,8 @@ def _flipped_annulus(flips):
          "chain": {e: -c if e in flips else c
                    for e, c in {1: 1, 5: 1}.items()}},
     ]
-    calc = IntersectionCalculator(manifold, GeometryOracle.from_data(geometry))
+    calc = IntersectionCalculator(
+        manifold, read_geometry(geometry, 2, element_ids(poset)))
     return manifold, calc
 
 

@@ -342,6 +342,12 @@ class TestCheck:
          "bordism move 0"),
         (lambda d: d["interior_cells"][0].__setitem__("id", "5"),
          "interior cell id '5' collides with face 5"),
+        (lambda d: d["geometry"]["classes"].append(
+            {"name": None, "kind": "spine", "dim": 0}), "geometry class 5"),
+        (lambda d: d["geometry"]["classes"].append(
+            {"name": ["x"], "kind": "spine", "dim": 0}), "geometry class 5"),
+        (lambda d: d["interior_cells"].__setitem__(
+            0, ["estar", 1, [[11, 1], [14, 1]]]), "interior cell"),
     ], ids=["cell-id-list", "cell-id-float", "reference-list",
             "poset-cells-not-a-list", "poset-cell-not-an-object",
             "poset-cell-without-vertices", "poset-cell-id-list",
@@ -350,7 +356,8 @@ class TestCheck:
             "pairing-without-result", "disjoint-triple", "rows-key-x",
             "rows-entry-short", "rows-key-0", "rows-key-3", "rows-key-1-1",
             "chain-not-an-object", "move-without-source",
-            "cell-id-collides-with-wall"])
+            "cell-id-collides-with-wall", "class-named-null",
+            "class-named-list", "cell-as-array"])
     def test_malformed_shapes_exit_one(self, capsys, tmp_path, mutate,
                                        named):
         check_rejects_mutation(capsys, tmp_path, mutate, named)

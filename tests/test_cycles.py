@@ -5,13 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ANNULUS_CELLS, ANNULUS_GEOMETRY
+from conftest import ANNULUS_CELLS, ANNULUS_GEOMETRY, build_annulus_poset
 from torushom.cycles import (BordismDatum, CycleExpression, GeometryOracle,
                              Handle, IntersectionCalculator, dual_axes,
                              format_term, torus_intersect_axes, wedge_axes)
 from torushom.errors import (DegreeOverflowError, MismatchedDatumError,
                              UnresolvableError, ValidationError)
 from torushom.fields import GF, QQ
+from torushom.fixtures import element_ids, read_geometry
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
 from torushom.posets import BOTTOM
@@ -140,7 +141,8 @@ class TestExpression:
 
 class TestGeometryTable:
     def test_from_data_round_trip(self):
-        oracle = GeometryOracle.from_data(ANNULUS_GEOMETRY)
+        oracle = read_geometry(ANNULUS_GEOMETRY, 2,
+                               element_ids(build_annulus_poset()))
         assert set(oracle.handles) == {"eta", "pt", "L", "Lp", "Lpp"}
         assert oracle.handle("L").support == frozenset({1, 4, 5, 7})
         assert oracle.handle("eta").kind == "spine"
@@ -237,12 +239,13 @@ class TestBordismDatum:
 
 @pytest.fixture
 def annulus_calc(annulus_manifold):
-    oracle = GeometryOracle.from_data(ANNULUS_GEOMETRY)
+    oracle = read_geometry(ANNULUS_GEOMETRY, 2,
+                           element_ids(annulus_manifold.poset))
     return IntersectionCalculator(annulus_manifold, oracle)
 
 
 def _calc_over(manifold, field, max_depth=4):
-    oracle = GeometryOracle.from_data(ANNULUS_GEOMETRY)
+    oracle = read_geometry(ANNULUS_GEOMETRY, 2, element_ids(manifold.poset))
     return IntersectionCalculator(manifold, oracle, field=field,
                                   max_depth=max_depth)
 
@@ -486,8 +489,9 @@ class TestConventionInvariance:
              "rows": {"1": [[4, -1], [7, 5]], "2": [[4, 3], [7, -3]]}},
             {"source": "L", "target": "Lpp", "chain": {1: -1, 5: -1}},
         ]
-        calc = IntersectionCalculator(annulus_manifold,
-                                      GeometryOracle.from_data(geometry))
+        calc = IntersectionCalculator(
+            annulus_manifold,
+            read_geometry(geometry, 2, element_ids(annulus_manifold.poset)))
         z = calc.intersect(CycleExpression.diaphragm("L", (1,)),
                            CycleExpression.diaphragm("L", (2,)))
         assert calc.magnitude(z) == 9
@@ -518,8 +522,8 @@ class TestConventionInvariance:
              "chain": {e: -c if e in flips else c
                        for e, c in {1: 1, 5: 1}.items()}},
         ]
-        calc = IntersectionCalculator(flipped,
-                                      GeometryOracle.from_data(geometry))
+        calc = IntersectionCalculator(
+            flipped, read_geometry(geometry, 2, element_ids(annulus_poset)))
         z = calc.intersect(CycleExpression.diaphragm("L", (1,)),
                            CycleExpression.diaphragm("L", (2,)))
         assert calc.magnitude(z) == 9

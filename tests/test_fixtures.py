@@ -1,12 +1,13 @@
 """Fixture files: parsing, bundled data, and round trips."""
 
+import copy
 import json
 
 import pytest
 
 from torushom import fixtures
 from torushom.cycles import CycleExpression
-from torushom.errors import ValidationError
+from torushom.errors import TorushomError, ValidationError
 from torushom.fields import QQ
 
 
@@ -209,3 +210,41 @@ class TestParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             fixtures.load_fixture(tmp_path / "absent.json")
+
+
+def _paths(value, path=()):
+    """The path to every value inside plain JSON data, containers too."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield path + (key,)
+        yield from _paths(inner, path + (key,))
+
+
+def test_every_single_value_mutation_loads_or_is_rejected():
+    """Each value of square_hole, at every path, replaced by each of a few
+    values of other JSON types: the fixture either loads or is rejected
+    with a ``TorushomError``, never another exception."""
+    base = json.loads(fixtures.dumps_fixture(
+        fixtures.resolve_fixture("square_hole")))
+    paths = list(_paths(base))
+    assert len(paths) == 186
+    escaped = []
+    for path in paths:
+        for value in (None, 1.5, True, "x", [], {}, [[1]], -1, 0):
+            data = copy.deepcopy(base)
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            try:
+                fixtures.parse_fixture(data)
+            except TorushomError:
+                pass
+            except Exception as exc:
+                escaped.append((path, value, repr(exc)))
+    assert escaped == []
