@@ -6,11 +6,19 @@ Over Z a group takes two Smith forms: the one of the boundary into the
 degree gives the torsion, and the kernel of the boundary out of it on the
 rest of that form's basis gives the free part (see ``_homology_int``).
 
+Over a field dim H_k = dim C_k - rank d_k - rank d_{k+1}, each rank read
+off one ``fields.Echelon`` of the rows of d_k, kept per (k, field) and
+shared by degrees k and k-1.  Representatives are built from the kernel
+of that echelon on the first read (``_field_generators``).
+
 A complex is not changed after construction, so ``ChainComplex.homology``
 computes each (degree, coefficients) group once and hands the same
 ``HomologyGroup`` to every later caller: treat groups and their generator
 lists as read-only.
 """
+
+from functools import partial
+from itertools import islice
 
 from . import fields, snf
 from .errors import ValidationError
@@ -24,7 +32,9 @@ class HomologyGroup:
     ``torsion`` (each dividing the next).  Over a field the group is a vector
     space, ``torsion`` is empty and ``free_rank`` is its dimension.
     Generator vectors are coordinate lists over the degree basis, readable
-    through ``labels``.  Groups are shared through the homology cache of
+    through ``labels``.  ``free_generators`` may be given as a function,
+    called on the first read and never by ``rank``, ``describe`` or
+    ``is_trivial``.  Groups are shared through the homology cache of
     their complex, so callers must not modify them.
     """
 
@@ -32,10 +42,16 @@ class HomologyGroup:
                  labels, coeffs):
         self.free_rank = free_rank
         self.torsion = list(torsion)
-        self.free_generators = free_generators
+        self._free_generators = free_generators
         self.torsion_generators = torsion_generators
         self.labels = labels
         self.coeffs = coeffs
+
+    @property
+    def free_generators(self):
+        if callable(self._free_generators):
+            self._free_generators = self._free_generators()
+        return self._free_generators
 
     @property
     def rank(self):
@@ -59,8 +75,14 @@ class HomologyGroup:
         return "<HomologyGroup %s>" % self.describe()
 
 
-def _zero_group(labels, coeffs):
-    return HomologyGroup(0, [], [], [], labels, coeffs)
+def _field_generators(lower, upper, n, field, rank):
+    """The first ``rank`` kernel vectors of ``lower``, the echelon of d_k,
+    independent of the columns of ``upper`` = d_{k+1} and of each other.
+    It takes no complex, so a group never refers to its complex, and
+    refcounting alone frees a dropped one."""
+    span = fields.Echelon(field, zip(*upper))
+    return list(islice((lower.dense(w, d, n) for w, d in lower.kernel(n)
+                        if span.add_sparse(w)), rank))
 
 
 class ChainComplex:
@@ -81,6 +103,7 @@ class ChainComplex:
                 continue
             self.boundaries[k] = [list(row) for row in mat]
         self._homology = {}
+        self._echelons = {}
         if check:
             self.validate()
 
@@ -128,10 +151,7 @@ class ChainComplex:
         key = (k, coeffs)
         group = self._homology.get(key)
         if group is None:
-            labels = self.basis(k)
-            if not labels:
-                group = _zero_group(labels, coeffs)
-            elif coeffs is ZZ:
+            if coeffs is ZZ:
                 group = self._homology_int(k)
             else:
                 fields.require_field(coeffs)
@@ -185,17 +205,19 @@ class ChainComplex:
         return HomologyGroup(len(free_gens), [f for f, _ in torsion_gens],
                              free_gens, torsion_gens, labels, ZZ)
 
-    def _homology_field(self, k, field):
-        labels = self.basis(k)
-        n = len(labels)
-        if self.dim(k - 1):
-            kernel = fields.nullspace(self.boundary_matrix(k), field)
-        else:
-            kernel = [[field.one if i == j else field.zero for i in range(n)]
-                      for j in range(n)]
-        if not kernel:
-            return _zero_group(labels, field)
-        span = fields.Echelon(field, zip(*self.boundary_matrix(k + 1)))
-        reps = [v for v in kernel if span.add(v)]
-        return HomologyGroup(len(reps), [], reps, [], labels, field)
+    def _echelon(self, k, field):
+        """The rows of d_k in echelon form over ``field``, kept."""
+        key = (k, field)
+        if key not in self._echelons:
+            self._echelons[key] = fields.Echelon(
+                field, self.boundaries.get(k, ()))
+        return self._echelons[key]
 
+    def _homology_field(self, k, field):
+        n = self.dim(k)
+        lower = self._echelon(k, field)
+        rank = n - len(lower) - len(self._echelon(k + 1, field))
+        upper = self.boundaries.get(k + 1, ())
+        gens = partial(_field_generators, lower, upper, n, field,
+                       rank) if rank else []
+        return HomologyGroup(rank, [], gens, [], self.basis(k), field)

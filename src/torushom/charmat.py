@@ -22,6 +22,7 @@ class CharacteristicMatrix:
         self.poset = poset
         self.n = poset.top_rank
         self.rows = {}
+        self._minors = {}  # k -> [(sorted axes, [c(g, axes) per g])]
         for v in poset.vertices():
             if v not in rows:
                 raise ValidationError("no row for vertex %r" % (v,))
@@ -115,19 +116,24 @@ class CharacteristicMatrix:
         the rank-k elements in ``poset.elements_of_rank(k)`` order.  Each
         chain gives one row per axis subset A of size n-k, in
         ``axis_subsets`` order, whose g-entry is chain[g] * c(g, A) in
-        ``coeffs``; its label is (label, sorted A).  Each coefficient
-        c(g, A) is computed once per call.  Returns the rows and labels.
+        ``coeffs``; its label is (label, sorted A).  Only nonzero chain
+        entries are visited, and the integers c(g, A) are kept per k on
+        the matrix, which does not change.  Returns the rows and labels.
         """
-        gens = self.poset.elements_of_rank(k)
-        axes_list = self.axis_subsets(self.n - k)
-        minors = [[coeffs.from_int(self.c_coefficient(g, axes))
-                   for g in gens] for axes in axes_list]
+        if k not in self._minors:
+            gens = self.poset.elements_of_rank(k)
+            self._minors[k] = [(tuple(sorted(axes)),
+                                [self.c_coefficient(g, axes) for g in gens])
+                               for axes in self.axis_subsets(self.n - k)]
         rows, labels = [], []
         for label, chain in chains:
-            chain = [lift(z, coeffs) for z in chain]
-            for axes, column in zip(axes_list, minors):
-                rows.append([coeffs.mul(z, c) for z, c in zip(chain, column)])
-                labels.append((label, tuple(sorted(axes))))
+            support = [(g, lift(z, coeffs)) for g, z in enumerate(chain) if z]
+            for axes, minors in self._minors[k]:
+                row = [coeffs.zero] * len(minors)
+                for g, z in support:
+                    row[g] = coeffs.mul(z, coeffs.from_int(minors[g]))
+                rows.append(row)
+                labels.append((label, axes))
         return rows, labels
 
     def __repr__(self):

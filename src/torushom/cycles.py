@@ -291,41 +291,53 @@ class GeometryOracle:
     ``(target, coeff)`` classes their bodies intersect in; an empty list
     is a declaration that they meet in nothing.  ``disjoint`` lists
     unordered pairs with disjoint bodies.  ``data`` lists the bordism
-    moves.
+    moves.  Entries can also be added one by one (``add_*``), classes first.
     """
 
     def __init__(self, handles=(), pairings=(), disjoint=(), data=()):
         self.handles = {}
-        for h in handles:
-            if h.name in self.handles:
-                raise ValidationError("duplicate class name %r" % h.name)
-            self.handles[h.name] = h
         self.pairings = {}
-        for left, right, result in pairings:
-            self.handle(left)
-            self.handle(right)
-            entry = []
-            for target, coeff in result:
-                self.handle(target)
-                if not is_int(coeff):
-                    raise ValidationError(
-                        "pairing of %s with %s has coefficient %r, which is "
-                        "not an integer" % (left, right, coeff))
-                entry.append((str(target), coeff))
-            self.pairings[(str(left), str(right))] = entry
         self.disjoint = set()
-        for a, b in disjoint:
-            self.handle(a)
-            self.handle(b)
-            self.disjoint.add(frozenset((str(a), str(b))))
         self.data = []
+        for h in handles:
+            self.add_class(h)
+        for left, right, result in pairings:
+            self.add_pairing(left, right, result)
+        for a, b in disjoint:
+            self.add_disjoint(a, b)
         for d in data:
-            for name in (d.source, d.target):
-                if self.handle(name).kind != DIAPHRAGM:
-                    raise ValidationError(
-                        "bordism move names %r, which is not a diaphragm"
-                        % (name,))
-            self.data.append(d)
+            self.add_move(d)
+
+    def add_class(self, h):
+        if h.name in self.handles:
+            raise ValidationError("duplicate class name %r" % h.name)
+        self.handles[h.name] = h
+
+    def add_pairing(self, left, right, result):
+        self.handle(left)
+        self.handle(right)
+        entry = []
+        for target, coeff in result:
+            self.handle(target)
+            if not is_int(coeff):
+                raise ValidationError(
+                    "pairing of %s with %s has coefficient %r, which is "
+                    "not an integer" % (left, right, coeff))
+            entry.append((str(target), coeff))
+        self.pairings[(str(left), str(right))] = entry
+
+    def add_disjoint(self, a, b):
+        self.handle(a)
+        self.handle(b)
+        self.disjoint.add(frozenset((str(a), str(b))))
+
+    def add_move(self, d):
+        for name in (d.source, d.target):
+            if self.handle(name).kind != DIAPHRAGM:
+                raise ValidationError(
+                    "bordism move names %r, which is not a diaphragm"
+                    % (name,))
+        self.data.append(d)
 
     def handle(self, name):
         try:

@@ -20,6 +20,10 @@ made only where values are read: ``rref`` (an ``Echelon`` built from
 rows), ``Echelon.reduce`` and the answers of ``nullspace`` and
 ``solve_all``, read off the sparse rows.
 
+``Echelon.kernel`` is the one kernel reader: integer vectors with a
+denominator, which ``nullspace`` makes field vectors and field homology
+tests as they are, making field values only of the ones it keeps.
+
 ``solve_all`` solves one matrix against many right-hand sides with a
 single elimination of [A | b_1 ... b_m]; ``solve`` is its one-vector case.
 """
@@ -210,22 +214,12 @@ def rank(rows, field):
 
 def nullspace(rows, field):
     """Basis of the right kernel {v : rows @ v = 0}, as a list of vectors:
-    one per free column, read off the rows of the echelon form, each
-    divided by the negative of its pivot entry."""
+    one per free column, read off the echelon form by ``Echelon.kernel``."""
     if not rows:
         return []
     echelon = Echelon(field, rows)
-    ncols = echelon.width
-    basis = {}  # free column -> its kernel vector, in column order
-    for fc in range(ncols):
-        if fc not in echelon._rows:
-            basis[fc] = [field.zero] * ncols
-            basis[fc][fc] = field.one
-    for pc, row in echelon._rows.items():
-        for c, x in echelon._values(row, -row[pc]).items():
-            if c != pc:
-                basis[c][pc] = x
-    return list(basis.values())
+    width = echelon.width
+    return [echelon.dense(w, d, width) for w, d in echelon.kernel(width)]
 
 
 def solve_all(rows, bs, field):
@@ -275,12 +269,12 @@ class Echelon:
     Vectors come in as dense lists of ints or field elements (``reduce``,
     ``contains``, ``add``), all of the width of the first row added
     (``ValueError`` otherwise), or as {column: nonzero field element}
-    (``reduce_sparse``, ``contains_sparse``), where over Q ints count as
-    field elements.  Over Q their denominators are cleared by their lcm,
-    so the elimination is plain integer arithmetic on nonzero entries, and
-    ``Fraction``s are made only where values are read: the output of
-    ``reduce`` and ``reduce_sparse``, ``rows``, and the answers of
-    ``nullspace`` and ``solve_all``.
+    (``*_sparse``), where over Q ints count as field elements and over
+    GF(p) the elements are residues.  Over Q their denominators are
+    cleared by their lcm, so the elimination is plain integer arithmetic
+    on nonzero entries, and ``Fraction``s are made only where values are
+    read (``dense``): the output of ``reduce`` and ``reduce_sparse``,
+    ``rows``, and the answers of ``nullspace`` and ``solve_all``.
 
     ``add`` keeps a vector when it is independent of the rows so far and
     reports whether it was; testing a stack of vectors one by one this
@@ -308,13 +302,8 @@ class Echelon:
     @property
     def rows(self):
         if self._dense is None:
-            self._dense = []
-            for pc in self.pivots:
-                row = self._rows[pc]
-                dense = [self.field.zero] * self.width
-                for c, x in self._values(row, row[pc]).items():
-                    dense[c] = x
-                self._dense.append(dense)
+            self._dense = [self.dense(self._rows[pc], self._rows[pc][pc],
+                                      self.width) for pc in self.pivots]
         return self._dense
 
     def _sparse(self, vec):
@@ -415,11 +404,34 @@ class Echelon:
             return {j: Fraction(x) for j, x in w.items()}
         return {j: Fraction(x, d) for j, x in w.items()}
 
+    def dense(self, w, d, width):
+        """The field values w/d of the ints of w as a dense list."""
+        out = [self.field.zero] * width
+        for j, x in self._values(w, d).items():
+            out[j] = x
+        return out
+
+    def kernel(self, width):
+        """The right kernel in ``width`` columns, a vector per free column
+        in column order, as (w, d) with w/d the vector (read by ``dense``):
+        w a {column: nonzero int} in the form ``add_sparse`` takes."""
+        rows = self._rows
+        entries = {c: {} for c in range(width) if c not in rows}
+        for pc, row in rows.items():
+            for c, x in row.items():
+                if c != pc:
+                    entries[c][pc] = x
+        p = self._modulus
+        for c, column in entries.items():
+            d = lcm(*[rows[pc][pc] for pc in column])  # one over GF(p)
+            w = {pc: -x * (d // rows[pc][pc]) for pc, x in column.items()}
+            w[c] = d
+            yield (w if p is None else {j: x % p for j, x in w.items()}), d
+
     def reduce_sparse(self, v):
         """v, given as {column: nonzero value}, with the pivot columns
         cleared, in the same form; v is not modified."""
-        w, d = self._reduce(v)
-        return self._values(w, d)
+        return self._values(*self._reduce(v))
 
     def contains_sparse(self, v):
         """Whether v, given as {column: nonzero value}, lies in the row
@@ -427,18 +439,19 @@ class Echelon:
         return not self._reduce(v)[0]
 
     def reduce(self, vec):
-        out = [self.field.zero] * len(vec)
-        for j, x in self.reduce_sparse(self._sparse(vec)).items():
-            out[j] = x
-        return out
+        return self.dense(*self._reduce(self._sparse(vec)), len(vec))
 
     def contains(self, vec):
         return self.contains_sparse(self._sparse(vec))
 
     def add(self, vec):
-        w, _ = self._reduce(self._sparse(vec))
-        if self.width is None:
-            self.width = len(vec)
+        v = self._sparse(vec)  # checks the width once it is set
+        self.width = len(vec)
+        return self.add_sparse(v)
+
+    def add_sparse(self, v):
+        """``add`` for v given as {column: nonzero value}."""
+        w, _ = self._reduce(v)
         if not w:
             return False
         pc = min(w)

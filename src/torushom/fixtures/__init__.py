@@ -39,6 +39,7 @@ them and ``resolve_fixture`` accepts either a bundled name or a path.
 """
 
 import json
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -168,7 +169,8 @@ def parse_fixture(data, name=None):
     if not isinstance(interior, list):
         raise ValidationError("fixture entry 'interior_cells' must be a "
                               "list of cells, got %r" % (interior,))
-    interior = [InteriorCell.from_data(cell) for cell in interior]
+    interior = [InteriorCell.from_data(cell, index)
+                for index, cell in enumerate(interior)]
     for cell in interior:
         if str(cell.id) in ids:
             raise ValidationError(
@@ -254,6 +256,17 @@ def _axes(key, n, where):
     return frozenset(axes)
 
 
+@contextmanager
+def _naming(where):
+    """Names the entry ``where`` in a ``ValidationError`` raised inside."""
+    try:
+        yield
+    except ValidationError as exc:
+        if str(exc).startswith(where):
+            raise
+        raise ValidationError("%s: %s" % (where, exc)) from None
+
+
 def read_geometry(geometry, n, ids):
     """The ``GeometryOracle`` of a fixture's geometry block, read in one
     pass: each class, pairing, disjoint pair and bordism move is checked
@@ -272,7 +285,7 @@ def read_geometry(geometry, n, ids):
                                   % (key, value))
         lists.append(value)
     classes, pairings, disjoint, moves = lists
-    handles = []
+    oracle = GeometryOracle()
     for index, c in enumerate(classes):
         name = _name(c, "name", "geometry class %d" % index)
         where = "class %s" % (name,)
@@ -282,10 +295,10 @@ def read_geometry(geometry, n, ids):
         if not _is_id_list(support):
             raise ValidationError("%s has support %r, not a list of faces"
                                   % (where, support))
-        handles.append(Handle(name, kind, dim, [
-            _face(face, ids, where + " has support face")
-            for face in support]))
-    pairs = []
+        support = [_face(face, ids, where + " has support face")
+                   for face in support]
+        with _naming(where):
+            oracle.add_class(Handle(name, kind, dim, support))
     for index, p in enumerate(pairings):
         at = "geometry pairing %d" % index
         left, right = _name(p, "left", at), _name(p, "right", at)
@@ -296,12 +309,15 @@ def read_geometry(geometry, n, ids):
             raise ValidationError("the result of the %s must be a list of "
                                   "[class, coefficient] pairs, got %r"
                                   % (where, result))
-        pairs.append((left, right, result))
+        with _naming(where):
+            oracle.add_pairing(left, right, result)
     if not (_is_pair_list(disjoint)
             and all(is_id(a) and is_id(b) for a, b in disjoint)):
         raise ValidationError("disjoint entries must be pairs of class "
                               "names, got %r" % (disjoint,))
-    data = []
+    for a, b in disjoint:
+        with _naming("disjoint pair %s, %s" % (a, b)):
+            oracle.add_disjoint(a, b)
     for index, d in enumerate(moves):
         at = "bordism move %d" % index
         source, target = _name(d, "source", at), _name(d, "target", at)
@@ -319,8 +335,9 @@ def read_geometry(geometry, n, ids):
                                         for face, c in entries]
                  for key, entries in rows.items()}
                 if "rows" in d else None)
-        data.append(BordismDatum(source, target, chain, rows))
-    return GeometryOracle(handles, pairs, disjoint, data)
+        with _naming(where):
+            oracle.add_move(BordismDatum(source, target, chain, rows))
+    return oracle
 
 
 def oracle_to_data(oracle):

@@ -50,8 +50,9 @@ class InteriorCell:
         self.boundary = list(boundary)
 
     @classmethod
-    def from_data(cls, data):
-        """A cell from a dict with ``id``, ``dim`` and ``boundary``."""
+    def from_data(cls, data, index):
+        """A cell from a dict with ``id``, ``dim`` and ``boundary``, entry
+        ``index`` of a list of cells."""
         if isinstance(data, InteriorCell):
             return data
         if not isinstance(data, dict):
@@ -61,7 +62,9 @@ class InteriorCell:
         try:
             cell_id, dim = data["id"], data["dim"]
         except KeyError as bad:
-            raise ValidationError("interior cell is missing key %s" % bad)
+            named = " (id %r)" % (data["id"],) if "id" in data else ""
+            raise ValidationError("interior cell %d%s is missing key %s"
+                                  % (index, named, bad)) from None
         boundary = data.get("boundary", [])
         if not fields.is_id(cell_id):
             raise ValidationError(
@@ -110,8 +113,8 @@ class CornerComplex:
             self._face_dim[e] = self.n - poset.rank(e)
         self.interior = []
         self._interior = {}
-        for data in interior_cells:
-            cell = InteriorCell.from_data(data)
+        for index, data in enumerate(interior_cells):
+            cell = InteriorCell.from_data(data, index)
             if cell.id in self._face_dim or cell.id is BOTTOM:
                 raise ValidationError(
                     "interior cell id %r collides with a poset element" % (cell.id,))

@@ -127,6 +127,8 @@ def test_push_computes_each_coefficient_once(example_file, monkeypatch,
     assert len(counts) >= 3  # first kind, second kind, socle placement
     for per_call in counts:
         assert not per_call or max(per_call.values()) == 1
+    # the coefficients are kept per rank on the matrix, across pushes
+    assert max(sum(counts, Counter()).values()) == 1
     assert sum(sum(c.values()) for c in counts) <= 276
 
 

@@ -348,6 +348,26 @@ class TestCheck:
             {"name": ["x"], "kind": "spine", "dim": 0}), "geometry class 5"),
         (lambda d: d["interior_cells"].__setitem__(
             0, ["estar", 1, [[11, 1], [14, 1]]]), "interior cell"),
+        (lambda d: d["interior_cells"][1].pop("dim"),
+         "interior cell 1 (id 'c') is missing key 'dim'"),
+        (lambda d: d["interior_cells"][0].pop("id"),
+         "interior cell 0 is missing key 'id'"),
+        (lambda d: d["geometry"]["classes"][2].__setitem__("kind", "ribbon"),
+         "class L: unknown class kind 'ribbon'"),
+        (lambda d: d["geometry"]["classes"][2].__setitem__("dim", -1),
+         "class L: class dimension must be a nonnegative integer, got -1"),
+        (lambda d: d["geometry"]["classes"][3].__setitem__("name", "L"),
+         "class L: duplicate class name 'L'"),
+        (lambda d: d["geometry"]["bordism"][1]["chain"].__setitem__(
+            "1", 1.5),
+         "bordism move L -> Lpp: chain coefficient 1.5 is not an integer"),
+        (lambda d: d["geometry"]["bordism"][0].__setitem__("target", "eta"),
+         "bordism move L -> eta: bordism move names 'eta', which is not a "
+         "diaphragm"),
+        (lambda d: d["geometry"]["pairings"][0].__setitem__("left", "ghost"),
+         "pairing of ghost with L: unknown class name 'ghost'"),
+        (lambda d: d["geometry"]["disjoint"].__setitem__(0, ["Lp", "ghost"]),
+         "disjoint pair Lp, ghost: unknown class name 'ghost'"),
     ], ids=["cell-id-list", "cell-id-float", "reference-list",
             "poset-cells-not-a-list", "poset-cell-not-an-object",
             "poset-cell-without-vertices", "poset-cell-id-list",
@@ -357,7 +377,11 @@ class TestCheck:
             "rows-entry-short", "rows-key-0", "rows-key-3", "rows-key-1-1",
             "chain-not-an-object", "move-without-source",
             "cell-id-collides-with-wall", "class-named-null",
-            "class-named-list", "cell-as-array"])
+            "class-named-list", "cell-as-array", "cell-without-dim",
+            "cell-without-id", "class-kind-ribbon", "class-dim-negative",
+            "class-name-duplicate", "chain-coefficient-float",
+            "move-to-a-spine", "pairing-unknown-name",
+            "disjoint-unknown-name"])
     def test_malformed_shapes_exit_one(self, capsys, tmp_path, mutate,
                                        named):
         check_rejects_mutation(capsys, tmp_path, mutate, named)
