@@ -2,6 +2,13 @@
 over Z, Q, or a prime field.  Integer homology comes with representative
 cycles for both free and torsion generators.
 
+Every boundary of the package is built here, in one form: a complex takes
+its bases and the boundary terms of each cell, and keeps each boundary as
+sparse columns {row index: int}, since cellular boundaries are mostly
+zeros (as in Dumas, Heckenbach, Saunders and Welker, 2003).  The echelons,
+the cycle test, the images of the Smith basis and ``validate`` read the
+columns; the Smith form takes the dense ``boundary_matrix``.
+
 Over Z a group takes two Smith forms: the one of the boundary into the
 degree gives the torsion, and the kernel of the boundary out of it on the
 rest of that form's basis gives the free part (see ``_homology_int``).
@@ -77,10 +84,12 @@ class HomologyGroup:
 
 def _field_generators(lower, upper, n, field, rank):
     """The first ``rank`` kernel vectors of ``lower``, the echelon of d_k,
-    independent of the columns of ``upper`` = d_{k+1} and of each other.
+    independent of ``upper``, the columns of d_{k+1}, and of each other.
     It takes no complex, so a group never refers to its complex, and
     refcounting alone frees a dropped one."""
-    span = fields.Echelon(field, zip(*upper))
+    span = fields.Echelon(field)
+    for column in upper:
+        span.add_sparse(column)
     return list(islice((lower.dense(w, d, n) for w, d in lower.kernel(n)
                         if span.add_sparse(w)), rank))
 
@@ -88,20 +97,36 @@ def _field_generators(lower, upper, n, field, rank):
 class ChainComplex:
     """A bounded complex of finitely generated free Z-modules.
 
-    ``bases`` maps a degree to the list of labels of its basis elements.
-    ``boundaries`` maps degree k to the matrix of the boundary map from
-    degree k to degree k-1: rows are indexed by the (k-1)-basis, columns by
-    the k-basis.  Degrees may be any integers (degree -1 is used for
-    augmented complexes).
+    ``bases`` maps a degree to the list of labels of its basis elements,
+    and ``terms(cell)`` gives the boundary of a cell as (cell, integer
+    coefficient) pairs.  Terms on cells outside the basis one degree down
+    are dropped, so a quotient (a pair, a link) is given by the bases of
+    the cells it keeps.  Degrees may be any integers (degree -1 is used
+    for augmented complexes).
+
+    ``boundaries`` maps each degree k whose bases k and k-1 are nonempty
+    to d_k as sparse columns, one {row index: nonzero int} per k-cell
+    with its rows in increasing order, so equal boundaries have equal
+    reprs.  ``boundary_matrix`` is the dense view.
     """
 
-    def __init__(self, bases, boundaries, check=True):
+    def __init__(self, bases, terms, check=True):
         self.bases = {k: list(v) for k, v in bases.items() if v}
         self.boundaries = {}
-        for k, mat in boundaries.items():
-            if not mat or not any(len(row) for row in mat):
+        for k, cells in self.bases.items():
+            if k - 1 not in self.bases:
                 continue
-            self.boundaries[k] = [list(row) for row in mat]
+            index = {c: i for i, c in enumerate(self.bases[k - 1])}
+            columns = []
+            for cell in cells:
+                column = {}
+                for ref, x in terms(cell):
+                    i = index.get(ref)
+                    if i is not None:
+                        column[i] = column.get(i, 0) + x
+                columns.append({i: column[i] for i in sorted(column)
+                                if column[i]})
+            self.boundaries[k] = columns
         self._homology = {}
         self._echelons = {}
         if check:
@@ -117,33 +142,42 @@ class ChainComplex:
         return len(self.bases.get(k, []))
 
     def boundary_matrix(self, k):
-        """Matrix of the boundary from degree k to degree k-1."""
-        rows = self.dim(k - 1)
-        cols = self.dim(k)
-        mat = self.boundaries.get(k)
-        if mat is None:
-            return [[0] * cols for _ in range(rows)]
+        """Matrix of the boundary from degree k to degree k-1, dense: a
+        fresh list of rows indexed by the (k-1)-basis."""
+        mat = [[0] * self.dim(k) for _ in range(self.dim(k - 1))]
+        for j, column in enumerate(self.boundaries.get(k, ())):
+            for i, x in column.items():
+                mat[i][j] = x
         return mat
 
     def validate(self):
-        for k, mat in self.boundaries.items():
-            rows = self.dim(k - 1)
-            cols = self.dim(k)
-            if len(mat) != rows or any(len(r) != cols for r in mat):
-                raise ValidationError(
-                    "boundary matrix at degree %d has shape %dx%d, expected %dx%d"
-                    % (k, len(mat), len(mat[0]) if mat else 0, rows, cols))
-        for k in list(self.boundaries):
-            if k - 1 in self.boundaries:
-                prod = snf.int_mat_mul(self.boundaries[k - 1], self.boundaries[k])
-                if any(any(row) for row in prod):
+        """Raises unless the boundary squares to zero, composed column by
+        column."""
+        for k, columns in self.boundaries.items():
+            lower = self.boundaries.get(k - 1)
+            if lower is None:
+                continue
+            for column in columns:
+                out = {}
+                for i, x in column.items():
+                    for h, y in lower[i].items():
+                        out[h] = out.get(h, 0) + x * y
+                if any(out.values()):
                     raise ValidationError(
                         "boundary squared is nonzero between degrees %d and %d"
                         % (k, k - 2))
         return self
 
-    def boundary_of(self, k, vec):
-        return snf.int_mat_vec(self.boundary_matrix(k), vec)
+    def boundary_of(self, k, vec, coeffs=ZZ):
+        """The boundary of the degree-k chain ``vec``, a coordinate list
+        over ``basis(k)`` with values in ``coeffs``, as a coordinate list
+        over ``basis(k - 1)``."""
+        out = [coeffs.zero] * self.dim(k - 1)
+        for value, column in zip(vec, self.boundaries.get(k, ())):
+            if value:
+                for i, x in column.items():
+                    out[i] = coeffs.add(out[i], coeffs.mul(value, x))
+        return out
 
     def homology(self, k, coeffs=ZZ):
         """Homology in degree k, computed once per (k, coeffs) and shared
@@ -167,11 +201,11 @@ class ChainComplex:
         sparse w_i go through the sparse columns of the boundary."""
         labels = self.basis(k)
         n = len(labels)
-        upper = self.boundaries.get(k + 1)
-        if upper is None:
-            factors, basis = [], [{i: 1} for i in range(n)]
+        if k + 1 in self.boundaries:
+            factors, _, _, basis = snf.smith_normal_form(
+                self.boundary_matrix(k + 1))
         else:
-            factors, _, _, basis = snf.smith_normal_form(upper)
+            factors, basis = [], [{i: 1} for i in range(n)]
         s = len(factors)
 
         def chain(weights, columns):
@@ -185,15 +219,10 @@ class ChainComplex:
         if lower is None:
             free_gens = [chain([1], [w]) for w in basis[s:]]
         else:
-            cols = [{} for _ in range(n)]
-            for i, row in enumerate(lower):
-                for j, x in enumerate(row):
-                    if x:
-                        cols[j][i] = x
-            images = [[0] * n for _ in lower]
+            images = [[0] * n for _ in range(self.dim(k - 1))]
             for t, w in enumerate(basis):
                 for j, q in w.items():
-                    for i, x in cols[j].items():
+                    for i, x in lower[j].items():
                         images[i][t] += q * x
             if any(any(row[:s]) for row in images):
                 raise ValidationError(
@@ -206,11 +235,17 @@ class ChainComplex:
                              free_gens, torsion_gens, labels, ZZ)
 
     def _echelon(self, k, field):
-        """The rows of d_k in echelon form over ``field``, kept."""
+        """The rows of d_k in echelon form over ``field``, kept: the
+        columns are transposed once into sparse rows."""
         key = (k, field)
         if key not in self._echelons:
-            self._echelons[key] = fields.Echelon(
-                field, self.boundaries.get(k, ()))
+            rows = [{} for _ in range(self.dim(k - 1))]
+            for j, column in enumerate(self.boundaries.get(k, ())):
+                for i, x in column.items():
+                    rows[i][j] = x
+            echelon = self._echelons[key] = fields.Echelon(field)
+            for row in rows:
+                echelon.add_sparse(row)
         return self._echelons[key]
 
     def _homology_field(self, k, field):

@@ -352,7 +352,9 @@ def _parse_word(text, n):
         axes = tuple(int(p) for p in pieces)
     except ValueError:
         raise ValidationError("bad torus word %r" % (text,)) from None
-    if len(set(axes)) != len(axes) or not all(1 <= a <= n for a in axes):
+    # the bare "e" names no axis; the empty word is spelled e0
+    if (not axes or len(set(axes)) != len(axes)
+            or not all(1 <= a <= n for a in axes)):
         raise ValidationError(
             "torus word %r must name distinct axes in 1..%d" % (text, n))
     return axes

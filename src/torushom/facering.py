@@ -203,7 +203,7 @@ class FaceRingQuotient:
                 orientation[e] = self.signs[(e, BOTTOM)] * default[(e, BOTTOM)]
                 continue
             value = None
-            for f in set(self.poset.lower_covers(e)):
+            for f in self.poset.lower_covers(e):
                 lower = 1 if f is BOTTOM else orientation[f]
                 cand = self.signs[(e, f)] * default[(e, f)] * lower
                 if value is None:

@@ -268,11 +268,12 @@ class Echelon:
 
     Vectors come in as dense lists of ints or field elements (``reduce``,
     ``contains``, ``add``), all of the width of the first row added
-    (``ValueError`` otherwise), or as {column: nonzero field element}
-    (``*_sparse``), where over Q ints count as field elements and over
-    GF(p) the elements are residues.  Over Q their denominators are
-    cleared by their lcm, so the elimination is plain integer arithmetic
-    on nonzero entries, and ``Fraction``s are made only where values are
+    (``ValueError`` otherwise), or as {column: nonzero value}
+    (``*_sparse``).  Over GF(p) the values are any ints, reduced mod p in
+    one place, ``_reduce``, so a boundary column comes in as it is kept.
+    Over Q they are ints or ``Fraction``s, whose denominators are cleared
+    by their lcm, so the elimination is plain integer arithmetic on
+    nonzero entries, and ``Fraction``s are made only where values are
     read (``dense``): the output of ``reduce`` and ``reduce_sparse``,
     ``rows``, and the answers of ``nullspace`` and ``solve_all``.
 
@@ -311,9 +312,6 @@ class Echelon:
         value}, in the form ``_reduce`` takes."""
         if self.width is not None and len(vec) != self.width:
             raise ValueError("dimension mismatch")
-        p = self._modulus
-        if p is not None:
-            return {j: x % p for j, x in enumerate(vec) if x and x % p}
         zero = self.field.zero  # most zeros of a dense vector: no compare
         return {j: x for j, x in enumerate(vec) if x is not zero and x}
 
@@ -351,9 +349,12 @@ class Echelon:
         (w, d): w a new {column: nonzero int} and d a positive int, with
         w/d the reduced vector.  Over Q the values are ints or
         ``Fraction``s, whose denominators are cleared by their lcm first;
-        over GF(p) they are residues and d is one."""
+        over GF(p) they are ints, reduced mod p here, and d is one."""
         w, d = None, 1
-        if self._modulus is None:
+        p = self._modulus
+        if p is not None:
+            w = {j: x % p for j, x in v.items() if x % p}
+        else:
             for x in v.values():
                 if type(x) is not int:
                     d = lcm(*[y.denominator for y in v.values()])

@@ -198,7 +198,7 @@ def fixture_to_data(fixture):
         for e in poset.elements_of_rank(k):
             cell = {"id": e, "vertices": sorted(poset.ver(e))}
             if k >= 3:
-                cell["faces"] = sorted(set(poset.lower_covers(e)), key=repr)
+                cell["faces"] = sorted(poset.lower_covers(e), key=repr)
             cells.append(cell)
     data = {
         "name": fixture.name,

@@ -8,6 +8,8 @@ meeting the interior) explicitly, with integer boundary coefficients.
 
 Three chain complexes live here: the face cells alone ("boundary"), the
 full cell structure ("space"), and the quotient by the face cells ("pair").
+Each is its cell bases plus one terms function, ``_cell_boundary``;
+``chains.ChainComplex`` builds and keeps the boundaries as sparse columns.
 The connecting map of the long exact sequence is computed once per degree
 and coefficient system on explicit cellular representatives: ``delta_image``
 returns the image chains together with their coordinates over the boundary
@@ -199,26 +201,13 @@ class CornerComplex:
 
     def _build(self, face, interior):
         """The chain complex spanned by the face cells, the interior cells
-        or both.  Boundary terms on cells outside the basis are dropped,
-        which is the quotient by the face cells for the pair."""
-        bases = {}
-        for dim in range(self.n + 1):
-            cells = ((self.face_cells(dim) if face else [])
-                     + (self.interior_cells(dim) if interior else []))
-            if cells:
-                bases[dim] = cells
-        boundaries = {}
-        for dim, source in bases.items():
-            if dim - 1 not in bases:
-                continue
-            index = {c: i for i, c in enumerate(bases[dim - 1])}
-            mat = [[0] * len(source) for _ in index]
-            for j, cell in enumerate(source):
-                for ref, coeff in self._cell_boundary(cell):
-                    if ref in index:
-                        mat[index[ref]][j] += coeff
-            boundaries[dim] = mat
-        return ChainComplex(bases, boundaries, check=False)
+        or both, face cells first.  ``ChainComplex`` drops the boundary
+        terms on cells outside the basis, which is the quotient by the
+        face cells for the pair."""
+        bases = {dim: ((self.face_cells(dim) if face else [])
+                       + (self.interior_cells(dim) if interior else []))
+                 for dim in range(self.n + 1)}
+        return ChainComplex(bases, self._cell_boundary, check=False)
 
     # --- homology ------------------------------------------------------
 
@@ -271,20 +260,13 @@ class CornerComplex:
         if not hpair.free_generators or not hface.free_generators:
             return [], []
 
-        # the nonzero entries of each column of the space boundary, lifted
-        columns = {c: [] for c in space.basis(q + 1)}
-        for i, row in enumerate(space.boundary_matrix(q + 1)):
-            for column, x in zip(columns.values(), row):
-                if x:
-                    column.append((i, coeffs.from_int(x)))
-        nface = len(face.basis(q))
+        # a pair cycle is a space chain on the interior cells, which follow
+        # the face cells in the space basis
+        faces = [coeffs.zero] * (space.dim(q + 1) - pair.dim(q + 1))
+        nface = face.dim(q)
         chains = []
         for rep in hpair.free_generators:
-            dvec = [coeffs.zero] * space.dim(q)
-            for label, value in zip(pair.basis(q + 1), rep):
-                if value:
-                    for i, x in columns[label]:
-                        dvec[i] = coeffs.add(dvec[i], coeffs.mul(x, value))
+            dvec = space.boundary_of(q + 1, faces + rep, coeffs)
             if any(dvec[nface:]):
                 raise ValidationError(
                     "pair cycle leaks onto interior cells in degree %d" % q)

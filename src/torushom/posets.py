@@ -7,6 +7,10 @@ elements carry explicit ids and, where necessary, explicit face lists.
 
 The least element is represented by the constant ``BOTTOM`` and is never
 listed among the cells.
+
+The augmented chain complex and the local complex of each element are
+their bases plus the signed lower covers (``_cover_terms``);
+``chains.ChainComplex`` builds and keeps the boundaries as sparse columns.
 """
 
 from math import comb
@@ -223,15 +227,9 @@ class SimplicialPoset:
     # --- sign conventions ----------------------------------------------
 
     def cover_pairs(self):
-        """All pairs (upper, lower) of covering elements, bottom included."""
-        out = []
-        for e in self.elements():
-            if self.rank(e) == 1:
-                out.append((e, BOTTOM))
-            else:
-                for f in set(self.lower_covers(e)):
-                    out.append((e, f))
-        return out
+        """All pairs (upper, lower) of covering elements, bottom included,
+        in element order."""
+        return [(e, f) for e in self.elements() for f in self.lower_covers(e)]
 
     def default_sign_convention(self):
         """Incidence signs from the sorted vertex order: removing the t-th
@@ -251,8 +249,7 @@ class SimplicialPoset:
     def validate_sign_convention(self, signs):
         """Check that a sign table covers every cover pair with values +-1
         and that the resulting boundary squares to zero."""
-        need = set(self.cover_pairs())
-        for pair in need:
+        for pair in self.cover_pairs():
             if pair not in signs:
                 raise ValidationError("sign convention misses pair %r" % (pair,))
             if signs[pair] not in (1, -1):
@@ -273,30 +270,22 @@ class SimplicialPoset:
 
     # --- chain complexes and counting ----------------------------------
 
+    def _cover_terms(self, signs):
+        """The boundary terms of an element: its lower covers, with signs
+        from ``signs``, in the form ``ChainComplex`` takes."""
+        return lambda e: [(f, signs[(e, f)]) for f in self.lower_covers(e)]
+
     def simplex_chain_complex(self, signs=None):
         """The augmented chains of the cell structure underlying the poset:
         rank-k elements sit in degree k-1 and the bottom element spans
         degree -1, so the homology is reduced homology.  The signs default
-        to the vertex-order convention."""
+        to the vertex-order convention, and the boundary is checked to
+        square to zero."""
         if signs is None:
             signs = self.default_sign_convention()
-        bases = {-1: [BOTTOM]}
-        for k in range(1, self.top_rank + 1):
-            elems = self.elements_of_rank(k)
-            if elems:
-                bases[k - 1] = elems
-        boundaries = {}
-        for deg, cells in bases.items():
-            if deg - 1 not in bases:
-                continue
-            lower = bases[deg - 1]
-            index = {e: i for i, e in enumerate(lower)}
-            mat = [[0] * len(cells) for _ in lower]
-            for j, e in enumerate(cells):
-                for f in set(self.lower_covers(e)):
-                    mat[index[f]][j] += signs[(e, f)]
-            boundaries[deg] = mat
-        return ChainComplex(bases, boundaries)
+        bases = {k - 1: self.elements_of_rank(k)
+                 for k in range(self.top_rank + 1)}
+        return ChainComplex(bases, self._cover_terms(signs))
 
     def reduced_betti(self, field=QQ):
         """Reduced Betti numbers over a field, indexed -1 .. top_rank-1.
@@ -346,23 +335,14 @@ class SimplicialPoset:
         the covers: e spans degree -1 and an element of rank r sits in
         degree r - rank(e) - 1.  The elements above e are closed upward, so
         this is a quotient of the augmented complex, ∂∂ = 0 holds without a
-        check, and its homology is the reduced homology of the link of e."""
-        bases, boundaries = {-1: [e]}, {}
-        level, deg = [e], -1
-        while True:
-            upper = sorted({x for y in level for x in self._covers[y]},
+        check, and its homology is the reduced homology of the link of e:
+        the lower covers not above e fall outside the bases and drop out."""
+        bases, level = {-1: [e]}, [e]
+        while level:
+            level = sorted({x for y in level for x in self._covers[y]},
                            key=repr)
-            if not upper:
-                return ChainComplex(bases, boundaries, check=False)
-            index = {f: i for i, f in enumerate(level)}
-            mat = [[0] * len(upper) for _ in level]
-            for j, x in enumerate(upper):
-                for f in self.lower_covers(x):
-                    if f in index:
-                        mat[index[f]][j] = signs[(x, f)]
-            deg += 1
-            bases[deg], boundaries[deg] = upper, mat
-            level = upper
+            bases[len(bases) - 1] = level
+        return ChainComplex(bases, self._cover_terms(signs), check=False)
 
     def buchsbaum_check(self, field=QQ):
         """Purity plus vanishing reduced homology of every proper link below

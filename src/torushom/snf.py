@@ -51,10 +51,6 @@ def int_mat_mul(a, b):
     return out
 
 
-def int_mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def int_det(m):
     """Determinant by fraction-free Bareiss elimination."""
     n = len(m)

@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+from torushom.chains import ChainComplex
 from torushom.charmat import CharacteristicMatrix
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
@@ -22,6 +23,25 @@ def mat_vec(a, v, field):
             s = field.add(s, field.mul(x, y))
         out.append(s)
     return out
+
+
+def dense_complex(bases, matrices, check=True):
+    """A ``ChainComplex`` given by dense boundary matrices, as tests write
+    them: ``matrices[k]`` has a row per label of ``bases[k - 1]`` and a
+    column per label of ``bases[k]``.  Labels must be distinct across
+    degrees, since the complex looks up each cell's boundary terms by its
+    label alone."""
+    labels = [c for cells in bases.values() for c in cells]
+    assert len(set(labels)) == len(labels), "labels repeat across degrees"
+    terms = {}
+    for k, mat in matrices.items():
+        rows, cols = bases.get(k - 1, []), bases.get(k, [])
+        assert len(mat) == len(rows) and all(len(r) == len(cols) for r in mat)
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if x:
+                    terms.setdefault(cols[j], []).append((rows[i], x))
+    return ChainComplex(bases, lambda cell: terms.get(cell, ()), check=check)
 
 
 def dense_smith(result):

@@ -5,7 +5,7 @@ from sympy import Matrix, ilcm
 from sympy import ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
-from conftest import mat_vec
+from conftest import dense_complex, mat_vec
 
 from torushom.chains import ChainComplex
 from torushom.errors import ValidationError
@@ -21,40 +21,67 @@ def circle():
     # triangle boundary: three vertices, three edges
     bases = {0: ["a", "b", "c"], 1: ["ab", "bc", "ca"]}
     boundaries = {1: [[-1, 0, 1], [1, -1, 0], [0, 1, -1]]}
-    return ChainComplex(bases, boundaries)
+    return dense_complex(bases, boundaries)
 
 
 def projective_plane():
     # one cell in each degree, degree-two boundary multiplies by 2
-    return ChainComplex({0: ["v"], 1: ["a"], 2: ["F"]},
-                        {1: [[0]], 2: [[2]]})
+    return dense_complex({0: ["v"], 1: ["a"], 2: ["F"]},
+                         {1: [[0]], 2: [[2]]})
 
 
 def torus_cw():
-    return ChainComplex({0: ["v"], 1: ["a", "b"], 2: ["F"]},
-                        {1: [[0, 0]], 2: [[0], [0]]})
+    return dense_complex({0: ["v"], 1: ["a", "b"], 2: ["F"]},
+                         {1: [[0, 0]], 2: [[0], [0]]})
 
 
 def klein_bottle_cw():
-    return ChainComplex({0: ["v"], 1: ["a", "b"], 2: ["F"]},
-                        {1: [[0, 0]], 2: [[0], [2]]})
+    return dense_complex({0: ["v"], 1: ["a", "b"], 2: ["F"]},
+                         {1: [[0, 0]], 2: [[0], [2]]})
 
 
 class TestValidation:
     def test_boundary_squared_must_vanish(self):
         with pytest.raises(ValidationError):
-            ChainComplex({0: ["v"], 1: ["e"], 2: ["F"]},
-                         {1: [[1]], 2: [[1]]})
+            dense_complex({0: ["v"], 1: ["e"], 2: ["F"]},
+                          {1: [[1]], 2: [[1]]})
 
     def test_unchecked_complex_fails_on_integral_homology(self):
-        c = ChainComplex({0: ["v"], 1: ["e"], 2: ["F"]},
-                         {1: [[1]], 2: [[1]]}, check=False)
+        c = dense_complex({0: ["v"], 1: ["e"], 2: ["F"]},
+                          {1: [[1]], 2: [[1]]}, check=False)
         with pytest.raises(ValidationError, match="not a cycle in degree 1"):
             c.homology(1)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            ChainComplex({0: ["v", "w"], 1: ["e"]}, {1: [[1]]})
+
+class TestBoundaryForm:
+    def test_columns_are_sparse_with_rows_in_order(self):
+        # terms come in any order, repeat, and may cancel
+        terms = {"e": [("w", 1), ("v", -1)],
+                 "f": [("x", 2), ("v", 1), ("x", -2), ("v", -1), ("w", 3)]}
+        c = ChainComplex({0: ["v", "w", "x"], 1: ["e", "f"]},
+                         lambda cell: terms.get(cell, ()))
+        assert repr(c.boundaries) == "{1: [{0: -1, 1: 1}, {1: 3}]}"
+        assert c.boundary_matrix(1) == [[-1, 0], [1, 3], [0, 0]]
+        assert c.boundary_of(1, [2, 1]) == [-2, 5, 0]
+        assert c.boundary_of(1, [QQ.one, QQ.zero], QQ) == [-1, 1, 0]
+
+    def test_terms_outside_the_lower_basis_are_dropped(self):
+        # the pair (interval, endpoints): the edge's boundary drops out
+        terms = {"e": [("v", -1), ("w", 1)]}
+        c = ChainComplex({1: ["e"]}, lambda cell: terms.get(cell, ()))
+        assert c.boundaries == {}
+        assert ranks(c, ZZ) == {1: 1}
+        c = ChainComplex({0: ["w"], 1: ["e"]},
+                         lambda cell: terms.get(cell, ()))
+        assert c.boundaries == {1: [{0: 1}]}
+        assert ranks(c, ZZ) == {0: 0, 1: 0}
+
+    def test_the_square_is_composed_sparsely(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("dense product")
+
+        monkeypatch.setattr(snf, "int_mat_mul", refused)
+        assert ranks(circle().validate(), QQ) == {0: 1, 1: 1}
 
 
 class TestIntegerHomology:
@@ -146,8 +173,8 @@ class TestRandomComplexes:
     @given(three_term_complexes())
     def test_groups_and_generators_match_sympy(self, complex_data):
         dims, bdry = complex_data
-        c = ChainComplex({k: ["c%d_%d" % (k, i) for i in range(n)]
-                          for k, n in enumerate(dims)}, bdry)
+        c = dense_complex({k: ["c%d_%d" % (k, i) for i in range(n)]
+                           for k, n in enumerate(dims)}, bdry)
         mats = {k: c.boundary_matrix(k) for k in range(4)}
 
         def rank(k):
@@ -204,6 +231,6 @@ class TestEmptyDegrees:
         assert c.homology(-1).is_trivial()
 
     def test_point(self):
-        c = ChainComplex({0: ["v"]}, {})
+        c = dense_complex({0: ["v"]}, {})
         assert c.homology(0).describe() == "Z"
         assert c.homology(1).is_trivial()

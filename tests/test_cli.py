@@ -166,13 +166,14 @@ class TestIntersect:
         assert code == 1
         assert "torus word" in err
 
-    @pytest.mark.parametrize("word", ["e9", "e3", "e11", "e1,1", "e0,1"])
+    @pytest.mark.parametrize("word", ["e9", "e3", "e11", "e1,1", "e0,1",
+                                      "e"])
     def test_word_outside_the_torus(self, capsys, word):
         code, out, err = run(capsys, "intersect", "square_hole",
                              "dia:L:" + word, "face:1")
         assert code == 1
         assert out == ""
-        assert repr(word) in err and "1..2" in err
+        assert repr(word) in err and "1..2" in err and "torus word" in err
 
     def test_word_axes_in_any_order(self, capsys):
         _, forward, _ = run(capsys, "intersect", "square_hole",

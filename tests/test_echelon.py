@@ -432,6 +432,16 @@ def test_kept_rows_are_primitive_integer_rows():
         assert row[pc] == 1 and all(0 < x < 5 for x in row.values())
 
 
+def test_sparse_ints_are_reduced_mod_p_on_entry():
+    # a boundary column as it is kept: -1, a multiple of 5 and 7 over GF(5)
+    echelon = fields.Echelon(GF(5))
+    assert echelon.add_sparse({0: -1, 1: 5, 2: 7})
+    assert echelon._rows == {0: {0: 1, 2: 3}}
+    assert not echelon.add_sparse({0: 4, 2: 2, 3: 10})
+    assert echelon.contains_sparse({0: 6, 2: 18})
+    assert echelon.reduce_sparse({0: 1, 1: -6}) == {1: 4, 2: 2}
+
+
 def _multiplications(module, call):
     """The value of ``call()`` and the number of multiplications executed
     in the code of ``module``'s functions and methods while it ran, by

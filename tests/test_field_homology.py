@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_complex
 from test_echelon import FractionEchelon, fraction_nullspace
 from test_sparse_snf import rp2, rp2_wedge_mod3
 from torushom import chains
-from torushom.chains import ChainComplex
 from torushom.fields import GF, QQ
 from torushom.fixtures import resolve_fixture
 from torushom.generator import polygon_with_holes
@@ -99,7 +99,7 @@ def integer_complexes(draw):
             boundaries[k] = _matmul(_matmul(changes[k - 1], mat), inverses[k])
     bases = {k: ["c%d_%d" % (k, i) for i in range(dims[k])]
              for k in range(top + 1)}
-    return ChainComplex(bases, boundaries)
+    return dense_complex(bases, boundaries)
 
 
 @settings(max_examples=80, deadline=None)

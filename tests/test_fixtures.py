@@ -9,6 +9,7 @@ from torushom import fixtures
 from torushom.cycles import CycleExpression
 from torushom.errors import TorushomError, ValidationError
 from torushom.fields import QQ
+from torushom.generator import polygon_with_holes
 
 
 def minimal_square():
@@ -226,25 +227,31 @@ def _paths(value, path=()):
 
 
 def test_every_single_value_mutation_loads_or_is_rejected():
-    """Each value of square_hole, at every path, replaced by each of a few
+    """Each value of every bundled fixture and of one generated polygon
+    (``example 4,3 --seed 2``), at every path, replaced by each of a few
     values of other JSON types: the fixture either loads or is rejected
     with a ``TorushomError``, never another exception."""
-    base = json.loads(fixtures.dumps_fixture(
-        fixtures.resolve_fixture("square_hole")))
-    paths = list(_paths(base))
-    assert len(paths) == 186
-    escaped = []
-    for path in paths:
-        for value in (None, 1.5, True, "x", [], {}, [[1]], -1, 0):
-            data = copy.deepcopy(base)
-            parent = data
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = value
-            try:
-                fixtures.parse_fixture(data)
-            except TorushomError:
-                pass
-            except Exception as exc:
-                escaped.append((path, value, repr(exc)))
+    sources = {name: fixtures.resolve_fixture(name)
+               for name in ("square_hole", "digon", "square")}
+    sources["example 4,3 --seed 2"] = polygon_with_holes((4, 3), seed=2)
+    counts, escaped = {}, []
+    for name, fixture in sources.items():
+        base = json.loads(fixtures.dumps_fixture(fixture))
+        paths = list(_paths(base))
+        counts[name] = len(paths)
+        for path in paths:
+            for value in (None, 1.5, True, "x", [], {}, [[1]], -1, 0):
+                data = copy.deepcopy(base)
+                parent = data
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                try:
+                    fixtures.parse_fixture(data)
+                except TorushomError:
+                    pass
+                except Exception as exc:
+                    escaped.append((name, path, value, repr(exc)))
+    assert counts == {"square_hole": 186, "digon": 36, "square": 60,
+                      "example 4,3 --seed 2": 106}
     assert escaped == []

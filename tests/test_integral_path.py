@@ -84,17 +84,27 @@ def test_kept_rows_solve_every_row_over_z(monkeypatch, capsys, fixture_arg):
     assert any(seen)
 
 
-def test_integral_path_makes_no_dense_product(monkeypatch, capsys,
-                                              fixture_arg):
+def _refuse_dense_products(monkeypatch):
     def refused(*args):
-        raise AssertionError("dense product on the integral path")
+        raise AssertionError("dense product on a CLI path")
 
     monkeypatch.setattr(snf, "int_mat_mul", refused)
     monkeypatch.setattr(snf, "int_identity", refused)
-    # the boundary-squared check of each complex is the one dense product
-    monkeypatch.setattr("torushom.chains.ChainComplex.validate",
-                        lambda self: self)
+
+
+def test_integral_path_makes_no_dense_product(monkeypatch, capsys,
+                                              fixture_arg):
+    _refuse_dense_products(monkeypatch)
     assert cli.main(["report", fixture_arg, "--coeffs", "z"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_rational_path_makes_no_dense_product(monkeypatch, capsys,
+                                              fixture_arg, command):
+    # ∂∘∂ of every complex, the poset's included, is composed sparsely
+    _refuse_dense_products(monkeypatch)
+    assert cli.main([command, fixture_arg, "--coeffs", "q"]) == 0
     capsys.readouterr()
 
 

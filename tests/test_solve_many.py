@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from conftest import dense_smith, mat_from_int, mat_vec
-from torushom import chains, fields, snf
+from conftest import dense_complex, dense_smith, mat_from_int, mat_vec
+from torushom import fields, snf
 from torushom.fields import GF, QQ, ZZ
 from torushom.generator import polygon_with_holes
 
@@ -31,7 +31,7 @@ def systems(draw, max_rows=6, max_cols=5):
     for consistent in draw(st.lists(st.booleans(), max_size=6)):
         if consistent:
             x = draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
-            bs.append(snf.int_mat_vec(rows, x))
+            bs.append(mat_vec(rows, x, ZZ))
         else:
             bs.append(draw(st.lists(ENTRY, min_size=nrows, max_size=nrows)))
     return rows, bs
@@ -41,7 +41,7 @@ def reference_int_solve(m, b):
     """One Smith form per right-hand side, with dense products."""
     nrows, ncols = len(m), len(m[0]) if m else 0
     u, d, v, _ = dense_smith(snf.smith_normal_form(m))
-    y = snf.int_mat_vec(u, b)
+    y = mat_vec(u, b, ZZ)
     x = [0] * ncols
     for i in range(nrows):
         di = d[i][i] if i < min(nrows, ncols) else 0
@@ -51,7 +51,7 @@ def reference_int_solve(m, b):
             x[i] = y[i] // di
         elif y[i]:
             return None
-    return snf.int_mat_vec(v, x)
+    return mat_vec(v, x, ZZ)
 
 
 def reference_solve(rows, b, field):
@@ -84,7 +84,7 @@ class TestIntegerSolveAll:
             assert x == reference_int_solve(rows, b)
             assert x == snf.int_solve(rows, b)
             if x is not None:
-                assert snf.int_mat_vec(rows, x) == b
+                assert mat_vec(rows, x, ZZ) == b
 
     def test_edge_cases(self):
         assert snf.int_solve_all([[1, 2]], []) == []
@@ -233,8 +233,8 @@ class TestFactorOnce:
 
     def test_torsion_groups_are_cached_too(self, monkeypatch):
         # One vertex, two loops and a disc on twice the first: H_1 = Z + Z/2.
-        cx = chains.ChainComplex({0: ["v"], 1: ["a", "b"], 2: ["F"]},
-                                 {1: [[0, 0]], 2: [[2], [0]]})
+        cx = dense_complex({0: ["v"], 1: ["a", "b"], 2: ["F"]},
+                           {1: [[0, 0]], 2: [[2], [0]]})
         calls = self._count(monkeypatch, "smith_normal_form")
         group = cx.homology(1)
         assert (group.free_rank, group.torsion) == (1, [2])
