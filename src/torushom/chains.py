@@ -6,17 +6,16 @@ Every boundary of the package is built here, in one form: a complex takes
 its bases and the boundary terms of each cell, and keeps each boundary as
 sparse columns {row index: int}, since cellular boundaries are mostly
 zeros (as in Dumas, Heckenbach, Saunders and Welker, 2003).  The echelons,
-the cycle test, the images of the Smith basis and ``validate`` read the
-columns; the Smith form takes the dense ``boundary_matrix``.
+the cycle check d_k d_{k+1} = 0 (once per degree, by ``validate`` or the
+first homology read), and the images of the Smith basis read the columns;
+the Smith form takes the dense ``boundary_matrix``.
 
-Over Z a group takes two Smith forms: the one of the boundary into the
-degree gives the torsion, and the kernel of the boundary out of it on the
-rest of that form's basis gives the free part (see ``_homology_int``).
-
-Over a field dim H_k = dim C_k - rank d_k - rank d_{k+1}, each rank read
-off one ``fields.Echelon`` of the rows of d_k, kept per (k, field) and
-shared by degrees k and k-1.  Representatives are built from the kernel
-of that echelon on the first read (``_field_generators``).
+Homology is read rank first: rank H_k = dim C_k - rank d_k - rank d_{k+1},
+each rank off one elimination of d_k kept per degree and shared by degrees
+k and k-1.  Over Z that is a Smith form, of which the factors above 1 of
+d_{k+1} are the torsion and W = U^-1 gives the generators; over a field,
+a ``fields.Echelon`` of the rows, kept per (k, field).  Free generators
+are built on the first read (``_int_generators``, ``_field_generators``).
 
 A complex is not changed after construction, so ``ChainComplex.homology``
 computes each (degree, coefficients) group once and hands the same
@@ -82,6 +81,29 @@ class HomologyGroup:
         return "<HomologyGroup %s>" % self.describe()
 
 
+def _chain(weights, columns, n):
+    """The dense combination of the sparse ``columns`` with ``weights``."""
+    out = [0] * n
+    for q, column in zip(weights, columns):
+        for i, x in column.items():
+            out[i] += q * x
+    return out
+
+
+def _int_generators(rest, lower, n, m):
+    """The kernel of d_k, given by its columns ``lower`` into a degree of
+    dimension m, on ``rest``, the columns of W past the factors of d_{k+1}
+    (all of ``rest`` when there is no d_k).  It takes no complex."""
+    if lower is None:
+        return [_chain((1,), (w,), n) for w in rest]
+    images = [[0] * len(rest) for _ in range(m)]
+    for t, w in enumerate(rest):
+        for j, q in w.items():
+            for i, x in lower[j].items():
+                images[i][t] += q * x
+    return [_chain(kv, rest, n) for kv in snf.int_kernel(images)]
+
+
 def _field_generators(lower, upper, n, field, rank):
     """The first ``rank`` kernel vectors of ``lower``, the echelon of d_k,
     independent of ``upper``, the columns of d_{k+1}, and of each other.
@@ -128,7 +150,9 @@ class ChainComplex:
                                 if column[i]})
             self.boundaries[k] = columns
         self._homology = {}
+        self._smiths = {}
         self._echelons = {}
+        self._cycles_checked = set()
         if check:
             self.validate()
 
@@ -151,22 +175,25 @@ class ChainComplex:
         return mat
 
     def validate(self):
-        """Raises unless the boundary squares to zero, composed column by
-        column."""
-        for k, columns in self.boundaries.items():
-            lower = self.boundaries.get(k - 1)
-            if lower is None:
-                continue
-            for column in columns:
-                out = {}
-                for i, x in column.items():
-                    for h, y in lower[i].items():
-                        out[h] = out.get(h, 0) + x * y
-                if any(out.values()):
-                    raise ValidationError(
-                        "boundary squared is nonzero between degrees %d and %d"
-                        % (k, k - 2))
+        """Raises unless the boundary squares to zero."""
+        for k in self.boundaries:
+            self._check_cycles(k)
         return self
+
+    def _check_cycles(self, k):
+        """Raises unless d_k d_{k+1} = 0, column by column; once per degree."""
+        lower = self.boundaries.get(k)
+        if k in self._cycles_checked or lower is None:
+            return
+        for column in self.boundaries.get(k + 1, ()):
+            out = {}
+            for i, x in column.items():
+                for h, y in lower[i].items():
+                    out[h] = out.get(h, 0) + x * y
+            if any(out.values()):
+                raise ValidationError(
+                    "boundary column is not a cycle in degree %d" % k)
+        self._cycles_checked.add(k)
 
     def boundary_of(self, k, vec, coeffs=ZZ):
         """The boundary of the degree-k chain ``vec``, a coordinate list
@@ -185,6 +212,7 @@ class ChainComplex:
         key = (k, coeffs)
         group = self._homology.get(key)
         if group is None:
+            self._check_cycles(k)
             if coeffs is ZZ:
                 group = self._homology_int(k)
             else:
@@ -193,46 +221,33 @@ class ChainComplex:
             self._homology[key] = group
         return group
 
+    def _smith(self, k):
+        """The factors of d_k and the columns of W = U^-1 of its Smith form,
+        kept (no factors and W = 1 when there is no d_k)."""
+        if k not in self._smiths:
+            if k in self.boundaries:
+                factors, _, _, basis = snf.smith_normal_form(
+                    self.boundary_matrix(k))
+            else:
+                factors, basis = [], [{i: 1} for i in range(self.dim(k - 1))]
+            self._smiths[k] = factors, basis
+        return self._smiths[k]
+
     def _homology_int(self, k):
-        """In the basis W = U^-1 of the Smith form of the boundary into
-        degree k, the boundaries are spanned by d_1 w_1, ..., d_s w_s; those
-        w_i are cycles, the ones with d_i > 1 generate the torsion, and the
-        free part is the kernel of the boundary on w_{s+1}, ... .  The
-        sparse w_i go through the sparse columns of the boundary."""
-        labels = self.basis(k)
-        n = len(labels)
-        if k + 1 in self.boundaries:
-            factors, _, _, basis = snf.smith_normal_form(
-                self.boundary_matrix(k + 1))
-        else:
-            factors, basis = [], [{i: 1} for i in range(n)]
+        """In the basis W of the Smith form of d_{k+1}, the boundaries are
+        spanned by d_1 w_1, ..., d_s w_s; those w_i are cycles, the ones
+        with d_i > 1 generate the torsion, and the free part is the kernel
+        of d_k on w_{s+1}, ... ."""
+        n = self.dim(k)
+        factors, basis = self._smith(k + 1)
         s = len(factors)
-
-        def chain(weights, columns):
-            out = [0] * n
-            for q, col in zip(weights, columns):
-                for i, x in col.items():
-                    out[i] += q * x
-            return out
-
-        lower = self.boundaries.get(k)
-        if lower is None:
-            free_gens = [chain([1], [w]) for w in basis[s:]]
-        else:
-            images = [[0] * n for _ in range(self.dim(k - 1))]
-            for t, w in enumerate(basis):
-                for j, q in w.items():
-                    for i, x in lower[j].items():
-                        images[i][t] += q * x
-            if any(any(row[:s]) for row in images):
-                raise ValidationError(
-                    "boundary column is not a cycle in degree %d" % k)
-            kernel = snf.int_kernel([row[s:] for row in images])
-            free_gens = [chain(kv, basis[s:]) for kv in kernel]
-        torsion_gens = [(f, chain([1], [basis[i]]))
+        rank = n - len(self._smith(k)[0]) - s
+        gens = partial(_int_generators, basis[s:], self.boundaries.get(k),
+                       n, self.dim(k - 1)) if rank else []
+        torsion_gens = [(f, _chain((1,), (basis[i],), n))
                         for i, f in enumerate(factors) if f > 1]
-        return HomologyGroup(len(free_gens), [f for f, _ in torsion_gens],
-                             free_gens, torsion_gens, labels, ZZ)
+        return HomologyGroup(rank, [f for f, _ in torsion_gens], gens,
+                             torsion_gens, self.basis(k), ZZ)
 
     def _echelon(self, k, field):
         """The rows of d_k in echelon form over ``field``, kept: the

@@ -410,11 +410,13 @@ def cmd_check(args):
 
     payload = {
         "fixture": fixture.name,
-        "coefficients": coeffs.name,
+        "coefficients": field.name,
         "ok": not problems,
         "problems": problems,
     }
     lines = ["fixture: %s" % fixture.name]
+    if field is not coeffs:
+        lines.append("note: integral checks are not run; checked over Q")
     if problems:
         lines.extend("problem: %s" % p for p in problems)
         lines.append("result: %d problem(s) found" % len(problems))

@@ -52,6 +52,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="not a cycle in degree 1"):
             c.homology(1)
 
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+    def test_unchecked_complex_fails_on_field_homology(self, field):
+        # d_1 d_2 = 1: the rank formula alone would read H_1 as rank -1
+        c = dense_complex({0: ["v"], 1: ["e"], 2: ["F"]},
+                          {1: [[1]], 2: [[1]]}, check=False)
+        with pytest.raises(ValidationError, match="not a cycle in degree 1"):
+            c.homology(1, field)
+        assert c.homology(0, field).rank == 0
+
 
 class TestBoundaryForm:
     def test_columns_are_sparse_with_rows_in_order(self):

@@ -276,6 +276,17 @@ class TestCheck:
         assert payload["ok"] is True
         assert payload["problems"] == []
 
+    def test_integer_coefficients_name_the_field_checked(self, capsys):
+        code, out, _ = run(capsys, "check", "square_hole", "--coeffs", "z",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == "Q"
+        code, out, _ = run(capsys, "check", "square_hole", "--coeffs", "z")
+        assert code == 0
+        assert "integral checks are not run; checked over Q" in out
+        _, out, _ = run(capsys, "check", "square_hole", "--coeffs", "f5")
+        assert "integral checks" not in out
+
     def test_broken_signs_fail(self, capsys, tmp_path):
         import copy
 
