@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import snf
 from .errors import StarConditionError, ValidationError
-from .fields import ZZ, is_int, lift
+from .fields import ZZ, is_int, plain
 
 
 class CharacteristicMatrix:
@@ -23,6 +23,7 @@ class CharacteristicMatrix:
         self.n = poset.top_rank
         self.rows = {}
         self._minors = {}  # k -> [(sorted axes, [c(g, axes) per g])]
+        self._unimodular = False  # set once check_star(ZZ) passes
         for v in poset.vertices():
             if v not in rows:
                 raise ValidationError("no row for vertex %r" % (v,))
@@ -61,7 +62,10 @@ class CharacteristicMatrix:
         """Verify that every maximal cell carries an invertible vertex
         matrix: determinant +-1 over Z, nonzero over a field.  Cells of
         lower rank inherit the property, so only maximal ones are checked.
-        Raises StarConditionError naming the first offending cell."""
+        A pass over Z is kept, as +-1 is a unit in every field.  Raises
+        StarConditionError naming the first offending cell."""
+        if self._unimodular:
+            return True
         for top in self.poset.elements_of_rank(self.n):
             det = snf.int_det(self.minor(top))
             if coeffs is ZZ:
@@ -72,6 +76,7 @@ class CharacteristicMatrix:
                 raise StarConditionError(
                     "cell %r has vertex matrix determinant %d, not invertible "
                     "over %r" % (top, det, coeffs))
+        self._unimodular = coeffs is ZZ
         return True
 
     def c_coefficient(self, element, axes):
@@ -118,7 +123,9 @@ class CharacteristicMatrix:
         ``axis_subsets`` order, whose g-entry is chain[g] * c(g, A) in
         ``coeffs``; its label is (label, sorted A).  Only nonzero chain
         entries are visited, and the integers c(g, A) are kept per k on
-        the matrix, which does not change.  Returns the rows and labels.
+        the matrix, which does not change.  Integral entries stay plain
+        ints, so over Q integer chains give int rows.  Returns the rows
+        and labels.
         """
         if k not in self._minors:
             gens = self.poset.elements_of_rank(k)
@@ -127,11 +134,11 @@ class CharacteristicMatrix:
                                for axes in self.axis_subsets(self.n - k)]
         rows, labels = [], []
         for label, chain in chains:
-            support = [(g, lift(z, coeffs)) for g, z in enumerate(chain) if z]
+            support = [(g, plain(z)) for g, z in enumerate(chain) if z]
             for axes, minors in self._minors[k]:
-                row = [coeffs.zero] * len(minors)
+                row = [0] * len(minors)
                 for g, z in support:
-                    row[g] = coeffs.mul(z, coeffs.from_int(minors[g]))
+                    row[g] = coeffs.mul(z, minors[g])
                 rows.append(row)
                 labels.append((label, axes))
         return rows, labels

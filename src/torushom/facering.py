@@ -18,8 +18,9 @@ its degree, half its topological degree.
 
 from math import comb
 
+from . import snf
 from .errors import ValidationError
-from .fields import QQ, Echelon, PrimeField, lift, nullspace, plain, solve_all
+from .fields import QQ, Echelon, PrimeField, lift, nullspace, plain
 from .posets import BOTTOM
 
 
@@ -77,19 +78,25 @@ class GradedPresentation:
     The relation rows are kept as given, ints or field values (over
     GF(p) each entry taken mod p), and row reduced once; pivot
     generators are eliminated and the surviving generators form the
-    reduction basis.
+    reduction basis.  With ``base``, a presentation of the same
+    generators, its rows come first and its kept echelon is copied and
+    extended by ``rows`` rather than built again.
     """
 
-    def __init__(self, degree, generators, rows, field, row_labels=None):
+    def __init__(self, degree, generators, rows, field, row_labels=None,
+                 base=None):
         self.degree = degree
         self.generators = list(generators)
         self.field = field
         p = field.p if isinstance(field, PrimeField) else None
-        self.rows = [[x % p for x in r] if p else list(r) for r in rows]
+        rows = [[x % p for x in r] if p else list(r) for r in rows]
+        self._echelon = base._echelon.copy() if base else Echelon(field)
+        for row in rows:
+            self._echelon.add(row)
+        self.rows = rows if base is None else base.rows + rows
         self.row_labels = list(row_labels) if row_labels is not None else None
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValidationError("row labels do not match relation rows")
-        self._echelon = Echelon(field, self.rows)
         pivot_set = set(self._echelon.pivots)
         self._basis_cols = [i for i in range(len(self.generators))
                             if i not in pivot_set]
@@ -180,10 +187,8 @@ class FaceRingQuotient:
         self.field = field
         if signs is None:
             signs = poset.default_sign_convention()
-        else:
-            poset.validate_sign_convention(signs)
         self.signs = dict(signs)
-        self._orientation = self._build_orientation()
+        self._orientation = poset.orientation(self.signs)  # validates
         self._choice = simplex_choice
         charmat.check_star(field)
         self._presentations = {}
@@ -192,31 +197,8 @@ class FaceRingQuotient:
         self._products = {}
         self._actions = {}
 
-    def _build_orientation(self):
-        """How each element is oriented against the vertex-order convention.
-        Any valid sign table flips some set of elements; the flips conjugate
-        the multiplication, so they are recovered here once."""
-        default = self.poset.default_sign_convention()
-        orientation = {}
-        for e in self.poset.elements():
-            if self.poset.rank(e) == 1:
-                orientation[e] = self.signs[(e, BOTTOM)] * default[(e, BOTTOM)]
-                continue
-            value = None
-            for f in self.poset.lower_covers(e):
-                lower = 1 if f is BOTTOM else orientation[f]
-                cand = self.signs[(e, f)] * default[(e, f)] * lower
-                if value is None:
-                    value = cand
-                elif value != cand:
-                    raise ValidationError(
-                        "sign table is not an orientation change of the "
-                        "vertex-order convention at %r" % (e,))
-            orientation[e] = value
-        return orientation
-
     def _orient(self, e):
-        return 1 if e is BOTTOM else self._orientation[e]
+        return self._orientation[e]
 
     @property
     def n(self):
@@ -256,11 +238,11 @@ class FaceRingQuotient:
 
     def _substitution(self, top):
         """The inverse of the vertex matrix of a maximal cell (rows the
-        axes, columns its vertices in sorted order), from one solve
-        against the n unit vectors, kept per cell.  Modulo the linear
-        system, x_w = -Σ_u (Σ_j inv[w][j]·λ_u[j])·x_u over the vertices u
-        outside the cell.  Returns (vertex → its row, inverse), with
-        plain int entries where they are integers."""
+        axes, columns its vertices in sorted order), adj(M)·det(M)⁻¹ from
+        integer cofactors, kept per cell; plain ints when det(M) = ±1.
+        Modulo the linear system, x_w = -Σ_u (Σ_j inv[w][j]·λ_u[j])·x_u
+        over the vertices u outside the cell.  Returns (vertex → its
+        row, inverse)."""
         cached = self._substitutions.get(repr(top))
         if cached is not None:
             return cached
@@ -268,14 +250,11 @@ class FaceRingQuotient:
         inside = sorted(self.poset.ver(top))
         matrix = [[self.charmat.row(w)[j] for w in inside]
                   for j in range(self.n)]
-        units = [[int(r == j) for r in range(self.n)] for j in range(self.n)]
-        columns = solve_all(matrix, units, field)
-        if any(x is None for x in columns):
-            raise ValidationError(
-                "vertex matrix of %r is singular over %r" % (top, field))
+        det = snf.int_det(matrix)
+        scale = det if det in (1, -1) else field.inv(field.from_int(det))
+        inverse = [[plain(field.mul(scale, x)) for x in row]
+                   for row in snf.int_adjugate(matrix)]
         position = {w: r for r, w in enumerate(inside)}
-        inverse = [[plain(columns[j][r]) for j in range(self.n)]
-                   for r in range(len(inside))]
         self._substitutions[repr(top)] = position, inverse
         return position, inverse
 

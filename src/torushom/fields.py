@@ -17,8 +17,10 @@ touching only nonzero entries, since the boundary and relation matrices
 it is fed are mostly zeros.  Q and GF(p) differ only in how a row is
 normalised and in that GF(p) reduces entries mod p.  ``Fraction``s are
 made only where values are read: ``rref`` (an ``Echelon`` built from
-rows), ``Echelon.reduce`` and the answers of ``nullspace`` and
-``solve_all``, read off the sparse rows.
+rows), ``Echelon.reduce``, ``Echelon.row`` and the answers of
+``nullspace`` and ``solve_all``, read off the sparse rows.  The package
+itself calls ``solve_all`` only over ``ZZ``: over a field the connecting
+map reads an ``Echelon`` of the kept boundary columns (``orbit``).
 
 ``Echelon.kernel`` is the one kernel reader: integer vectors with a
 denominator, which ``nullspace`` makes field vectors and field homology
@@ -428,6 +430,20 @@ class Echelon:
             w = {pc: -x * (d // rows[pc][pc]) for pc, x in column.items()}
             w[c] = d
             yield (w if p is None else {j: x % p for j, x in w.items()}), d
+
+    def row(self, pc):
+        """The kept row with pivot column pc as field values, {column:
+        value}, its pivot entry one."""
+        row = self._rows[pc]
+        return self._values(row, row[pc])
+
+    def copy(self):
+        """The same rows, copied to be extended apart: ``add_sparse``
+        clears kept rows in place."""
+        other = Echelon(self.field)
+        other.width = self.width
+        other._rows = {pc: dict(row) for pc, row in self._rows.items()}
+        return other
 
     def reduce_sparse(self, v):
         """v, given as {column: nonzero value}, with the pivot columns

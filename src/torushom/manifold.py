@@ -114,7 +114,8 @@ class TorusManifold:
         """The degree-2q diagonal as a presented module: generators are
         the rank-(n-q) faces.  The initial page is the face ring quotient's
         own presentation in degree n-q, with its first-kind rows; the limit
-        page adds the second-kind rows where they exist."""
+        page adds the second-kind rows where they exist, extending the
+        initial page's echelon."""
         if kind not in ("initial", "limit"):
             raise ValidationError("page kind %r is not initial or limit"
                                   % (kind,))
@@ -129,8 +130,8 @@ class TorusManifold:
             labels = ([("face",) + lab for lab in initial.row_labels]
                       + [("pair",) + lab for lab in extra_labels])
             page = GradedPresentation(self.n - q, initial.generators,
-                                      initial.rows + extra, field,
-                                      row_labels=labels)
+                                      extra, field, row_labels=labels,
+                                      base=initial)
             self._pages[key] = page
         return page
 

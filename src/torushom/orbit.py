@@ -13,8 +13,12 @@ Each is its cell bases plus one terms function, ``_cell_boundary``;
 The connecting map of the long exact sequence is computed once per degree
 and coefficient system on explicit cellular representatives: ``delta_image``
 returns the image chains together with their coordinates over the boundary
-homology generators.  Relation rows are built from the chains; the socle
-and exactness checks read the coordinates.
+homology generators.  Over a field both the coordinates and the kernel of
+the inclusion are read off one echelon of the kept boundary columns with
+the generators added after them, tagged past the basis
+(``_tracked_echelon``); no dense matrix is built.  Over Z the coordinates
+come from one Smith form, ``fields.solve_all``.  Relation rows are built
+from the chains; the socle and exactness checks read the coordinates.
 """
 
 from . import fields, snf
@@ -272,15 +276,44 @@ class CornerComplex:
                     "pair cycle leaks onto interior cells in degree %d" % q)
             chains.append(dvec[:nface])
 
-        mat, ngen = _coordinate_matrix(hface, face, face, q, coeffs)
-        coords = []
-        for sol in fields.solve_all(mat, chains, coeffs):
-            if sol is None:
-                raise ValidationError(
-                    "connecting-map chain is not a cycle of the boundary "
-                    "complex in degree %d" % q)
-            coords.append(sol[:ngen])
+        if coeffs is ZZ:
+            gens = hface.free_generators
+            coords = [None if sol is None else sol[:len(gens)] for sol in
+                      fields.solve_all(_coordinate_matrix(gens, face, q),
+                                       chains, ZZ)]
+        else:
+            echelon, m = self._tracked_echelon(hface, face, q, coeffs)
+            coords = []
+            for chain in chains:
+                rest = echelon.reduce_sparse(
+                    {i: x for i, x in enumerate(chain) if x})
+                coords.append(None if rest and min(rest) < m else
+                              [rest.get(m + j, coeffs.zero)
+                               for j in range(hface.rank)])
+        if any(coord is None for coord in coords):
+            raise ValidationError(
+                "connecting-map chain is not a cycle of the boundary "
+                "complex in degree %d" % q)
         return self._independent_rows(chains, coords, coeffs)
+
+    @staticmethod
+    def _tracked_echelon(hface, target, q, field):
+        """An echelon over ``field`` of the boundary columns of ``target``
+        from degree q+1, then of each free generator g_j of ``hface`` (the
+        degree-q boundary homology) tagged with -1 in column m+j, past the
+        m cells of degree q; face cells come first, so g_j keeps its
+        indices.  Pivots are least columns: a cycle sum c_j g_j + (a
+        boundary) reduces to (0, c), and each combination of the g_j that
+        bounds in ``target`` leaves a row past column m.  Returns it, m."""
+        m = target.dim(q)
+        echelon = fields.Echelon(field)
+        for column in target.boundaries.get(q + 1, ()):
+            echelon.add_sparse(column)
+        for j, gen in enumerate(hface.free_generators):
+            tagged = {i: x for i, x in enumerate(gen) if x}
+            tagged[m + j] = -1
+            echelon.add_sparse(tagged)
+        return echelon, m
 
     @staticmethod
     def _independent_rows(chains, coords, coeffs):
@@ -368,44 +401,29 @@ class CornerComplex:
         """The image of the connecting map must agree with the kernel of
         the map induced by inclusion, degree by degree."""
         problems = []
-        face = self.boundary_complex()
-        space = self.space_complex()
         for q in range(self.n):
-            hface = face.homology(q, field)
             _, delta_coords = self.delta_image(q, field)
-            kernel_coords = self._inclusion_kernel(q, hface, face, space, field)
+            kernel_coords = self._inclusion_kernel(q, field)
             if not fields.row_spaces_equal(delta_coords, kernel_coords, field):
                 problems.append(
                     "connecting-map image and inclusion kernel differ in "
                     "degree %d" % q)
         return problems
 
-    def _inclusion_kernel(self, q, hface, face, space, field):
-        """Coordinate rows spanning the kernel of the inclusion-induced map
-        on degree-q homology, over the boundary homology generators."""
-        mat, ngen = _coordinate_matrix(hface, face, space, q, field)
-        out = []
-        for vec in fields.nullspace(mat, field):
-            head = vec[:ngen]
-            if any(head):
-                out.append(head)
-        return out
+    def _inclusion_kernel(self, q, field):
+        """Rows spanning the kernel of the inclusion-induced map on degree q
+        homology, in boundary homology coordinates (``_tracked_echelon``)."""
+        hface = self.boundary_complex().homology(q, field)
+        echelon, m = self._tracked_echelon(hface, self.space_complex(), q,
+                                           field)
+        tails = (echelon.row(pc) for pc in echelon.pivots if pc >= m)
+        return [[row.get(m + j, field.zero) for j in range(hface.rank)]
+                for row in tails]
 
 
-def _coordinate_matrix(hgroup, source, target, q, coeffs):
-    """The matrix [generators | boundaries] over the degree-q basis of the
-    complex ``target``: first the free generators of ``hgroup``, which are
-    given over the degree-q basis of ``source``, then the boundary columns
-    of ``target`` from degree q+1.  Returns the rows and the number of
-    generator columns."""
-    gens = hgroup.free_generators
-    bmat = target.boundary_matrix(q + 1)
-    zero = coeffs.zero
-    mat = [[zero] * len(gens) + [coeffs.from_int(x) if x else zero
-                                 for x in row]
-           for row in bmat]
-    index = {c: i for i, c in enumerate(target.basis(q))}
-    for j, gen in enumerate(gens):
-        for label, value in zip(source.basis(q), gen):
-            mat[index[label]][j] = fields.lift(value, coeffs)
-    return mat, len(gens)
+def _coordinate_matrix(gens, face, q):
+    """The integer matrix [generators | boundaries] over the degree-q basis
+    of the complex ``face``: first the free generators ``gens`` of its
+    homology, then its boundary columns from degree q+1."""
+    return [[gen[i] for gen in gens] + row
+            for i, row in enumerate(face.boundary_matrix(q + 1))]

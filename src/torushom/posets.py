@@ -67,6 +67,7 @@ class SimplicialPoset:
             for f in self.lower_covers(e):
                 self._covers[f].append(e)
         self._chains = None
+        self._default_signs = None
         self.validate()
 
     def _add_cell(self, cell):
@@ -226,37 +227,51 @@ class SimplicialPoset:
 
     # --- sign conventions ----------------------------------------------
 
-    def cover_pairs(self):
-        """All pairs (upper, lower) of covering elements, bottom included,
-        in element order."""
-        return [(e, f) for e in self.elements() for f in self.lower_covers(e)]
-
     def default_sign_convention(self):
         """Incidence signs from the sorted vertex order: removing the t-th
         smallest vertex of a cell contributes (-1)**t, and every vertex meets
-        the bottom with sign +1."""
-        signs = {}
-        for e in self.elements():
-            vs = sorted(self._ver[e])
-            if len(vs) == 1:
-                signs[(e, BOTTOM)] = 1
-                continue
-            for t, v in enumerate(vs):
-                f = self._faces[e][frozenset(vs) - {v}]
-                signs[(e, f)] = (-1) ** t
-        return signs
+        the bottom with sign +1.  Built once and handed out as a copy."""
+        if self._default_signs is None:
+            self._default_signs = {
+                (e, self._faces[e][self._ver[e] - {v}]): (-1) ** t
+                for e in self.elements()
+                for t, v in enumerate(sorted(self._ver[e]))}
+        return dict(self._default_signs)
 
     def validate_sign_convention(self, signs):
-        """Check that a sign table covers every cover pair with values +-1
-        and that the resulting boundary squares to zero."""
-        for pair in self.cover_pairs():
-            if pair not in signs:
-                raise ValidationError("sign convention misses pair %r" % (pair,))
-            if signs[pair] not in (1, -1):
-                raise ValidationError(
-                    "sign for %r is %r, not +-1" % (pair, signs[pair]))
-        self.simplex_chain_complex(signs=signs)
+        """Raises unless ``orientation`` accepts the table."""
+        self.orientation(signs)
         return True
+
+    def orientation(self, signs):
+        """How each element is oriented by a sign table against the
+        vertex-order one, as {element: +-1}, the bottom +1.  Every
+        interval of length 2 is a diamond, and the lower covers of an
+        element of rank >= 2 meet pairwise in faces of codimension 2, so
+        a table of signs +-1 on exactly the cover pairs squares to zero
+        exactly when each element reads one orientation off all its
+        lower covers.  Raises ValidationError naming the pair or the
+        element that fails."""
+        default = self.default_sign_convention()
+        for pair in signs:
+            if pair not in default:
+                raise ValidationError(
+                    "sign convention has %r, which is not a cover pair"
+                    % (pair,))
+        orientation = {BOTTOM: 1}
+        for e in self.elements():
+            for f in self.lower_covers(e):
+                sign = signs.get((e, f))
+                if sign not in (1, -1):
+                    raise ValidationError(
+                        "sign for %r is %r, not +-1" % ((e, f), sign))
+                value = sign * default[(e, f)] * orientation[f]
+                if orientation.setdefault(e, value) != value:
+                    raise ValidationError(
+                        "sign table is not an orientation change of the "
+                        "vertex-order convention at %r: the boundary does "
+                        "not square to zero" % (e,))
+        return orientation
 
     def gauge_transform(self, signs, orientation_flips):
         """Flip the orientation of selected elements: every sign between a

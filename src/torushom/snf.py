@@ -74,6 +74,14 @@ def int_det(m):
     return sign * a[n - 1][n - 1]
 
 
+def int_adjugate(m):
+    """The adjugate of a square integer matrix: entry (r, j) is the
+    cofactor (-1)**(r+j) det(m without row j and column r)."""
+    return [[(-1) ** (r + j) * int_det([row[:r] + row[r + 1:]
+                                        for i, row in enumerate(m) if i != j])
+             for j in range(len(m))] for r in range(len(m))]
+
+
 def smith_normal_form(m):
     """Decompose an integer matrix as U @ m @ V = D, D diagonal.
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from torushom import facering
+from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
 from torushom.cli import main
 from torushom.facering import FaceRingQuotient
@@ -134,31 +134,44 @@ def test_push_computes_each_coefficient_once(example_file, monkeypatch,
 
 def test_report_inverts_each_cell_matrix_once_per_field(
         example_file, monkeypatch, capsys):
-    solves, cells = [], []
-    solve_all = facering.solve_all
+    """One adjugate per (field, cell), and what ``_substitution`` keeps is
+    the inverse of the vertex matrix over that field; the field path
+    solves nothing."""
+    adjugates, cells = [], []
+    int_adjugate = snf.int_adjugate
     substitution = FaceRingQuotient._substitution
+    solved = []
+    solve_all = fields.solve_all
 
-    def counting_solve(rows, bs, field):
-        solves.append((len(rows), field, [list(b) for b in bs]))
-        return solve_all(rows, bs, field)
+    def counting(m):
+        adjugates.append(m)
+        return int_adjugate(m)
 
     def recording(self, top):
-        before = len(solves)
-        out = substitution(self, top)
-        if len(solves) > before:
-            cells.append((self.field, top))
-        return out
+        before = len(adjugates)
+        position, inverse = substitution(self, top)
+        if len(adjugates) > before:
+            assert len(adjugates) == before + 1
+            matrix, field = adjugates[before], self.field
+            cells.append((field, top))
+            for j, row in enumerate(matrix):
+                for r in range(len(inverse[0])):
+                    entry = sum(x * inverse[c][r] for c, x in enumerate(row))
+                    assert field.is_zero(field.from_int(int(j == r)) - entry)
+        return position, inverse
 
-    monkeypatch.setattr(facering, "solve_all", counting_solve)
+    def counting_solve(rows, bs, field):
+        solved.append(field)
+        return solve_all(rows, bs, field)
+
+    monkeypatch.setattr(snf, "int_adjugate", counting)
     monkeypatch.setattr(FaceRingQuotient, "_substitution", recording)
+    monkeypatch.setattr(fields, "solve_all", counting_solve)
     assert main(["report", example_file, "--json"]) == 0
     capsys.readouterr()
-    assert solves and len(cells) == len(solves)
-    for n, field, bs in solves:
-        # one solve against the n unit vectors: the inverse
-        assert bs == [[field.one if r == j else field.zero
-                       for r in range(n)] for j in range(n)]
+    assert adjugates and len(cells) == len(adjugates)
     assert max(Counter(cells).values()) == 1
+    assert solved == []
 
 
 def test_buchsbaum_check_builds_no_poset(example_file, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from torushom.charmat import CharacteristicMatrix
 from torushom.errors import StarConditionError, ValidationError
+from torushom.facering import FaceRingQuotient
 from torushom.fields import GF, QQ, ZZ
 
 from conftest import ANNULUS_ROWS, build_annulus_poset, build_square_poset
@@ -63,6 +64,36 @@ class TestStarCondition:
             cm.check_star(GF(2))
         assert cm.check_star(QQ)
         assert cm.check_star(GF(3))
+
+    def test_failed_integral_check_keeps_the_field_check(self):
+        """Only a pass over Z is kept, so a matrix that fails over Z is
+        still checked over each field: a face ring over GF(2) rejects it,
+        and over Q and GF(3) each cell's substitution is the inverse of
+        its vertex matrix, det 2 included."""
+        poset = build_square_poset()
+        rows = {1: (1, 0), 2: (0, 2), 3: (1, 0), 4: (0, 1)}
+        cm = CharacteristicMatrix(poset, rows)
+        with pytest.raises(StarConditionError):
+            cm.check_star(ZZ)
+        with pytest.raises(StarConditionError):
+            FaceRingQuotient(poset, cm, field=GF(2))
+        for field in (QQ, GF(3)):
+            quo = FaceRingQuotient(poset, cm, field=field)
+            for top in poset.elements_of_rank(2):
+                position, inverse = quo._substitution(top)
+                inside = sorted(poset.ver(top))
+                assert position == {w: r for r, w in enumerate(inside)}
+                for r in range(2):
+                    for c, w in enumerate(inside):
+                        entry = sum(inverse[r][j] * cm.row(w)[j]
+                                    for j in range(2))
+                        assert field.is_zero(entry - int(r == c))
+
+    def test_integral_pass_is_kept(self, annulus_charmat, monkeypatch):
+        assert annulus_charmat.check_star(ZZ)
+        monkeypatch.setattr(CharacteristicMatrix, "minor", None)
+        assert annulus_charmat.check_star(GF(2))
+        assert annulus_charmat.check_star(QQ)
 
 
 class TestComplementaryMinors:

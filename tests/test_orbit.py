@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -241,18 +242,28 @@ class TestDeltaImageOnce:
     """Every consumer of the connecting map reads one shared value."""
 
     def test_each_degree_is_solved_once(self, monkeypatch):
+        """Over a field the coordinates come from one tracked echelon per
+        (degree, field) of the boundary complex, and the inclusion kernel
+        from one of the space complex; over Z from one ``solve_all``."""
         manifold = polygon_with_holes((6, 4, 3), seed=3).manifold
         cx = manifold.corner
-        calls = []
+        built, solved = [], []
+        tracked = CornerComplex._tracked_echelon
         original = fields.solve_all
 
+        def counting_tracked(hface, target, q, field):
+            built.append((q, field, target is cx.boundary_complex()))
+            return tracked(hface, target, q, field)
+
         def counting(rows, bs, field):
-            calls.append(field)
+            solved.append(field)
             return original(rows, bs, field)
 
+        monkeypatch.setattr(CornerComplex, "_tracked_echelon",
+                            staticmethod(counting_tracked))
         monkeypatch.setattr(fields, "solve_all", counting)
         first = [cx.delta_image(q, QQ) for q in range(cx.n)]
-        assert len(calls) == cx.n
+        assert built == [(q, QQ, True) for q in range(cx.n)]
         manifold.second_kind_rows(0, QQ)
         for k in range(manifold.n + 1):
             manifold.kernel_of_g(k, QQ)
@@ -260,18 +271,20 @@ class TestDeltaImageOnce:
             manifold.novik_swartz_check(q, QQ)
         manifold.consistency_report(QQ)
         assert cx.consistency_violations(QQ) == []
-        assert len(calls) == cx.n
+        assert Counter(built) == {(q, QQ, face): 1 for q in range(cx.n)
+                                  for face in (True, False)}
+        assert solved == []
         assert [cx.delta_image(q, QQ) for q in range(cx.n)] == first
         assert all(cx.delta_image(q, QQ) is first[q] for q in range(cx.n))
 
-        calls.clear()
+        built.clear()
         integral = cx.delta_image(0, ZZ)
         mod_five = cx.delta_image(0, GF(5))
-        assert calls == [ZZ, GF(5)]
+        assert solved == [ZZ] and built == [(0, GF(5), True)]
         assert integral is not first[0] and mod_five is not first[0]
         assert cx.delta_image(0, GF(5)) is mod_five
         assert cx.delta_image(0, ZZ) is integral
-        assert calls == [ZZ, GF(5)]
+        assert solved == [ZZ] and built == [(0, GF(5), True)]
 
 
 class TestValidation:

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torushom.errors import ValidationError
 from torushom.fields import GF, QQ
+from torushom.fixtures import resolve_fixture
 from torushom.posets import BOTTOM, SimplicialPoset
 
-from conftest import build_annulus_poset, build_digon_poset, build_square_poset
+from conftest import (build_annulus_poset, build_cross_polytope,
+                      build_digon_poset, build_square_poset)
 
 
 def triangle_pair_at_vertex():
@@ -113,6 +117,96 @@ class TestSignConventions:
             cx = annulus_poset.simplex_chain_complex(signs=flipped)
             assert cx.homology(0, QQ).rank == 1
             assert cx.homology(1, QQ).rank == 2
+
+
+def cover_pairs(poset):
+    return [(e, f) for e in poset.elements() for f in poset.lower_covers(e)]
+
+
+def boundary_squares_to_zero(poset, signs):
+    """The sign check before orientation recovery, the reference: every
+    cover pair has a sign +-1 and the augmented complex of the table
+    passes its d∘d = 0 check."""
+    if any(signs.get(pair) not in (1, -1) for pair in cover_pairs(poset)):
+        return False
+    try:
+        poset.simplex_chain_complex(signs=signs)
+    except ValidationError:
+        return False
+    return True
+
+
+def accepts(poset, signs):
+    try:
+        return poset.validate_sign_convention(signs)
+    except ValidationError:
+        return False
+
+
+SIGN_POSETS = {
+    "square": build_square_poset,
+    "annulus": build_annulus_poset,
+    "digon": build_digon_poset,
+    "square_hole": lambda: resolve_fixture("square_hole").manifold.poset,
+    "cross3": lambda: build_cross_polytope(3)[0],
+}
+
+
+class TestSignTables:
+    """``validate_sign_convention`` recovers an orientation in one pass
+    over the covers; it must agree with the d∘d = 0 check."""
+
+    def test_non_cover_key_named(self):
+        poset = SIGN_POSETS["square_hole"]()
+        signs = poset.default_sign_convention()
+        assert accepts(poset, signs)
+        signs[("bogus", 1)] = 5
+        with pytest.raises(ValidationError, match="'bogus'"):
+            poset.validate_sign_convention(signs)
+
+    def test_flipped_edge_names_the_element(self):
+        poset = SIGN_POSETS["square_hole"]()
+        edge = poset.elements_of_rank(2)[0]
+        low = poset.lower_covers(edge)[1]
+        signs = poset.default_sign_convention()
+        signs[(edge, low)] *= -1
+        with pytest.raises(ValidationError, match="at %r" % (edge,)):
+            poset.validate_sign_convention(signs)
+
+    def test_default_table_is_kept_and_copied(self, square_poset):
+        signs = square_poset.default_sign_convention()
+        signs[(5, 1)] *= -1
+        assert square_poset.default_sign_convention()[(5, 1)] == -signs[(5, 1)]
+        assert square_poset.default_sign_convention() is not \
+            square_poset.default_sign_convention()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(sorted(SIGN_POSETS)), st.data())
+    def test_gauges_pass_and_single_flips_fail(self, name, data):
+        poset = SIGN_POSETS[name]()
+        default = poset.default_sign_convention()
+        flips = data.draw(st.sets(st.sampled_from(poset.elements())))
+        signs = poset.gauge_transform(default, flips)
+        assert accepts(poset, signs)
+        assert boundary_squares_to_zero(poset, signs)
+        orientation = poset.orientation(signs)
+        assert all(orientation[e] == (-1 if e in flips else 1)
+                   for e in poset.elements())
+        upper = [p for p in cover_pairs(poset) if poset.rank(p[0]) > 1]
+        pair = data.draw(st.sampled_from(upper))
+        signs[pair] *= -1
+        assert not accepts(poset, signs)
+        assert not boundary_squares_to_zero(poset, signs)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(["square", "annulus", "digon"]), st.data())
+    def test_agrees_with_the_boundary_check(self, name, data):
+        poset = SIGN_POSETS[name]()
+        pairs = cover_pairs(poset)
+        values = data.draw(st.lists(st.sampled_from([1, -1]),
+                                    min_size=len(pairs), max_size=len(pairs)))
+        signs = dict(zip(pairs, values))
+        assert accepts(poset, signs) == boundary_squares_to_zero(poset, signs)
 
 
 class TestCounting:
