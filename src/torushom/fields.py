@@ -19,8 +19,10 @@ normalised and in that GF(p) reduces entries mod p.  ``Fraction``s are
 made only where values are read: ``rref`` (an ``Echelon`` built from
 rows), ``Echelon.reduce``, ``Echelon.row`` and the answers of
 ``nullspace`` and ``solve_all``, read off the sparse rows.  The package
-itself calls ``solve_all`` only over ``ZZ``: over a field the connecting
-map reads an ``Echelon`` of the kept boundary columns (``orbit``).
+itself calls no ``solve_all``: over every ring the connecting map reads
+an ``Echelon`` of the kept boundary columns (``orbit``), and ``solve_all``
+stays for the tests and behind the benchmark's traced layer
+``fields.solve``.
 
 ``Echelon.kernel`` is the one kernel reader: integer vectors with a
 denominator, which ``nullspace`` makes field vectors and field homology

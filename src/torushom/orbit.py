@@ -13,15 +13,16 @@ Each is its cell bases plus one terms function, ``_cell_boundary``;
 The connecting map of the long exact sequence is computed once per degree
 and coefficient system on explicit cellular representatives: ``delta_image``
 returns the image chains together with their coordinates over the boundary
-homology generators.  Over a field both the coordinates and the kernel of
-the inclusion are read off one echelon of the kept boundary columns with
-the generators added after them, tagged past the basis
-(``_tracked_echelon``); no dense matrix is built.  Over Z the coordinates
-come from one Smith form, ``fields.solve_all``.  Relation rows are built
-from the chains; the socle and exactness checks read the coordinates.
+homology generators.  Both the coordinates and the kernel of the inclusion
+are read off one echelon of the kept boundary columns with the generators
+added after them, tagged past the basis (``_tracked_echelon``); no dense
+matrix is built.  Over Z the echelon is over Q, built from the integral
+generators, which the torsion guards make a basis over Z and Q alike.
+Relation rows are built from the chains; the socle and exactness checks
+read the coordinates.
 """
 
-from . import fields, snf
+from . import fields
 from .chains import ChainComplex
 from .errors import CoefficientError, ValidationError
 from .fields import QQ, ZZ
@@ -235,8 +236,14 @@ class CornerComplex:
         ``coords`` their coordinates over the free generators of
         ``boundary_complex().homology(q, coeffs)``.  Computed once per
         (q, coeffs) and shared by every later call, so treat both lists as
-        read-only.  Over the integers both groups involved must be torsion
-        free."""
+        read-only.
+
+        Over a field the coordinates kept are independent, so their count
+        is the rank of the image.  Over the integers both groups involved
+        must be torsion free, and every chain with a nonzero coordinate is
+        kept: the chains generate the image lattice but need not be a basis
+        of it.  A chain dropped there is a sum of face boundaries, whose
+        pushes are sums of first-kind rows."""
         if q < 0 or q > self.n - 1:
             raise ValidationError(
                 "connecting map lands in degrees 0..%d, not %d" % (self.n - 1, q))
@@ -276,25 +283,29 @@ class CornerComplex:
                     "pair cycle leaks onto interior cells in degree %d" % q)
             chains.append(dvec[:nface])
 
-        if coeffs is ZZ:
-            gens = hface.free_generators
-            coords = [None if sol is None else sol[:len(gens)] for sol in
-                      fields.solve_all(_coordinate_matrix(gens, face, q),
-                                       chains, ZZ)]
-        else:
-            echelon, m = self._tracked_echelon(hface, face, q, coeffs)
-            coords = []
-            for chain in chains:
-                rest = echelon.reduce_sparse(
-                    {i: x for i, x in enumerate(chain) if x})
-                coords.append(None if rest and min(rest) < m else
-                              [rest.get(m + j, coeffs.zero)
-                               for j in range(hface.rank)])
-        if any(coord is None for coord in coords):
-            raise ValidationError(
-                "connecting-map chain is not a cycle of the boundary "
-                "complex in degree %d" % q)
-        return self._independent_rows(chains, coords, coeffs)
+        # H_q(∂Q; Z) is free, so its integral generators are a basis over
+        # Q too: the rational coordinates of an integral cycle are integers
+        field = QQ if coeffs is ZZ else coeffs
+        echelon, m = self._tracked_echelon(hface, face, q, field)
+        span = fields.Echelon(field)
+        kept, coords = [], []
+        for chain in chains:
+            rest = echelon.reduce_sparse(
+                {i: x for i, x in enumerate(chain) if x})
+            coord = [rest.get(m + j, field.zero) for j in range(hface.rank)]
+            if coeffs is ZZ:
+                coord = [fields.plain(x) for x in coord]
+            integral = coeffs is not ZZ or all(type(x) is int for x in coord)
+            if rest and min(rest) < m or not integral:
+                raise ValidationError(
+                    "connecting-map chain is not a cycle of the boundary "
+                    "complex in degree %d" % q)
+            # over Z every chain with a nonzero coordinate is kept: a
+            # greedy choice over Q would drop [3] after [2]
+            if any(coord) if coeffs is ZZ else span.add(coord):
+                kept.append(chain)
+                coords.append(coord)
+        return kept, coords
 
     @staticmethod
     def _tracked_echelon(hface, target, q, field):
@@ -314,32 +325,6 @@ class CornerComplex:
             tagged[m + j] = -1
             echelon.add_sparse(tagged)
         return echelon, m
-
-    @staticmethod
-    def _independent_rows(chains, coords, coeffs):
-        """Chains whose homology coordinates form a basis of the span of
-        all of them, with their coordinate rows.  Over a field the greedy
-        choice does.  Over Z the first r rows of U in one Smith form
-        U·coords·V = D, r the rank, mix the chains and the coordinates; the
-        other rows give chains with zero coordinates, boundaries whose
-        pushes are sums of first-kind rows, so the relation lattice is that
-        of all the chains."""
-        if coeffs is not ZZ:
-            span = fields.Echelon(coeffs)
-            kept = [i for i, row in enumerate(coords) if span.add(row)]
-            return [chains[i] for i in kept], [coords[i] for i in kept]
-        factors, u, _, _ = snf.smith_normal_form(coords)
-
-        def mix(weights, vectors):
-            out = [0] * len(vectors[0])
-            for j, q in weights.items():
-                for i, x in enumerate(vectors[j]):
-                    out[i] += q * x
-            return out
-
-        rows = u[:len(factors)]
-        return ([mix(w, chains) for w in rows],
-                [mix(w, coords) for w in rows])
 
     # --- validation ----------------------------------------------------
 
@@ -419,11 +404,3 @@ class CornerComplex:
         tails = (echelon.row(pc) for pc in echelon.pivots if pc >= m)
         return [[row.get(m + j, field.zero) for j in range(hface.rank)]
                 for row in tails]
-
-
-def _coordinate_matrix(gens, face, q):
-    """The integer matrix [generators | boundaries] over the degree-q basis
-    of the complex ``face``: first the free generators ``gens`` of its
-    homology, then its boundary columns from degree q+1."""
-    return [[gen[i] for gen in gens] + row
-            for i, row in enumerate(face.boundary_matrix(q + 1))]

@@ -4,6 +4,7 @@ import pytest
 
 from torushom.chains import ChainComplex
 from torushom.charmat import CharacteristicMatrix
+from torushom.fixtures import parse_fixture
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
 from torushom.posets import SimplicialPoset
@@ -105,6 +106,33 @@ def build_annulus_charmat(poset=None):
 
 def build_digon_charmat(poset=None):
     return CharacteristicMatrix(poset or build_digon_poset(), DIGON_ROWS)
+
+
+# punctured torus: six walls 1..6 in one circle, λ alternating e1 and e2,
+# corners 7..12 (corner 6 + j joins walls j and j + 1), two interleaved
+# arcs a = corner 9 - corner 7 and b = corner 11 - corner 8, and one
+# 2-cell on the six walls.  Its arcs bound in the boundary circle, so the
+# connecting map into degree 0 is zero: the one input here where δ is not
+# injective.
+PUNCTURED_TORUS = {
+    "name": "punctured_torus",
+    "n": 2,
+    "poset": {"vertices": [1, 2, 3, 4, 5, 6],
+              "cells": [{"id": 6 + j, "vertices": sorted((j, j % 6 + 1))}
+                        for j in range(1, 7)]},
+    "lambda": {str(v): [v % 2, 1 - v % 2] for v in range(1, 7)},
+    "interior_cells": [
+        {"id": "a", "dim": 1, "boundary": [[9, 1], [7, -1]]},
+        {"id": "b", "dim": 1, "boundary": [[11, 1], [8, -1]]},
+        {"id": "c", "dim": 2, "boundary": [[v, 1] for v in range(1, 7)]},
+    ],
+    "orientable": True,
+}
+
+
+def build_punctured_torus():
+    """The punctured torus as a parsed fixture."""
+    return parse_fixture(PUNCTURED_TORUS)
 
 
 def build_cross_polytope(n):

@@ -135,13 +135,14 @@ def test_push_computes_each_coefficient_once(example_file, monkeypatch,
 def test_report_inverts_each_cell_matrix_once_per_field(
         example_file, monkeypatch, capsys):
     """One adjugate per (field, cell), and what ``_substitution`` keeps is
-    the inverse of the vertex matrix over that field; the field path
-    solves nothing."""
+    the inverse of the vertex matrix over that field; neither the field
+    path nor the integral one solves anything."""
     adjugates, cells = [], []
     int_adjugate = snf.int_adjugate
     substitution = FaceRingQuotient._substitution
     solved = []
     solve_all = fields.solve_all
+    int_solve_all = snf.int_solve_all
 
     def counting(m):
         adjugates.append(m)
@@ -164,13 +165,22 @@ def test_report_inverts_each_cell_matrix_once_per_field(
         solved.append(field)
         return solve_all(rows, bs, field)
 
+    def counting_int_solve(m, bs):
+        solved.append(ZZ)
+        return int_solve_all(m, bs)
+
     monkeypatch.setattr(snf, "int_adjugate", counting)
     monkeypatch.setattr(FaceRingQuotient, "_substitution", recording)
     monkeypatch.setattr(fields, "solve_all", counting_solve)
-    assert main(["report", example_file, "--json"]) == 0
-    capsys.readouterr()
-    assert adjugates and len(cells) == len(adjugates)
-    assert max(Counter(cells).values()) == 1
+    monkeypatch.setattr(snf, "int_solve_all", counting_int_solve)
+    for coeffs in ("q", "z"):
+        adjugates.clear()
+        cells.clear()
+        assert main(["report", example_file, "--coeffs", coeffs,
+                     "--json"]) == 0
+        capsys.readouterr()
+        assert adjugates and len(cells) == len(adjugates)
+        assert max(Counter(cells).values()) == 1
     assert solved == []
 
 

@@ -1,19 +1,18 @@
 """The integral path reads only what it needs of one sparse Smith form.
 
-Over Z the connecting map keeps a basis of the lattice of its homology
-coordinates: one Smith form of the coordinates mixes the chains and the
-coordinates alike.  The kept rows must span the same lattice as all the
-rows, which is what a greedy choice over Q can miss.  Over a field no
-Smith form is made at all.
+Over Z the connecting map keeps every chain with a nonzero homology
+coordinate (``test_connecting_map`` checks the lattice they span); a
+chain with zero coordinates is a sum of face boundaries, which the
+punctured torus exercises.  Over a field no Smith form is made at all.
 """
 
 import pytest
 
+from conftest import build_punctured_torus
 from torushom import cli, snf
-from torushom.fields import ZZ
+from torushom.fields import GF, QQ, ZZ
 from torushom.fixtures import dumps_fixture
 from torushom.generator import polygon_with_holes
-from torushom.orbit import CornerComplex
 
 
 @pytest.fixture(params=["square_hole", "example 6,4,3 --seed 3"])
@@ -37,51 +36,32 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _same_lattice(rows, kept):
-    """Every row is an integer combination of the kept rows, and back."""
-    if not kept:
-        return not any(any(row) for row in rows)
-    by_kept = [list(col) for col in zip(*kept)]
-    by_rows = [list(col) for col in zip(*rows)]
-    return (None not in snf.int_solve_all(by_kept, rows)
-            and None not in snf.int_solve_all(by_rows, kept))
-
-
-def test_recombination_keeps_a_lattice_basis(monkeypatch):
-    # a greedy choice over Q keeps the first row, [2], whose lattice
-    # misses [3]; the Smith form mixes both into coordinates [1]
-    smith = _counting(monkeypatch, snf, "smith_normal_form")
-    chains = [[1, 0], [0, 1]]
-    keep, rows = CornerComplex._independent_rows(chains, [[2], [3]], ZZ)
-    assert rows == [[1]]
-    assert len(keep) == 1
-    assert 2 * keep[0][0] + 3 * keep[0][1] == 1
-    assert len(smith) == 1
-
-
-def test_zero_coordinates_keep_nothing():
-    assert CornerComplex._independent_rows(
-        [[1, 2], [3, 4]], [[0, 0], [0, 0]], ZZ) == ([], [])
-
-
-def test_kept_rows_solve_every_row_over_z(monkeypatch, capsys, fixture_arg):
-    original = CornerComplex._independent_rows
-    seen = []
-
-    def checked(chains, coords, coeffs):
-        keep, kept_rows = original(chains, coords, coeffs)
-        if coeffs is ZZ:
-            seen.append(len(kept_rows))
-            assert len(keep) == len(kept_rows)
-            assert _same_lattice(coords, kept_rows)
-        return keep, kept_rows
-
-    monkeypatch.setattr(CornerComplex, "_independent_rows",
-                        staticmethod(checked))
-    # ``report`` reaches the connecting map over Z; ``check`` does not
-    assert cli.main(["report", fixture_arg, "--coeffs", "z"]) == 0
+def test_zero_coordinates_keep_nothing(tmp_path, capsys):
+    """The punctured torus: its arcs a and b are pair cycles whose
+    boundaries bound in the boundary circle, so the connecting map into
+    degree 0 is zero and keeps no chain over Z or Q."""
+    fixture = build_punctured_torus()
+    cx = fixture.manifold.corner
+    assert cx.euler_characteristic() == -1
+    assert [cx.homology("pair", k).describe() for k in range(3)] == \
+        ["0", "Z^2", "Z"]
+    assert [cx.homology("boundary", k).describe() for k in range(2)] == \
+        ["Z", "Z"]
+    face, space = cx.boundary_complex(), cx.space_complex()
+    faces = [0] * face.dim(1)
+    for rep in cx.pair_complex().homology(1).free_generators:
+        chain = space.boundary_of(1, faces + rep)[:face.dim(0)]
+        assert any(chain)
+        assert snf.int_solve(face.boundary_matrix(1), chain) is not None
+    assert cx.delta_image(0, ZZ) == ([], [])
+    assert cx.delta_image(0, QQ) == ([], [])
+    for coeffs in (ZZ, QQ, GF(2)):
+        assert fixture.manifold.total_betti(coeffs) == (1, 2, 8, 2, 1)
+    target = tmp_path / "punctured_torus.json"
+    target.write_text(dumps_fixture(fixture))
+    assert cli.main(["check", str(target)]) == 0
+    assert cli.main(["report", str(target), "--coeffs", "z"]) == 0
     capsys.readouterr()
-    assert any(seen)
 
 
 def _refuse_dense_products(monkeypatch):

@@ -242,17 +242,19 @@ class TestDeltaImageOnce:
     """Every consumer of the connecting map reads one shared value."""
 
     def test_each_degree_is_solved_once(self, monkeypatch):
-        """Over a field the coordinates come from one tracked echelon per
-        (degree, field) of the boundary complex, and the inclusion kernel
-        from one of the space complex; over Z from one ``solve_all``."""
+        """The coordinates come from one tracked echelon per (degree,
+        coefficients) of the boundary complex, over Q with the integral
+        generators for Z, and the inclusion kernel from one of the space
+        complex; nothing calls ``solve_all``."""
         manifold = polygon_with_holes((6, 4, 3), seed=3).manifold
         cx = manifold.corner
-        built, solved = [], []
+        built, groups, solved = [], [], []
         tracked = CornerComplex._tracked_echelon
         original = fields.solve_all
 
         def counting_tracked(hface, target, q, field):
             built.append((q, field, target is cx.boundary_complex()))
+            groups.append(hface)
             return tracked(hface, target, q, field)
 
         def counting(rows, bs, field):
@@ -278,13 +280,22 @@ class TestDeltaImageOnce:
         assert all(cx.delta_image(q, QQ) is first[q] for q in range(cx.n))
 
         built.clear()
-        integral = cx.delta_image(0, ZZ)
+        groups.clear()
+        integral = [cx.delta_image(q, ZZ) for q in range(cx.n)]
         mod_five = cx.delta_image(0, GF(5))
-        assert solved == [ZZ] and built == [(0, GF(5), True)]
-        assert integral is not first[0] and mod_five is not first[0]
+        once = [(q, QQ, True) for q in range(cx.n)] + [(0, GF(5), True)]
+        assert built == once
+        face = cx.boundary_complex()
+        # Z reads the integral group: its generators span H_q over Q too
+        expected = ([face.homology(q, ZZ) for q in range(cx.n)]
+                    + [face.homology(0, GF(5))])
+        assert len(groups) == len(expected)
+        assert all(g is h for g, h in zip(groups, expected))
+        assert all(image is not first[q] for q, image in enumerate(integral))
+        assert mod_five is not first[0]
         assert cx.delta_image(0, GF(5)) is mod_five
-        assert cx.delta_image(0, ZZ) is integral
-        assert solved == [ZZ] and built == [(0, GF(5), True)]
+        assert all(cx.delta_image(q, ZZ) is integral[q] for q in range(cx.n))
+        assert built == once and solved == []
 
 
 class TestValidation:
