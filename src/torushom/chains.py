@@ -7,15 +7,17 @@ its bases and the boundary terms of each cell, and keeps each boundary as
 sparse columns {row index: int}, since cellular boundaries are mostly
 zeros (as in Dumas, Heckenbach, Saunders and Welker, 2003).  The echelons,
 the cycle check d_k d_{k+1} = 0 (once per degree, by ``validate`` or the
-first homology read), and the images of the Smith basis read the columns;
-the Smith form takes the dense ``boundary_matrix``.
+first homology read over any ring), and the images of the Smith basis
+read the columns; the Smith form takes the dense ``boundary_matrix``.
 
 Homology is read rank first: rank H_k = dim C_k - rank d_k - rank d_{k+1},
 each rank off one elimination of d_k kept per degree and shared by degrees
 k and k-1.  Over Z that is a Smith form, of which the factors above 1 of
 d_{k+1} are the torsion and W = U^-1 gives the generators; over a field,
-a ``fields.Echelon`` of the rows, kept per (k, field).  Free generators
-are built on the first read (``_int_generators``, ``_field_generators``).
+a ``fields.Echelon`` of the columns, kept per (k, field), whose rows span
+the boundaries in degree k-1: the free generators of degree k-1 and the
+connecting map (``orbit``) extend copies of it.  Free generators are
+built on the first read (``_int_generators``, ``_field_generators``).
 
 A complex is not changed after construction, so ``ChainComplex.homology``
 computes each (degree, coefficients) group once and hands the same
@@ -104,15 +106,21 @@ def _int_generators(rest, lower, n, m):
     return [_chain(kv, rest, n) for kv in snf.int_kernel(images)]
 
 
-def _field_generators(lower, upper, n, field, rank):
-    """The first ``rank`` kernel vectors of ``lower``, the echelon of d_k,
-    independent of ``upper``, the columns of d_{k+1}, and of each other.
-    It takes no complex, so a group never refers to its complex, and
-    refcounting alone frees a dropped one."""
-    span = fields.Echelon(field)
-    for column in upper:
-        span.add_sparse(column)
-    return list(islice((lower.dense(w, d, n) for w, d in lower.kernel(n)
+def _field_generators(lower, upper, n, rank):
+    """The first ``rank`` kernel vectors of d_k, given by its columns
+    ``lower``, independent of each other and of ``upper``, the kept
+    echelon of d_{k+1}, which a copy extends.  The row echelon of d_k is
+    built here and dropped.  Taking no complex, a group never refers to
+    its complex, and refcounting alone frees a dropped one."""
+    rows = {}
+    for j, column in enumerate(lower):
+        for i, x in column.items():
+            rows.setdefault(i, {})[j] = x
+    echelon = fields.Echelon(upper.field)
+    for i in sorted(rows):
+        echelon.add_sparse(rows[i])
+    span = upper.copy()
+    return list(islice((echelon.dense(w, d, n) for w, d in echelon.kernel(n)
                         if span.add_sparse(w)), rank))
 
 
@@ -132,7 +140,7 @@ class ChainComplex:
     reprs.  ``boundary_matrix`` is the dense view.
     """
 
-    def __init__(self, bases, terms, check=True):
+    def __init__(self, bases, terms):
         self.bases = {k: list(v) for k, v in bases.items() if v}
         self.boundaries = {}
         for k, cells in self.bases.items():
@@ -153,8 +161,6 @@ class ChainComplex:
         self._smiths = {}
         self._echelons = {}
         self._cycles_checked = set()
-        if check:
-            self.validate()
 
     def degrees(self):
         return sorted(self.bases)
@@ -250,24 +256,19 @@ class ChainComplex:
                              torsion_gens, self.basis(k), ZZ)
 
     def _echelon(self, k, field):
-        """The rows of d_k in echelon form over ``field``, kept: the
-        columns are transposed once into sparse rows."""
+        """The columns of d_k in echelon form over ``field``, kept: its
+        length is rank d_k; its rows span the boundaries in degree k-1."""
         key = (k, field)
         if key not in self._echelons:
-            rows = [{} for _ in range(self.dim(k - 1))]
-            for j, column in enumerate(self.boundaries.get(k, ())):
-                for i, x in column.items():
-                    rows[i][j] = x
             echelon = self._echelons[key] = fields.Echelon(field)
-            for row in rows:
-                echelon.add_sparse(row)
+            for column in self.boundaries.get(k, ()):
+                echelon.add_sparse(column)
         return self._echelons[key]
 
     def _homology_field(self, k, field):
         n = self.dim(k)
-        lower = self._echelon(k, field)
-        rank = n - len(lower) - len(self._echelon(k + 1, field))
-        upper = self.boundaries.get(k + 1, ())
-        gens = partial(_field_generators, lower, upper, n, field,
-                       rank) if rank else []
+        upper = self._echelon(k + 1, field)
+        rank = n - len(self._echelon(k, field)) - len(upper)
+        gens = partial(_field_generators, self.boundaries.get(k, ()), upper,
+                       n, rank) if rank else []
         return HomologyGroup(rank, [], gens, [], self.basis(k), field)

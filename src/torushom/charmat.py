@@ -49,14 +49,10 @@ class CharacteristicMatrix:
     def row(self, v):
         return self.rows[v]
 
-    def minor(self, element, columns=None):
-        """Square submatrix on the vertices of an element (sorted order) and
-        the given 1-based columns (all of them by default)."""
-        verts = sorted(self.poset.ver(element))
-        if columns is None:
-            columns = range(1, self.n + 1)
-        cols = sorted(columns)
-        return [[self.rows[v][j - 1] for j in cols] for v in verts]
+    def minor(self, element):
+        """The rows of the vertices of an element, in sorted vertex order:
+        a square matrix on a maximal cell."""
+        return [list(self.rows[v]) for v in sorted(self.poset.ver(element))]
 
     def check_star(self, coeffs=ZZ):
         """Verify that every maximal cell carries an invertible vertex

@@ -76,13 +76,41 @@ class Rationals:
         return "QQ"
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(p):
+    """Miller-Rabin on the witnesses 2 .. 37, the first twelve primes,
+    which is exact below 3.18e23 (Sorenson and Webster, 2015), so for
+    every modulus below 2^64 that ``PrimeField`` takes."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field with p elements, p prime.  Elements are ints in range(p)."""
+    """The field with p elements, p prime below 2^64.  Elements are ints
+    in range(p)."""
 
     is_field = True
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= 2 ** 64:
+            raise CoefficientError("modulus %r is not below 2^64" % (p,))
+        if not is_prime(p):
             raise CoefficientError("modulus %r is not prime" % (p,))
         self.p = p
         self.name = "F%d" % p

@@ -14,9 +14,9 @@ The connecting map of the long exact sequence is computed once per degree
 and coefficient system on explicit cellular representatives: ``delta_image``
 returns the image chains together with their coordinates over the boundary
 homology generators.  Both the coordinates and the kernel of the inclusion
-are read off one echelon of the kept boundary columns with the generators
-added after them, tagged past the basis (``_tracked_echelon``); no dense
-matrix is built.  Over Z the echelon is over Q, built from the integral
+are read off a copy of the kept echelon of the target's boundary columns,
+with the generators added after them, tagged past the basis
+(``_tracked_echelon``).  Over Z that is the Q echelon, with the integral
 generators, which the torsion guards make a basis over Z and Q alike.
 Relation rows are built from the chains; the socle and exactness checks
 read the coordinates.
@@ -212,7 +212,7 @@ class CornerComplex:
         bases = {dim: ((self.face_cells(dim) if face else [])
                        + (self.interior_cells(dim) if interior else []))
                  for dim in range(self.n + 1)}
-        return ChainComplex(bases, self._cell_boundary, check=False)
+        return ChainComplex(bases, self._cell_boundary)
 
     # --- homology ------------------------------------------------------
 
@@ -309,17 +309,15 @@ class CornerComplex:
 
     @staticmethod
     def _tracked_echelon(hface, target, q, field):
-        """An echelon over ``field`` of the boundary columns of ``target``
-        from degree q+1, then of each free generator g_j of ``hface`` (the
-        degree-q boundary homology) tagged with -1 in column m+j, past the
-        m cells of degree q; face cells come first, so g_j keeps its
-        indices.  Pivots are least columns: a cycle sum c_j g_j + (a
-        boundary) reduces to (0, c), and each combination of the g_j that
+        """A copy of the kept echelon over ``field`` of the boundary columns
+        of ``target`` from degree q+1, extended by each free generator g_j
+        of ``hface`` (the degree-q boundary homology) tagged with -1 in
+        column m+j, past the m cells of degree q; face cells come first, so
+        g_j keeps its indices.  Pivots are least columns: a cycle c_j g_j +
+        (a boundary) reduces to (0, c), and each combination of the g_j that
         bounds in ``target`` leaves a row past column m.  Returns it, m."""
         m = target.dim(q)
-        echelon = fields.Echelon(field)
-        for column in target.boundaries.get(q + 1, ()):
-            echelon.add_sparse(column)
+        echelon = target._echelon(q + 1, field).copy()
         for j, gen in enumerate(hface.free_generators):
             tagged = {i: x for i, x in enumerate(gen) if x}
             tagged[m + j] = -1

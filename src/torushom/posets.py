@@ -294,8 +294,9 @@ class SimplicialPoset:
         """The augmented chains of the cell structure underlying the poset:
         rank-k elements sit in degree k-1 and the bottom element spans
         degree -1, so the homology is reduced homology.  The signs default
-        to the vertex-order convention, and the boundary is checked to
-        square to zero."""
+        to the vertex-order convention.  The boundary is checked to square
+        to zero once per degree, on the first homology read or by
+        ``validate``."""
         if signs is None:
             signs = self.default_sign_convention()
         bases = {k - 1: self.elements_of_rank(k)
@@ -349,15 +350,15 @@ class SimplicialPoset:
         """The chains of the elements above e, reached rank by rank through
         the covers: e spans degree -1 and an element of rank r sits in
         degree r - rank(e) - 1.  The elements above e are closed upward, so
-        this is a quotient of the augmented complex, ∂∂ = 0 holds without a
-        check, and its homology is the reduced homology of the link of e:
+        this is a quotient of the augmented complex, ∂∂ = 0 holds as it
+        does there, and its homology is the reduced homology of the link of e:
         the lower covers not above e fall outside the bases and drop out."""
         bases, level = {-1: [e]}, [e]
         while level:
             level = sorted({x for y in level for x in self._covers[y]},
                            key=repr)
             bases[len(bases) - 1] = level
-        return ChainComplex(bases, self._cover_terms(signs), check=False)
+        return ChainComplex(bases, self._cover_terms(signs))
 
     def buchsbaum_check(self, field=QQ):
         """Purity plus vanishing reduced homology of every proper link below

@@ -31,7 +31,7 @@ def dense_complex(bases, matrices, check=True):
     them: ``matrices[k]`` has a row per label of ``bases[k - 1]`` and a
     column per label of ``bases[k]``.  Labels must be distinct across
     degrees, since the complex looks up each cell's boundary terms by its
-    label alone."""
+    label alone.  With ``check`` the boundary is validated at once."""
     labels = [c for cells in bases.values() for c in cells]
     assert len(set(labels)) == len(labels), "labels repeat across degrees"
     terms = {}
@@ -42,7 +42,8 @@ def dense_complex(bases, matrices, check=True):
             for j, x in enumerate(row):
                 if x:
                     terms.setdefault(cols[j], []).append((rows[i], x))
-    return ChainComplex(bases, lambda cell: terms.get(cell, ()), check=check)
+    cx = ChainComplex(bases, lambda cell: terms.get(cell, ()))
+    return cx.validate() if check else cx
 
 
 def dense_smith(result):

@@ -1,9 +1,9 @@
 """Objects that exist once: the poset's chain complex, the initial
 diagonal pages, which are the face ring quotient's presentations, the
-second-kind rows, which the limit pages hold, and the inverse of each
-maximal cell's vertex matrix.  Work that is not needed is not done: the
-Buchsbaum check builds no link poset, and no empty product is
-reduced."""
+second-kind rows, which the limit pages hold, the inverse of each
+maximal cell's vertex matrix, and the echelon of each boundary's columns
+per field.  Work that is not needed is not done: the Buchsbaum check
+builds no link poset, and no empty product is reduced."""
 
 from collections import Counter
 
@@ -40,6 +40,38 @@ def test_poset_complex_is_built_once(manifold, monkeypatch):
     assert manifold.corner.consistency_violations(QQ) == []
     assert all(ok for _, ok, _ in manifold.consistency_report(QQ))
     assert unsigned == [manifold.poset]
+
+
+def test_each_boundary_column_is_eliminated_once_per_field(manifold,
+                                                            monkeypatch):
+    """Ranks, free generators and the connecting map over Q and Z all
+    read one kept echelon of each boundary's columns per field."""
+    added = []
+    add_sparse = Echelon.add_sparse
+
+    def recording(self, v):
+        added.append((v, self.field))  # held, so no id is reused
+        return add_sparse(self, v)
+
+    monkeypatch.setattr(Echelon, "add_sparse", recording)
+    corner = manifold.corner
+    for coeffs in (QQ, ZZ):
+        for q in range(manifold.n):
+            corner.delta_image(q, coeffs)
+    assert corner.consistency_violations(QQ) == []
+    for q in range(manifold.n):
+        manifold.novik_swartz_check(q, QQ)
+    for coeffs in (QQ, ZZ):
+        manifold.bigraded_table(coeffs)
+    complexes = [corner.complex_for(s) for s in ("boundary", "space", "pair")]
+    complexes.append(manifold.poset._chains)
+    columns = {id(column) for cx in complexes
+               for cols in cx.boundaries.values() for column in cols}
+    counts = Counter((id(v), field) for v, field in added if id(v) in columns)
+    face = corner.boundary_complex().boundaries
+    assert {id(c) for cols in face.values() for c in cols} <= {
+        key for key, field in counts if field is QQ}
+    assert max(counts.values()) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])

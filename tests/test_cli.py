@@ -68,6 +68,16 @@ class TestReport:
         assert payload["coefficients"] == "F2"
         assert payload["total_betti"] == [1, 0, 0, 0, 1]
 
+    def test_large_prime_modulus(self, capsys):
+        # 2^61 - 1, far too large to trial-divide
+        code, out, _ = run(capsys, "check", "square_hole", "--coeffs",
+                           "f2305843009213693951")
+        assert code == 0 and "all checks passed" in out
+        code, out, err = run(capsys, "report", "square_hole", "--coeffs",
+                             "f%d" % (2 ** 64 + 13))
+        assert (code, out) == (1, "")
+        assert "not below 2^64" in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "report", "square_hole", "--json")
         _, second, _ = run(capsys, "report", "square_hole", "--json")

@@ -162,6 +162,26 @@ class TestFieldLinearAlgebra:
         with pytest.raises(CoefficientError):
             GF(6)
 
+    def test_primality_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert [n for n in range(2001)
+                if fields.is_prime(n) != sympy.isprime(n)] == []
+
+    @pytest.mark.parametrize(
+        "n", [561, 41041, 3215031751, 3825123056546413051],
+        ids=["carmichael-561", "carmichael-41041",
+             "strong-pseudoprime-2-to-7", "strong-pseudoprime-2-to-31"])
+    def test_pseudoprimes_are_composite(self, n):
+        assert not fields.is_prime(n)
+        with pytest.raises(CoefficientError, match="not prime"):
+            GF(n)
+
+    def test_large_moduli(self):
+        assert GF(2 ** 61 - 1).inv(2) * 2 % (2 ** 61 - 1) == 1
+        assert fields.is_prime(2 ** 64 + 13)
+        with pytest.raises(CoefficientError, match="not below 2\\^64"):
+            GF(2 ** 64 + 13)
+
 
 class TestCoefficientSelector:
     def test_parse(self):

@@ -130,7 +130,7 @@ def boundary_squares_to_zero(poset, signs):
     if any(signs.get(pair) not in (1, -1) for pair in cover_pairs(poset)):
         return False
     try:
-        poset.simplex_chain_complex(signs=signs)
+        poset.simplex_chain_complex(signs=signs).validate()
     except ValidationError:
         return False
     return True
