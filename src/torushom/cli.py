@@ -59,10 +59,14 @@ def _build_parser():
     inter = sub.add_parser(
         "intersect", help="multiply two classes of a fixture")
     _common(inter)
-    inter.add_argument("left", help="first class, e.g. dia:L:e1 or face:4")
-    inter.add_argument("right", help="second class")
-    inter.add_argument("--depth", type=int, default=4,
-                       help="bordism search depth limit (default 4)")
+    inter.add_argument("left", help="first class, e.g. dia:L:e1 or face:4;"
+                       " a term that starts with - goes after --, as in"
+                       " face:1 -- -face:2")
+    inter.add_argument("right", help="second class (see left for a term "
+                       "that starts with -)")
+    inter.add_argument("--depth", type=depth, default=4,
+                       help="bordism search depth limit, 0 or more "
+                            "(default 4)")
 
     ex = sub.add_parser(
         "example", help="generate a polygon-with-holes fixture as JSON")
@@ -76,6 +80,15 @@ def _build_parser():
         "check", help="validate a fixture and run the cross-checks")
     _common(chk)
     return parser
+
+
+def depth(text):
+    """A ``--depth`` value, an int of 0 or more; argparse calls text that
+    is no int an invalid depth value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("depth %d is below 0" % value)
+    return value
 
 
 def _common(sub):

@@ -76,11 +76,12 @@ class GradedPresentation:
     relation rows over a field.
 
     The relation rows are kept as given, ints or field values (over
-    GF(p) each entry taken mod p), and row reduced once; pivot
-    generators are eliminated and the surviving generators form the
-    reduction basis.  With ``base``, a presentation of the same
-    generators, its rows come first and its kept echelon is copied and
-    extended by ``rows`` rather than built again.
+    GF(p) each entry taken mod p), and row reduced once, into
+    ``echelon``; pivot generators are eliminated and the surviving
+    generators form the reduction basis.  With ``base``, a presentation
+    of the same generators, its rows come first and its kept echelon is
+    copied and extended by ``rows`` rather than built again.  Sparse
+    vectors are reduced and tested on ``echelon`` itself.
     """
 
     def __init__(self, degree, generators, rows, field, row_labels=None,
@@ -90,14 +91,14 @@ class GradedPresentation:
         self.field = field
         p = field.p if isinstance(field, PrimeField) else None
         rows = [[x % p for x in r] if p else list(r) for r in rows]
-        self._echelon = base._echelon.copy() if base else Echelon(field)
+        self.echelon = base.echelon.copy() if base else Echelon(field)
         for row in rows:
-            self._echelon.add(row)
+            self.echelon.add(row)
         self.rows = rows if base is None else base.rows + rows
         self.row_labels = list(row_labels) if row_labels is not None else None
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValidationError("row labels do not match relation rows")
-        pivot_set = set(self._echelon.pivots)
+        pivot_set = set(self.echelon.pivots)
         self._basis_cols = [i for i in range(len(self.generators))
                             if i not in pivot_set]
         self.basis = [self.generators[i] for i in self._basis_cols]
@@ -125,7 +126,7 @@ class GradedPresentation:
             raise ValidationError(
                 "vector of length %d against %d generators"
                 % (len(vec), len(self.generators)))
-        return self._echelon.reduce(vec)
+        return self.echelon.reduce(vec)
 
     def coordinates(self, vec):
         """Coordinates of a vector over the surviving basis."""
@@ -141,16 +142,6 @@ class GradedPresentation:
         for i, c in zip(self._basis_cols, coords):
             v[i] = lift(c, self.field)
         return v
-
-    def reduce_sparse(self, vec):
-        """``reduce`` of a vector given as {column: nonzero field value},
-        answered in the same form."""
-        return self._echelon.reduce_sparse(vec)
-
-    def contains_sparse(self, vec):
-        """Whether a vector given as {column: nonzero field value} reduces
-        to zero; no field value is made."""
-        return self._echelon.contains_sparse(vec)
 
     def __repr__(self):
         return "<GradedPresentation deg %d: %d generators, dim %d>" % (
@@ -336,7 +327,7 @@ class FaceRingQuotient:
             if not self.field.is_zero(coeff):
                 _add_scaled(self.field, out, coeff, self._product(i, k, col))
         image = [self.field.zero] * len(dst.generators)
-        for c, x in dst.reduce_sparse(out).items():
+        for c, x in dst.echelon.reduce_sparse(out).items():
             image[c] = x
         return image
 
@@ -372,7 +363,7 @@ class FaceRingQuotient:
             _add_scaled(field, out, sign * self._orient(rho), vec)
         image = [field.zero] * len(dst.generators)
         if out:
-            for c, x in dst.reduce_sparse(out).items():
+            for c, x in dst.echelon.reduce_sparse(out).items():
                 image[c] = x
         return image
 
@@ -389,7 +380,7 @@ class FaceRingQuotient:
         dst = self.presentation(k + 1)
         cols = []
         for col in src._basis_cols:
-            image = dst.reduce_sparse(self._product(i, k, col))
+            image = dst.echelon.reduce_sparse(self._product(i, k, col))
             cols.append([image.get(c, self.field.zero)
                          for c in dst._basis_cols])
         matrix = [[cols[j][r] for j in range(len(cols))]
@@ -429,7 +420,7 @@ class FaceRingQuotient:
             for i in self._reach(src.generators[col]):
                 _add_scaled(self.field, images.setdefault(i, {}), coeff,
                             self._product(i, k, col))
-        return all(not image or dst.contains_sparse(image)
+        return all(not image or dst.echelon.contains_sparse(image)
                    for image in images.values())
 
     def __repr__(self):

@@ -4,10 +4,9 @@ Matrices are plain lists of rows.  Entries belong to whichever coefficient
 system interprets them: ``fractions.Fraction`` for the rationals, reduced
 residues for a prime field, plain ints for ``ZZ``.  Every system offers
 ``zero``, ``one``, ``from_int``, ``add``, ``mul`` and ``is_zero``, so code
-that only lifts, adds and multiplies is written once for all of them.  The
-choice between the integers and a field is made here: ``solve_all`` hands
-``ZZ`` to ``snf.int_solve_all``, and the elimination routines (``rref``,
-``rank``, ``nullspace``, ``Echelon``) need a field.
+that only lifts, adds and multiplies is written once for all of them.
+``solve_all`` hands ``ZZ`` to ``snf.int_solve_all``; every other
+elimination routine needs a field.
 
 There is one elimination loop over a field, in ``Echelon``, and it runs
 on plain ints, fraction-free in the manner of Bareiss (1968): rows are
@@ -16,20 +15,16 @@ cleared, and each pivot p it meets is cleared by w <- e*w - w[p]*row_p,
 touching only nonzero entries, since the boundary and relation matrices
 it is fed are mostly zeros.  Q and GF(p) differ only in how a row is
 normalised and in that GF(p) reduces entries mod p.  ``Fraction``s are
-made only where values are read: ``rref`` (an ``Echelon`` built from
-rows), ``Echelon.reduce``, ``Echelon.row`` and the answers of
-``nullspace`` and ``solve_all``, read off the sparse rows.  The package
-itself calls no ``solve_all``: over every ring the connecting map reads
-an ``Echelon`` of the kept boundary columns (``orbit``), and ``solve_all``
-stays for the tests and behind the benchmark's traced layer
-``fields.solve``.
+made only where values are read off the sparse rows.
 
-``Echelon.kernel`` is the one kernel reader: integer vectors with a
-denominator, which ``nullspace`` makes field vectors and field homology
-tests as they are, making field values only of the ones it keeps.
-
-``solve_all`` solves one matrix against many right-hand sides with a
-single elimination of [A | b_1 ... b_m]; ``solve`` is its one-vector case.
+Kernels are read off kept echelons: ``Echelon.kernel`` gives the right
+kernel of the rows (``nullspace``, field homology), and each kernel of a
+map into a quotient (the connecting map, the inclusion kernel, the socle
+placement) comes from a ``tracked`` copy of the quotient's kept echelon.
+The dense helpers ``rref``, ``rank``, ``nullspace``, ``solve_all`` and
+``solve``, and ``row_spaces_equal`` each build an ``Echelon``; the
+package calls only ``row_spaces_equal``, in the exactness check, and
+``nullspace``, in ``FaceRingQuotient.socle_basis``, which only tests call.
 """
 
 from fractions import Fraction
@@ -473,6 +468,18 @@ class Echelon:
         other = Echelon(self.field)
         other.width = self.width
         other._rows = {pc: dict(row) for pc, row in self._rows.items()}
+        return other
+
+    def tracked(self, vectors, m):
+        """A copy extended by each vector v_j, dense over m columns, tagged
+        with -1 in column m+j.  Pivots are least columns, so the rows from
+        column m on are (0, c) for c in the reduced echelon basis of the
+        kernel of c -> sum c_j v_j into the quotient by the rows."""
+        other = self.copy()
+        for j, vec in enumerate(vectors):
+            tagged = {i: x for i, x in enumerate(vec) if x}
+            tagged[m + j] = -1
+            other.add_sparse(tagged)
         return other
 
     def reduce_sparse(self, v):

@@ -12,13 +12,16 @@ presentation, one per face-and-axes pair.  Rows of the second kind push
 the images of the connecting map of the quotient pair.  The limit page of
 each degree holds them after the first-kind rows, and every reader of the
 second-kind rows takes them, or their count and rank, from there.
+Nothing here eliminates but into a page's kept echelon: the restriction
+kernel is read off the limit page's, and the socle placement off a copy
+of the presentation's tracking the pushed classes (``Echelon.tracked``).
 Everything off the diagonal is a tensor product of quotient homology with
 an exterior power of the torus algebra.
 """
 
 from math import comb
 
-from . import fields, snf
+from . import snf
 from .errors import ValidationError
 from .facering import (FaceRingQuotient, GradedPresentation, hilbert_series,
                        linear_relations)
@@ -194,9 +197,10 @@ class TorusManifold:
     # --- the restriction kernel ----------------------------------------
 
     def kernel_of_g(self, k, field=QQ):
-        """Basis rows of the part of the degree-2k diagonal killed on the
-        limit page: the limit page's second-kind rows reduced against the
-        initial page, in reduced echelon form.  Empty when the matching
+        """Basis rows, in reduced echelon form, of the part of the degree-2k
+        diagonal killed on the limit page: the limit page's kept rows
+        whose pivots the initial page lacks, which are its second-kind
+        rows reduced against the initial page.  Empty when the matching
         connecting degree is above its range."""
         if k < 0 or k > self.n:
             raise ValidationError("diagonal degree %d outside 0..%d"
@@ -204,11 +208,12 @@ class TorusManifold:
         q = self.n - k
         if q > self.n - 2:
             return []
-        initial = self.diagonal_page(q, field, kind="initial")
-        limit = self.diagonal_page(q, field)
-        echelon, _ = fields.rref([initial.reduce(row) for row
-                                  in limit.rows[len(initial.rows):]], field)
-        return echelon
+        initial = set(self.diagonal_page(q, field, "initial").echelon.pivots)
+        page = self.diagonal_page(q, field)
+        fresh = (page.echelon.row(pc) for pc in page.echelon.pivots
+                 if pc not in initial)
+        return [[row.get(j, field.zero) for j in range(len(page.generators))]
+                for row in fresh]
 
     # --- socle placement of the boundary classes -----------------------
 
@@ -217,7 +222,8 @@ class TorusManifold:
         along every axis subset and report where it lands: all images must
         be socle elements, the map must be injective below the top degree,
         and on the top degree its kernel must be exactly the image of the
-        connecting map tensored with the axes."""
+        connecting map tensored with the axes, read off the quotient's
+        echelon tracking the pushed classes (``Echelon.tracked``)."""
         if q < 0 or q > self.n - 1:
             raise ValidationError("boundary degree %d outside 0..%d"
                                   % (q, self.n - 1))
@@ -229,43 +235,28 @@ class TorusManifold:
         vectors, _ = self.charmat.push(k, enumerate(hq.free_generators),
                                        field)
         socle_ok = all(quo.in_socle(vec, k) for vec in vectors)
-        kernel = self._map_kernel([pres.reduce(v) for v in vectors], field)
-        if q <= self.n - 2:
-            kernel_expected = []  # injective: the kernel is zero
-        else:
-            kernel_expected = self._top_kernel(q, axes_count, field)
-        kernel_ok = fields.row_spaces_equal(kernel, kernel_expected, field)
+        m = len(pres.generators)
+        tracked = pres.echelon.tracked(vectors, m)
+        kernel_dim = sum(pc >= m for pc in tracked.pivots)
+        # injective below the top degree q = n-1, k = 1; on it, the
+        # connecting-map coordinates spread across the axes, at tag
+        # m + j*axes + pick
+        coords = self.corner.delta_image(q, field)[1] if k == 1 else []
+        expected = [{m + j * axes_count + pick: x
+                     for j, x in enumerate(coord) if x}
+                    for coord in coords for pick in range(axes_count)]
+        kernel_ok = (kernel_dim == len(expected)
+                     and all(map(tracked.contains_sparse, expected)))
         return {
             "degree": q,
             "classes": hq.free_rank,
             "axes": axes_count,
-            "rank": len(vectors) - len(kernel),
+            "rank": len(vectors) - kernel_dim,
             "socle_ok": socle_ok,
-            "kernel_dim": len(kernel),
+            "kernel_dim": kernel_dim,
             "kernel_ok": kernel_ok,
             "ok": socle_ok and kernel_ok,
         }
-
-    def _map_kernel(self, reduced, field):
-        """Coefficient rows killed by the reduced image vectors."""
-        if not reduced:
-            return []
-        mat = [[reduced[j][i] for j in range(len(reduced))]
-               for i in range(len(reduced[0]))]
-        return fields.nullspace(mat, field)
-
-    def _top_kernel(self, q, axes_count, field):
-        """The expected kernel on the top boundary degree: the homology
-        coordinates of the connecting-map chains, spread across the axes."""
-        _, coords = self.corner.delta_image(q, field)
-        out = []
-        for coord in coords:
-            for pick in range(axes_count):
-                row = [field.zero] * (len(coord) * axes_count)
-                for j, value in enumerate(coord):
-                    row[j * axes_count + pick] = value
-                out.append(row)
-        return out
 
     # --- series and reports --------------------------------------------
 

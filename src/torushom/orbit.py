@@ -14,10 +14,11 @@ The connecting map of the long exact sequence is computed once per degree
 and coefficient system on explicit cellular representatives: ``delta_image``
 returns the image chains together with their coordinates over the boundary
 homology generators.  Both the coordinates and the kernel of the inclusion
-are read off a copy of the kept echelon of the target's boundary columns,
-with the generators added after them, tagged past the basis
-(``_tracked_echelon``).  Over Z that is the Q echelon, with the integral
-generators, which the torsion guards make a basis over Z and Q alike.
+are read off the kept echelon of the target's boundary columns tracking
+the generators (``_tracked_echelon``, by ``Echelon.tracked``, the kernel
+reader the socle placement shares).  Over Z that is the Q echelon, with
+the integral generators, which the torsion guards make a basis over Z
+and Q alike.
 Relation rows are built from the chains; the socle and exactness checks
 read the coordinates.
 """
@@ -309,20 +310,16 @@ class CornerComplex:
 
     @staticmethod
     def _tracked_echelon(hface, target, q, field):
-        """A copy of the kept echelon over ``field`` of the boundary columns
-        of ``target`` from degree q+1, extended by each free generator g_j
-        of ``hface`` (the degree-q boundary homology) tagged with -1 in
-        column m+j, past the m cells of degree q; face cells come first, so
-        g_j keeps its indices.  Pivots are least columns: a cycle c_j g_j +
-        (a boundary) reduces to (0, c), and each combination of the g_j that
-        bounds in ``target`` leaves a row past column m.  Returns it, m."""
+        """The kept echelon over ``field`` of the boundary columns of
+        ``target`` from degree q+1, tracking the free generators g_j of
+        ``hface`` (the degree-q boundary homology) past its m cells of
+        degree q (``Echelon.tracked``); face cells come first, so g_j keeps
+        its indices.  A cycle c_j g_j + (a boundary) reduces to (0, c), and
+        each combination of the g_j that bounds in ``target`` leaves a row
+        past column m.  Returns it, m."""
         m = target.dim(q)
-        echelon = target._echelon(q + 1, field).copy()
-        for j, gen in enumerate(hface.free_generators):
-            tagged = {i: x for i, x in enumerate(gen) if x}
-            tagged[m + j] = -1
-            echelon.add_sparse(tagged)
-        return echelon, m
+        echelon = target._echelon(q + 1, field)
+        return echelon.tracked(hface.free_generators, m), m
 
     # --- validation ----------------------------------------------------
 

@@ -3,12 +3,17 @@ diagonal pages, which are the face ring quotient's presentations, the
 second-kind rows, which the limit pages hold, the inverse of each
 maximal cell's vertex matrix, and the echelon of each boundary's columns
 per field.  Work that is not needed is not done: the Buchsbaum check
-builds no link poset, and no empty product is reduced."""
+builds no link poset, no empty product is reduced, and the socle
+placement and the restriction kernel eliminate nothing again: they read
+the kept page echelons."""
 
 from collections import Counter
+from math import comb
 
 import pytest
 
+from conftest import build_cross_polytope
+from test_connecting_map import filled_sphere
 from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
 from torushom.cli import main
@@ -263,3 +268,108 @@ def test_in_socle_reduces_no_empty_product(example_file, monkeypatch,
     assert main(["report", example_file, "--json"]) == 0
     capsys.readouterr()
     assert reductions and all(reductions), reductions.count(False)
+
+
+# --- one kernel reader for maps into a quotient ---------------------------
+
+KERNEL_FIELDS = [QQ, GF(2), GF(5)]
+KERNEL_SHAPES = {
+    **{"polygon-643-s%d" % seed: (lambda seed=seed: polygon_with_holes(
+        (6, 4, 3), seed=seed).manifold) for seed in range(4)},
+    "cross3": lambda: filled_sphere(lambda: build_cross_polytope(3)),
+}
+
+
+def reference_kernel_of_g(m, k, field):
+    """The earlier restriction kernel: the rref of the second-kind rows
+    reduced against the initial page."""
+    q = m.n - k
+    if q > m.n - 2:
+        return []
+    initial = m.diagonal_page(q, field, "initial")
+    limit = m.diagonal_page(q, field)
+    return fields.rref([initial.reduce(row) for row
+                        in limit.rows[len(initial.rows):]], field)[0]
+
+
+def reference_socle_kernel(m, q, field):
+    """The earlier socle-placement kernel, as (dimension, ok): the
+    nullspace of the transposed reduced pushed classes, compared by
+    ``row_spaces_equal`` with the dense connecting-map coordinates spread
+    across the axes on the top degree, and with nothing below it."""
+    k = m.n - q
+    pres = m.quotient(field).presentation(k)
+    hq = m.corner.homology("boundary", q, field)
+    axes = comb(m.n, q)
+    vectors, _ = m.charmat.push(k, enumerate(hq.free_generators), field)
+    reduced = [pres.reduce(v) for v in vectors]
+    kernel = fields.nullspace([list(c) for c in zip(*reduced)], field)
+    expected = []
+    if q == m.n - 1:
+        for coord in m.corner.delta_image(q, field)[1]:
+            for pick in range(axes):
+                row = [field.zero] * (len(coord) * axes)
+                for j, value in enumerate(coord):
+                    row[j * axes + pick] = value
+                expected.append(row)
+    return len(kernel), fields.row_spaces_equal(kernel, expected, field)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "GF2", "GF5"])
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+def test_quotient_kernels_read_the_kept_echelons(shape, field, monkeypatch):
+    """The socle placement and the restriction kernel run no dense
+    elimination and give what the earlier dense formulas give."""
+    m = KERNEL_SHAPES[shape]()
+    called = []
+
+    def recording(name, original):
+        def wrapper(*args):
+            called.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("rref", "nullspace", "row_spaces_equal"):
+        monkeypatch.setattr(fields, name,
+                            recording(name, getattr(fields, name)))
+    socle = [m.novik_swartz_check(q, field) for q in range(m.n)]
+    kernels = [m.kernel_of_g(k, field) for k in range(m.n + 1)]
+    assert called == []
+    monkeypatch.undo()
+    for q, rep in enumerate(socle):
+        dim, ok = reference_socle_kernel(m, q, field)
+        assert ok and (rep["kernel_dim"], rep["kernel_ok"]) == (dim, ok)
+        assert rep["rank"] == rep["classes"] * rep["axes"] - dim
+    assert kernels == [reference_kernel_of_g(m, k, field)
+                       for k in range(m.n + 1)]
+    assert socle[-1]["kernel_dim"]
+    assert any(kernels) or shape == "cross3"  # its delta is 0 below n-1
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "GF2", "GF5"])
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+def test_socle_kernel_check_fails_on_a_wrong_delta(shape, field,
+                                                    monkeypatch):
+    """On the top degree the kernel must hold every expected vector and
+    no other: dropping a connecting-map coordinate vector fails the
+    check, and so does swapping one for a vector outside their span."""
+    m = KERNEL_SHAPES[shape]()
+    top = m.n - 1
+    chains, coords = m.corner.delta_image(top, field)
+    assert m.novik_swartz_check(top, field)["kernel_ok"]
+    span = Echelon(field, coords)
+    width = len(coords[0])
+    units = [[field.one if i == j else field.zero for i in range(width)]
+             for j in range(width)]
+    outside = [u for u in units if not span.contains(u)]
+    wrong = [(chains[:-1], coords[:-1])]
+    if outside:  # the span is proper: swap in a vector off it
+        wrong.append((chains, [outside[0]] + coords[1:]))
+    for image in wrong:
+        monkeypatch.setattr(type(m.corner), "delta_image",
+                            lambda self, q, coeffs, image=image: image)
+        report = m.novik_swartz_check(top, field)
+        assert not report["kernel_ok"] and not report["ok"]
+        assert report["kernel_ok"] == reference_socle_kernel(
+            m, top, field)[1]
+    assert len(wrong) == 2 or shape == "cross3"

@@ -240,6 +240,31 @@ class TestIntersect:
         assert code == 1
         assert "depth" in err
 
+    @pytest.mark.parametrize("terms", [["dia:L:e1", "dia:L:e2"],
+                                       ["face:1", "face:2"]],
+                             ids=["diaphragms", "faces"])
+    def test_negative_depth_is_a_usage_error(self, capsys, terms):
+        """A depth below 0 is refused by argparse, with exit 2 and a
+        message naming the flag, for diaphragm and face terms alike."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["intersect", "square_hole", *terms, "--depth", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --depth" in err and "below 0" in err
+        assert "exhausted" not in err
+
+    def test_term_with_a_leading_minus_after_double_dash(self, capsys):
+        """argparse reads -face:2 as an option unless it follows --."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["intersect", "square_hole", "face:1", "-face:2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "intersect", "square_hole", "face:1",
+                             "--", "-face:2")
+        assert code == 0 and err == ""
+        assert "right: -face:2" in out
+        assert "product: face:9" in out
+
 
 class TestExample:
     def test_round_trips_through_parser(self, capsys):
