@@ -20,11 +20,12 @@ made only where values are read off the sparse rows.
 Kernels are read off kept echelons: ``Echelon.kernel`` gives the right
 kernel of the rows (``nullspace``, field homology), and each kernel of a
 map into a quotient (the connecting map, the inclusion kernel, the socle
-placement) comes from a ``tracked`` copy of the quotient's kept echelon.
-The dense helpers ``rref``, ``rank``, ``nullspace``, ``solve_all`` and
-``solve``, and ``row_spaces_equal`` each build an ``Echelon``; the
-package calls only ``row_spaces_equal``, in the exactness check, and
-``nullspace``, in ``FaceRingQuotient.socle_basis``, which only tests call.
+placement) comes from a ``tracked`` copy of the quotient's kept echelon
+and is checked by ``kernel_spans``.  The dense helpers ``rref``, ``rank``,
+``nullspace``, ``solve_all``, ``solve`` and ``row_space_contains`` each
+build an ``Echelon``; no command path calls them, and the package calls
+only ``nullspace``, in ``FaceRingQuotient.socle_basis``, which only tests
+call.
 """
 
 from fractions import Fraction
@@ -482,6 +483,13 @@ class Echelon:
             other.add_sparse(tagged)
         return other
 
+    def kernel_spans(self, m, vectors):
+        """Whether the rows with pivot at or past m, the kernel a ``tracked``
+        copy reads, span exactly the independent ``vectors``, each a
+        {column: nonzero value}: as many rows, each vector in the span."""
+        return (sum(pc >= m for pc in self._rows) == len(vectors)
+                and all(map(self.contains_sparse, vectors)))
+
     def reduce_sparse(self, v):
         """v, given as {column: nonzero value}, with the pivot columns
         cleared, in the same form; v is not modified."""
@@ -522,8 +530,3 @@ class Echelon:
 
 def row_space_contains(rows, vec, field):
     return Echelon(field, rows).contains(vec)
-
-
-def row_spaces_equal(rows_a, rows_b, field):
-    """Reduced echelon forms are unique, so equal spans have equal ones."""
-    return Echelon(field, rows_a).rows == Echelon(field, rows_b).rows

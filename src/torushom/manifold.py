@@ -223,7 +223,8 @@ class TorusManifold:
         be socle elements, the map must be injective below the top degree,
         and on the top degree its kernel must be exactly the image of the
         connecting map tensored with the axes, read off the quotient's
-        echelon tracking the pushed classes (``Echelon.tracked``)."""
+        echelon tracking the pushed classes (``Echelon.tracked``) by
+        ``Echelon.kernel_spans``, as the exactness check reads its own."""
         if q < 0 or q > self.n - 1:
             raise ValidationError("boundary degree %d outside 0..%d"
                                   % (q, self.n - 1))
@@ -245,8 +246,7 @@ class TorusManifold:
         expected = [{m + j * axes_count + pick: x
                      for j, x in enumerate(coord) if x}
                     for coord in coords for pick in range(axes_count)]
-        kernel_ok = (kernel_dim == len(expected)
-                     and all(map(tracked.contains_sparse, expected)))
+        kernel_ok = tracked.kernel_spans(m, expected)
         return {
             "degree": q,
             "classes": hq.free_rank,

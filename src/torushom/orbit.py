@@ -20,7 +20,7 @@ reader the socle placement shares).  Over Z that is the Q echelon, with
 the integral generators, which the torsion guards make a basis over Z
 and Q alike.
 Relation rows are built from the chains; the socle and exactness checks
-read the coordinates.
+read the coordinates, and give their verdicts by ``Echelon.kernel_spans``.
 """
 
 from . import fields
@@ -345,7 +345,7 @@ class CornerComplex:
         """Cross-checks between independently computed quantities: the cell
         count against homology, the boundary complex against the poset's
         own cell structure, and the connecting map against the kernel of
-        the inclusion."""
+        the inclusion, both read off tracked echelons."""
         problems = []
         problems.extend(self._euler_violations(field))
         problems.extend(self._transpose_duality_violations(field))
@@ -379,23 +379,19 @@ class CornerComplex:
 
     def _exactness_violations(self, field):
         """The image of the connecting map must agree with the kernel of
-        the map induced by inclusion, degree by degree."""
+        the map induced by inclusion, degree by degree: the tail of the
+        space complex's echelon tracking the boundary homology generators
+        must be spanned by exactly the coordinates, tagged as they are."""
         problems = []
         for q in range(self.n):
-            _, delta_coords = self.delta_image(q, field)
-            kernel_coords = self._inclusion_kernel(q, field)
-            if not fields.row_spaces_equal(delta_coords, kernel_coords, field):
+            _, coords = self.delta_image(q, field)
+            hface = self.boundary_complex().homology(q, field)
+            echelon, m = self._tracked_echelon(hface, self.space_complex(),
+                                               q, field)
+            tagged = [{m + j: x for j, x in enumerate(coord) if x}
+                      for coord in coords]
+            if not echelon.kernel_spans(m, tagged):
                 problems.append(
                     "connecting-map image and inclusion kernel differ in "
                     "degree %d" % q)
         return problems
-
-    def _inclusion_kernel(self, q, field):
-        """Rows spanning the kernel of the inclusion-induced map on degree q
-        homology, in boundary homology coordinates (``_tracked_echelon``)."""
-        hface = self.boundary_complex().homology(q, field)
-        echelon, m = self._tracked_echelon(hface, self.space_complex(), q,
-                                           field)
-        tails = (echelon.row(pc) for pc in echelon.pivots if pc >= m)
-        return [[row.get(m + j, field.zero) for j in range(hface.rank)]
-                for row in tails]

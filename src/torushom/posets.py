@@ -8,8 +8,8 @@ elements carry explicit ids and, where necessary, explicit face lists.
 The least element is represented by the constant ``BOTTOM`` and is never
 listed among the cells.
 
-The augmented chain complex and the local complex of each element are
-their bases plus the signed lower covers (``_cover_terms``);
+The augmented chain complex is the local complex of the bottom: the
+elements above it plus their signed lower covers (``_local_complex``);
 ``chains.ChainComplex`` builds and keeps the boundaries as sparse columns.
 """
 
@@ -285,23 +285,16 @@ class SimplicialPoset:
 
     # --- chain complexes and counting ----------------------------------
 
-    def _cover_terms(self, signs):
-        """The boundary terms of an element: its lower covers, with signs
-        from ``signs``, in the form ``ChainComplex`` takes."""
-        return lambda e: [(f, signs[(e, f)]) for f in self.lower_covers(e)]
-
     def simplex_chain_complex(self, signs=None):
         """The augmented chains of the cell structure underlying the poset:
         rank-k elements sit in degree k-1 and the bottom element spans
-        degree -1, so the homology is reduced homology.  The signs default
-        to the vertex-order convention.  The boundary is checked to square
-        to zero once per degree, on the first homology read or by
-        ``validate``."""
+        degree -1: the local complex of the bottom, whose homology is
+        reduced homology.  The signs default to the vertex-order
+        convention.  ∂∂ = 0 is checked once per degree, on the first
+        homology read or by ``validate``."""
         if signs is None:
             signs = self.default_sign_convention()
-        bases = {k - 1: self.elements_of_rank(k)
-                 for k in range(self.top_rank + 1)}
-        return ChainComplex(bases, self._cover_terms(signs))
+        return self._local_complex(BOTTOM, signs)
 
     def reduced_betti(self, field=QQ):
         """Reduced Betti numbers over a field, indexed -1 .. top_rank-1.
@@ -358,7 +351,8 @@ class SimplicialPoset:
             level = sorted({x for y in level for x in self._covers[y]},
                            key=repr)
             bases[len(bases) - 1] = level
-        return ChainComplex(bases, self._cover_terms(signs))
+        return ChainComplex(bases, lambda x: [(f, signs[(x, f)])
+                                              for f in self.lower_covers(x)])
 
     def buchsbaum_check(self, field=QQ):
         """Purity plus vanishing reduced homology of every proper link below

@@ -4,6 +4,7 @@ import pytest
 
 from torushom.chains import ChainComplex
 from torushom.charmat import CharacteristicMatrix
+from torushom.fields import Echelon
 from torushom.fixtures import parse_fixture
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
@@ -13,6 +14,12 @@ from torushom.posets import SimplicialPoset
 def mat_from_int(rows, field):
     """An integer matrix with every entry lifted into ``field``."""
     return [[field.from_int(x) for x in row] for row in rows]
+
+
+def row_spaces_equal(rows_a, rows_b, field):
+    """Whether two lists of dense rows span the same space over ``field``:
+    reduced echelon forms are unique, so equal spans have equal ones."""
+    return Echelon(field, rows_a).rows == Echelon(field, rows_b).rows
 
 
 def mat_vec(a, v, field):

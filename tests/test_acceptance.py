@@ -13,14 +13,13 @@ from torushom import cli, snf
 from torushom.cycles import CycleExpression, IntersectionCalculator
 from torushom.fields import GF, QQ, ZZ
 from torushom.fields import rank as field_rank
-from torushom.fields import row_spaces_equal
 from torushom.fixtures import element_ids, read_geometry, resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
 
 from conftest import (ANNULUS_CELLS, ANNULUS_GEOMETRY, build_annulus_poset,
-                      build_digon_poset, dense_smith)
+                      build_digon_poset, dense_smith, row_spaces_equal)
 from test_facering import FaceRing, theta_span_contains
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))

@@ -5,14 +5,18 @@ maximal cell's vertex matrix, and the echelon of each boundary's columns
 per field.  Work that is not needed is not done: the Buchsbaum check
 builds no link poset, no empty product is reduced, and the socle
 placement and the restriction kernel eliminate nothing again: they read
-the kept page echelons."""
+the kept page echelons.  No command runs a dense ``fields`` helper, and
+the exactness check reads the kept space echelon, so a wrong connecting
+map is named there."""
 
+import json
 from collections import Counter
 from math import comb
 
 import pytest
 
-from conftest import build_cross_polytope
+from conftest import (build_cross_polytope, build_punctured_torus,
+                      row_spaces_equal)
 from test_connecting_map import filled_sphere
 from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
@@ -22,6 +26,7 @@ from torushom.fields import GF, QQ, ZZ, Echelon
 from torushom.fixtures import dumps_fixture
 from torushom.generator import polygon_with_holes
 from torushom.manifold import TorusManifold
+from torushom.orbit import CornerComplex
 from torushom.posets import SimplicialPoset
 
 
@@ -312,7 +317,7 @@ def reference_socle_kernel(m, q, field):
                 for j, value in enumerate(coord):
                     row[j * axes + pick] = value
                 expected.append(row)
-    return len(kernel), fields.row_spaces_equal(kernel, expected, field)
+    return len(kernel), row_spaces_equal(kernel, expected, field)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "GF2", "GF5"])
@@ -329,11 +334,12 @@ def test_quotient_kernels_read_the_kept_echelons(shape, field, monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("rref", "nullspace", "row_spaces_equal"):
+    for name in ("rref", "nullspace"):
         monkeypatch.setattr(fields, name,
                             recording(name, getattr(fields, name)))
     socle = [m.novik_swartz_check(q, field) for q in range(m.n)]
     kernels = [m.kernel_of_g(k, field) for k in range(m.n + 1)]
+    assert m.corner.consistency_violations(field) == []
     assert called == []
     monkeypatch.undo()
     for q, rep in enumerate(socle):
@@ -373,3 +379,96 @@ def test_socle_kernel_check_fails_on_a_wrong_delta(shape, field,
         assert report["kernel_ok"] == reference_socle_kernel(
             m, top, field)[1]
     assert len(wrong) == 2 or shape == "cross3"
+
+
+EXACTNESS_SHAPES = {
+    "punctured_torus": build_punctured_torus,
+    "polygon-643-s3": lambda: polygon_with_holes((6, 4, 3), seed=3),
+}
+
+
+def wrong_deltas(chains, coords, field):
+    """Connecting-map images that break exactness, by name: the last
+    coordinate vector dropped, and, where the coordinates span a proper
+    subspace, the first swapped for a unit vector off it."""
+    wrong = {"drop": (chains[:-1], coords[:-1])}
+    span = Echelon(field, coords)
+    width = len(coords[0])
+    units = [[field.one if i == j else field.zero for i in range(width)]
+             for j in range(width)]
+    outside = [u for u in units if not span.contains(u)]
+    if outside:
+        wrong["swap"] = (chains, [outside[0]] + coords[1:])
+    return wrong
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "GF2", "GF5"])
+@pytest.mark.parametrize("shape", sorted(EXACTNESS_SHAPES))
+def test_exactness_check_fails_on_a_wrong_delta(shape, field, tmp_path,
+                                                monkeypatch, capsys):
+    """The inclusion kernel must be spanned by exactly the connecting-map
+    coordinates: a dropped or a swapped vector in one degree is named as a
+    violation in that degree, and ``check`` exits 2."""
+    fixture = EXACTNESS_SHAPES[shape]()
+    path = tmp_path / "shape.json"
+    path.write_text(dumps_fixture(fixture))
+    corner = fixture.manifold.corner
+    assert corner.consistency_violations(field) == []
+    original = CornerComplex.delta_image
+    message = "connecting-map image and inclusion kernel differ in degree %d"
+    seen = set()
+    for q in range(corner.n):
+        chains, coords = corner.delta_image(q, field)
+        if not coords:
+            continue
+        for name, image in wrong_deltas(chains, coords, field).items():
+            def patched(self, degree, coeffs=ZZ, q=q, image=image):
+                if degree == q and coeffs == field:
+                    return image
+                return original(self, degree, coeffs)
+
+            monkeypatch.setattr(CornerComplex, "delta_image", patched)
+            assert message % q in corner.consistency_violations(field)
+            assert main(["check", str(path), "--json",
+                         "--coeffs", field.name]) == 2
+            problems = json.loads(capsys.readouterr().out)["problems"]
+            assert "corner: " + message % q in problems
+            monkeypatch.undo()
+            seen.add(name)
+    # the punctured torus's one nonzero image spans its whole target
+    assert seen == ({"drop"} if shape == "punctured_torus"
+                    else {"drop", "swap"})
+
+
+# ``row_spaces_equal`` lives in the tests; a package that defines it in
+# ``fields`` must not call it either
+DENSE_HELPERS = ("rref", "rank", "nullspace", "solve", "solve_all",
+                 "row_space_contains", "row_spaces_equal")
+
+
+def test_no_command_path_calls_a_dense_helper(example_file, monkeypatch,
+                                              capsys):
+    """Every kernel and span question of ``report``, ``check`` and
+    ``intersect`` is answered on a kept echelon, over every coefficient
+    ring: no dense helper of ``fields`` runs."""
+    called = []
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in DENSE_HELPERS:
+        if hasattr(fields, name):
+            monkeypatch.setattr(fields, name,
+                                recording(name, getattr(fields, name)))
+    for shape in (example_file, "square_hole"):
+        for coeffs in ("q", "f2", "f5", "z"):
+            for command in ("report", "check"):
+                assert main([command, shape, "--json",
+                             "--coeffs", coeffs]) == 0
+    assert main(["intersect", "square_hole", "face:1", "face:2"]) == 0
+    assert main(["intersect", "square_hole", "dia:L:e1", "dia:L:e2"]) == 0
+    capsys.readouterr()
+    assert called == []

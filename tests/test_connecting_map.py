@@ -3,13 +3,13 @@
 ``CornerComplex.delta_image`` reads the homology coordinates of each
 connecting-map chain off one echelon of the kept boundary columns, with
 the boundary homology generators tagged past the basis, over Q for the
-integers; ``_inclusion_kernel`` reads the kernel of the inclusion off the
-same kind of echelon over the space complex.  The reference below is the
-earlier route: a dense matrix [generators | boundaries], solved with
-``fields.solve_all`` over a field and ``snf.int_solve_all`` over Z for
-the coordinates, and cut down with ``fields.nullspace`` for the kernel.
-The kept rows were then chosen greedily over a field, and over Z mixed by
-one Smith form of the coordinates into a lattice basis.
+integers; the kernel of the inclusion is the tail of the same kind of
+echelon over the space complex (``_tracked_echelon``).  The reference
+below is the earlier route: a dense matrix [generators | boundaries],
+solved with ``fields.solve_all`` over a field and ``snf.int_solve_all``
+over Z for the coordinates, and cut down with ``fields.nullspace`` for
+the kernel.  The kept rows were then chosen greedily over a field, and
+over Z mixed by one Smith form of the coordinates into a lattice basis.
 
 Coordinates are unique, so over a field the chains and coordinates must be
 equal exactly, and the kernels must span the same rows.  Over Z every
@@ -29,7 +29,8 @@ with a second arc, where two chains have dependent nonzero coordinates.
 
 import pytest
 
-from conftest import build_cross_polytope, build_punctured_torus
+from conftest import (build_cross_polytope, build_punctured_torus,
+                      row_spaces_equal)
 from test_cross_polytope import build_digon_square_join
 from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
@@ -183,9 +184,13 @@ def test_connecting_map_matches_the_dense_solve(shape, field):
         chains, coords = cx.delta_image(q, field)
         assert (chains, coords) == reference_delta_image(cx, q, field)
         seen += len(chains)
-        kernel = cx._inclusion_kernel(q, field)
+        hface = cx.boundary_complex().homology(q, field)
+        echelon, m = cx._tracked_echelon(hface, cx.space_complex(), q, field)
+        kernel = [[echelon.row(pc).get(m + j, field.zero)
+                   for j in range(hface.rank)]
+                  for pc in echelon.pivots if pc >= m]
         expected = reference_inclusion_kernel(cx, q, field)
-        assert fields.row_spaces_equal(kernel, expected, field)
+        assert row_spaces_equal(kernel, expected, field)
         assert len(kernel) == len(expected) == len(coords)
     assert seen
 
