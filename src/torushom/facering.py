@@ -115,11 +115,6 @@ class GradedPresentation:
             raise ValidationError(
                 "%r is not a degree-%d generator" % (generator, self.degree))
 
-    def unit(self, generator):
-        v = [self.field.zero] * len(self.generators)
-        v[self.column(generator)] = self.field.one
-        return v
-
     def reduce(self, vec):
         """Eliminate the pivot generators from a coordinate vector."""
         if len(vec) != len(self.generators):
@@ -154,8 +149,10 @@ class FaceRingQuotient:
 
     Degree k is generated by the rank-k elements; the relations come from
     one row per pair (J, A) with J of rank k-1 and A a coordinate subset of
-    the complementary size.  Vertex multiplication descends to these
-    presentations and its kernel across all vertices is the socle.
+    the complementary size, signed by ``poset.sign_convention(flips)``; the
+    generator of a face in ``flips`` is its reversed class (``_orient``).
+    Vertex multiplication descends to these presentations and its kernel
+    across all vertices is the socle.
 
     Every multiplication by a vertex goes through one product path: the
     product x_i·x_g of a vertex i and a rank-k generator g is built on
@@ -167,19 +164,17 @@ class FaceRingQuotient:
     ``action_matrix`` and ``in_socle`` sum the kept products over the
     nonzero coordinates of their input and reduce each sum once.
     ``face_product`` multiplies two faces by straightening them in the
-    face ring and multiplying by the shared vertices through
-    ``vertex_action``.
+    face ring and multiplying by the shared vertices through the kept
+    products, reducing once.
     """
 
-    def __init__(self, poset, charmat, field=QQ, signs=None,
+    def __init__(self, poset, charmat, field=QQ, flips=(),
                  simplex_choice=None):
         self.poset = poset
         self.charmat = charmat
         self.field = field
-        if signs is None:
-            signs = poset.default_sign_convention()
-        self.signs = dict(signs)
-        self._orientation = poset.orientation(self.signs)  # validates
+        self.flips = frozenset(flips)
+        self.signs = poset.sign_convention(self.flips)
         self._choice = simplex_choice
         charmat.check_star(field)
         self._presentations = {}
@@ -189,7 +184,7 @@ class FaceRingQuotient:
         self._actions = {}
 
     def _orient(self, e):
-        return self._orientation[e]
+        return -1 if e in self.flips else 1
 
     @property
     def n(self):
@@ -352,14 +347,13 @@ class FaceRingQuotient:
             sign *= self._orient(v)
         for rho in poset.join_set(a, b):
             k = poset.rank(rho)
-            if shared:
-                vec = self.presentation(k).unit(rho)
-                for v in shared:
-                    vec = self.vertex_action(v, vec, k)
-                    k += 1
-                vec = {c: x for c, x in enumerate(vec) if x}
-            else:
-                vec = {self.presentation(k).column(rho): 1}
+            vec = {self.presentation(k).column(rho): 1}
+            for v in shared:
+                step = {}
+                for col, coeff in vec.items():
+                    _add_scaled(field, step, coeff, self._product(v, k, col))
+                vec = step
+                k += 1
             _add_scaled(field, out, sign * self._orient(rho), vec)
         image = [field.zero] * len(dst.generators)
         if out:

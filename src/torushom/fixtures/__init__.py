@@ -32,7 +32,7 @@ so every face named outside the poset block is matched back to its
 element by its string form, through the one map ``Fixture.ids``; ids
 whose string forms collide are rejected, and so is an interior cell
 whose id has the string form of a poset id.  Incidence signs are not
-stored: fixtures always use the vertex-order convention.
+stored: a fixture reverses no face, so it uses the vertex-order signs.
 
 A handful of fixtures ship with the package; ``bundled_names`` lists
 them and ``resolve_fixture`` accepts either a bundled name or a path.

@@ -55,7 +55,8 @@ class BigradedComponent:
 
 
 class TorusManifold:
-    """Homology bookkeeping for the glued manifold over one quotient."""
+    """Homology bookkeeping for the glued manifold over one quotient, its
+    faces oriented once, by the corner complex's ``signs`` and ``flips``."""
 
     def __init__(self, corner, charmat):
         if corner.n != charmat.n:
@@ -66,7 +67,6 @@ class TorusManifold:
         self.poset = corner.poset
         self.charmat = charmat
         self.n = corner.n
-        self.signs = corner.signs
         charmat.check_star(ZZ)
         self._quotients = {}
         self._pages = {}
@@ -76,7 +76,7 @@ class TorusManifold:
         quo = self._quotients.get(field)
         if quo is None:
             quo = FaceRingQuotient(self.poset, self.charmat, field=field,
-                                   signs=self.signs)
+                                   flips=self.corner.flips)
             self._quotients[field] = quo
         return quo
 
@@ -95,8 +95,8 @@ class TorusManifold:
         pair of a codimension-one face and an axis subset, with labels.
         These are the rows of the face ring quotient in degree n-q."""
         self.generators(q)  # rejects q outside 0..n
-        return linear_relations(self.poset, self.charmat, self.signs,
-                                self.n - q)
+        return linear_relations(self.poset, self.charmat,
+                                self.corner.signs, self.n - q)
 
     def second_kind_rows(self, q, coeffs=ZZ):
         """Relation rows carried by the connecting map of the quotient

@@ -2,9 +2,11 @@
 
 The poset describes the corner stratification: every proper face of rank k
 becomes a cell of dimension n - k, and the incidence signs of the poset,
-read upside down, give the boundary maps.  Together these cells form the
-boundary of the quotient.  The user supplies the remaining cells (those
-meeting the interior) explicitly, with integer boundary coefficients.
+read upside down, give the boundary maps: the vertex-order signs with a
+set of reversed faces, ``flips`` (``SimplicialPoset.sign_convention``).
+Together these cells form the boundary of the quotient.  The user
+supplies the remaining cells (those meeting the interior) explicitly,
+with integer boundary coefficients.
 
 Three chain complexes live here: the face cells alone ("boundary"), the
 full cell structure ("space"), and the quotient by the face cells ("pair").
@@ -105,17 +107,16 @@ class InteriorCell:
 
 
 class CornerComplex:
-    """Cellular model of the quotient space over a simplicial poset."""
+    """Cellular model of the quotient space over a simplicial poset.  The
+    face cells are oriented by ``poset.sign_convention(flips)``; interior
+    boundaries are taken as given: a flip does not rewrite them."""
 
-    def __init__(self, poset, interior_cells=(), orientable=True, signs=None):
+    def __init__(self, poset, interior_cells=(), orientable=True, flips=()):
         self.poset = poset
         self.n = poset.top_rank
         self.orientable = bool(orientable)
-        if signs is None:
-            signs = poset.default_sign_convention()
-        else:
-            poset.validate_sign_convention(signs)
-        self.signs = dict(signs)
+        self.flips = frozenset(flips)
+        self.signs = poset.sign_convention(self.flips)
         self._face_dim = {}
         for e in poset.elements():
             self._face_dim[e] = self.n - poset.rank(e)

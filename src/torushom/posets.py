@@ -8,9 +8,11 @@ elements carry explicit ids and, where necessary, explicit face lists.
 The least element is represented by the constant ``BOTTOM`` and is never
 listed among the cells.
 
-The augmented chain complex is the local complex of the bottom: the
-elements above it plus their signed lower covers (``_local_complex``);
-``chains.ChainComplex`` builds and keeps the boundaries as sparse columns.
+Incidence signs are the vertex-order table with a set of faces reversed
+(``sign_convention``).  The augmented chain complex is the local complex
+of the bottom: the elements above it plus their signed lower covers
+(``_local_complex``); ``chains.ChainComplex`` builds and keeps the
+boundaries as sparse columns.
 """
 
 from math import comb
@@ -227,74 +229,42 @@ class SimplicialPoset:
 
     # --- sign conventions ----------------------------------------------
 
-    def default_sign_convention(self):
-        """Incidence signs from the sorted vertex order: removing the t-th
-        smallest vertex of a cell contributes (-1)**t, and every vertex meets
-        the bottom with sign +1.  Built once and handed out as a copy."""
+    def sign_convention(self, flips=()):
+        """Incidence signs on the cover pairs, {(e, f): +-1}: the
+        vertex-order table, where removing the t-th smallest vertex of a
+        cell gives (-1)**t and each vertex meets the bottom with +1, with
+        the sign of (e, f) negated when exactly one of e, f is in
+        ``flips``.  Every +-1 table on the cover pairs with ∂∂ = 0 is one
+        of these.  Each call hands out a new dict.  Raises
+        ValidationError naming a flip that is not a face above the
+        bottom."""
         if self._default_signs is None:
             self._default_signs = {
                 (e, self._faces[e][self._ver[e] - {v}]): (-1) ** t
                 for e in self.elements()
                 for t, v in enumerate(sorted(self._ver[e]))}
-        return dict(self._default_signs)
-
-    def validate_sign_convention(self, signs):
-        """Raises unless ``orientation`` accepts the table."""
-        self.orientation(signs)
-        return True
-
-    def orientation(self, signs):
-        """How each element is oriented by a sign table against the
-        vertex-order one, as {element: +-1}, the bottom +1.  Every
-        interval of length 2 is a diamond, and the lower covers of an
-        element of rank >= 2 meet pairwise in faces of codimension 2, so
-        a table of signs +-1 on exactly the cover pairs squares to zero
-        exactly when each element reads one orientation off all its
-        lower covers.  Raises ValidationError naming the pair or the
-        element that fails."""
-        default = self.default_sign_convention()
-        for pair in signs:
-            if pair not in default:
+        signs = dict(self._default_signs)
+        for e in frozenset(flips):
+            if e is BOTTOM or e not in self._ver:
                 raise ValidationError(
-                    "sign convention has %r, which is not a cover pair"
-                    % (pair,))
-        orientation = {BOTTOM: 1}
-        for e in self.elements():
-            for f in self.lower_covers(e):
-                sign = signs.get((e, f))
-                if sign not in (1, -1):
-                    raise ValidationError(
-                        "sign for %r is %r, not +-1" % ((e, f), sign))
-                value = sign * default[(e, f)] * orientation[f]
-                if orientation.setdefault(e, value) != value:
-                    raise ValidationError(
-                        "sign table is not an orientation change of the "
-                        "vertex-order convention at %r: the boundary does "
-                        "not square to zero" % (e,))
-        return orientation
-
-    def gauge_transform(self, signs, orientation_flips):
-        """Flip the orientation of selected elements: every sign between a
-        flipped element and an unflipped neighbour changes."""
-        flips = set(orientation_flips)
-        out = {}
-        for (a, b), s in signs.items():
-            factor = -1 if (a in flips) != (b in flips) else 1
-            out[(a, b)] = s * factor
-        return out
+                    "cannot reverse %r: it is not a face above the bottom"
+                    % (e,))
+            # a pair between two flipped faces is negated twice
+            for pair in ([(e, f) for f in self.lower_covers(e)]
+                         + [(g, e) for g in self._covers[e]]):
+                signs[pair] = -signs[pair]
+        return signs
 
     # --- chain complexes and counting ----------------------------------
 
-    def simplex_chain_complex(self, signs=None):
+    def simplex_chain_complex(self, flips=()):
         """The augmented chains of the cell structure underlying the poset:
         rank-k elements sit in degree k-1 and the bottom element spans
         degree -1: the local complex of the bottom, whose homology is
-        reduced homology.  The signs default to the vertex-order
-        convention.  ∂∂ = 0 is checked once per degree, on the first
-        homology read or by ``validate``."""
-        if signs is None:
-            signs = self.default_sign_convention()
-        return self._local_complex(BOTTOM, signs)
+        reduced homology.  The signs are ``sign_convention(flips)``.
+        ∂∂ = 0 is checked once per degree, on the first homology read or
+        by ``validate``."""
+        return self._local_complex(BOTTOM, self.sign_convention(flips))
 
     def reduced_betti(self, field=QQ):
         """Reduced Betti numbers over a field, indexed -1 .. top_rank-1.
@@ -366,7 +336,7 @@ class SimplicialPoset:
         if not self.is_pure():
             failures.append(("purity", None))
         n = self.top_rank
-        signs = self.default_sign_convention()
+        signs = self.sign_convention()
         for e in self.elements():
             top = n - self.rank(e)
             if top < 1:

@@ -22,6 +22,13 @@ def row_spaces_equal(rows_a, rows_b, field):
     return Echelon(field, rows_a).rows == Echelon(field, rows_b).rows
 
 
+def unit_vector(pres, generator):
+    """The coordinate vector of one generator of a graded presentation."""
+    v = [pres.field.zero] * len(pres.generators)
+    v[pres.column(generator)] = pres.field.one
+    return v
+
+
 def mat_vec(a, v, field):
     """The product a @ v over ``field``, computed densely."""
     out = []

@@ -140,25 +140,23 @@ def test_criterion_6_theta_span():
 
 def _gauge_flipped(fixture, flips):
     poset = fixture.poset
-    signs = poset.gauge_transform(poset.default_sign_convention(), flips)
     cells = [{"id": c.id, "dim": c.dim,
               "boundary": [[r, -v if r in flips else v]
                            for r, v in c.boundary]}
              for c in fixture.manifold.corner.interior]
-    corner = CornerComplex(poset, cells, signs=signs)
+    corner = CornerComplex(poset, cells, flips=flips)
     return TorusManifold(corner, fixture.charmat)
 
 
 def _flipped_annulus(flips):
     poset = build_annulus_poset()
-    signs = poset.gauge_transform(poset.default_sign_convention(), flips)
     cells = []
     for cell in ANNULUS_CELLS:
         boundary = [[ref, -co if ref in flips else co]
                     for ref, co in cell["boundary"]]
         cells.append({"id": cell["id"], "dim": cell["dim"],
                       "boundary": boundary})
-    corner = CornerComplex(poset, cells, signs=signs)
+    corner = CornerComplex(poset, cells, flips=flips)
     base = resolve_fixture("square_hole").manifold
     manifold = TorusManifold(corner, base.charmat)
 
@@ -212,7 +210,7 @@ def test_criterion_7_structural_invariance():
                 assert comp.free_rank == dual.free_rank, (fixture.name, k, l)
 
     rng = random.Random(20260822)
-    for fixture in bundled:
+    for fixture in bundled + [polygon_with_holes((6, 4, 3), seed=3)]:
         base = fixture.manifold
         base_initial = base.diagonal_dimensions(QQ, "initial")
         base_limit = base.diagonal_dimensions(QQ, "limit")
@@ -220,6 +218,9 @@ def test_criterion_7_structural_invariance():
         base_kernel = [len(base.kernel_of_g(k)) for k in range(base.n + 1)]
         base_rows = {q: base.first_kind_rows(q)[0]
                      for q in range(base.n + 1)}
+        base_socles = {(q, f): base.novik_swartz_check(q, f)
+                       for q in range(base.n) for f in (QQ, GF(3))}
+        base_table = base.bigraded_table(ZZ)
         elements = list(base.poset.elements())
         for trial in range(10):
             flips = {e for e in elements if rng.random() < 0.5}
@@ -232,6 +233,9 @@ def test_criterion_7_structural_invariance():
             assert flipped.total_betti(QQ) == base_betti, label
             assert [len(flipped.kernel_of_g(k))
                     for k in range(base.n + 1)] == base_kernel, label
+            assert {(q, f): flipped.novik_swartz_check(q, f)
+                    for q, f in base_socles} == base_socles, label
+            assert flipped.bigraded_table(ZZ) == base_table, label
             for q in range(base.n + 1):
                 rows, _ = flipped.first_kind_rows(q)
                 gens = flipped.generators(q)

@@ -40,7 +40,7 @@ def test_poset_complex_is_built_once(manifold, monkeypatch):
     original = SimplicialPoset.simplex_chain_complex
 
     def counting(self, *args, **kwargs):
-        if (args[0] if args else kwargs.get("signs")) is None:
+        if not (args[0] if args else kwargs.get("flips")):
             unsigned.append(self)
         return original(self, *args, **kwargs)
 

@@ -75,13 +75,12 @@ SHAPES = {
 
 def calculator(shape, flip_seed=None, field=QQ):
     """The calculator on a shape with no interior cells.  With
-    ``flip_seed`` the signs are gauged by ten seeded elements."""
+    ``flip_seed`` ten seeded faces are reversed."""
     poset, rows = SHAPES[shape]()
-    signs = None
+    flips = ()
     if flip_seed is not None:
         flips = random.Random(flip_seed).sample(poset.elements(), 10)
-        signs = poset.gauge_transform(poset.default_sign_convention(), flips)
-    manifold = TorusManifold(CornerComplex(poset, [], signs=signs),
+    manifold = TorusManifold(CornerComplex(poset, [], flips=flips),
                              CharacteristicMatrix(poset, rows))
     return IntersectionCalculator(manifold, GeometryOracle(), field=field)
 

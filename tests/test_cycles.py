@@ -499,15 +499,13 @@ class TestConventionInvariance:
     def test_gauge_flip_keeps_magnitudes(self, annulus_poset,
                                          annulus_charmat):
         flips = {2, 4, 10, 12}
-        signs = annulus_poset.gauge_transform(
-            annulus_poset.default_sign_convention(), flips)
         cells = []
         for cell in ANNULUS_CELLS:
             boundary = [[ref, -co if ref in flips else co]
                         for ref, co in cell["boundary"]]
             cells.append({"id": cell["id"], "dim": cell["dim"],
                           "boundary": boundary})
-        corner = CornerComplex(annulus_poset, cells, signs=signs)
+        corner = CornerComplex(annulus_poset, cells, flips=flips)
         flipped = TorusManifold(corner, annulus_charmat)
 
         def moved(entries):

@@ -16,6 +16,7 @@ from torushom.facering import (FaceRingQuotient, GradedPresentation,
 from torushom.fields import GF, QQ, row_space_contains
 from torushom.posets import BOTTOM, SimplicialPoset
 
+from conftest import unit_vector
 from test_posets import meet as poset_meet
 
 
@@ -316,7 +317,7 @@ class TestPresentations:
         q = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         pres = q.presentation(2)
         assert pres.dimension == 2
-        reduce = lambda e: pres.reduce(pres.unit(e))
+        reduce = lambda e: pres.reduce(unit_vector(pres, e))
         minus = lambda v: [QQ.neg(x) for x in v]
         assert reduce(8) == minus(reduce(11))
         assert reduce(9) == reduce(11)
@@ -341,12 +342,13 @@ class TestVertexAction:
     def test_join_case(self, annulus_poset, annulus_charmat):
         q = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         p1, p2 = q.presentation(1), q.presentation(2)
-        assert q.vertex_action(4, p1.unit(1), 1) == p2.reduce(p2.unit(11))
+        assert q.vertex_action(4, unit_vector(p1, 1), 1) == \
+            p2.reduce(unit_vector(p2, 11))
 
     def test_empty_join_case(self, annulus_poset, annulus_charmat):
         q = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         p1 = q.presentation(1)
-        image = q.vertex_action(5, p1.unit(1), 1)
+        image = q.vertex_action(5, unit_vector(p1, 1), 1)
         assert all(QQ.is_zero(x) for x in image)
 
     def test_elimination_case(self, annulus_poset, annulus_charmat):
@@ -354,22 +356,22 @@ class TestVertexAction:
         # the remaining rows, so v_1 * v_1 lands on -3 v_{14}
         q = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         p1, p2 = q.presentation(1), q.presentation(2)
-        want = [QQ.mul(QQ.from_int(-3), x) for x in p2.unit(11)]
-        assert q.vertex_action(1, p1.unit(1), 1) == p2.reduce(want)
+        want = [QQ.mul(QQ.from_int(-3), x) for x in unit_vector(p2, 11)]
+        assert q.vertex_action(1, unit_vector(p1, 1), 1) == p2.reduce(want)
 
     def test_action_on_unit(self, annulus_poset, annulus_charmat):
         q = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         p0, p1 = q.presentation(0), q.presentation(1)
         for i in annulus_poset.vertices():
-            assert q.vertex_action(i, p0.unit(BOTTOM), 0) == \
-                p1.reduce(p1.unit(i))
+            assert q.vertex_action(i, unit_vector(p0, BOTTOM), 0) == \
+                p1.reduce(unit_vector(p1, i))
 
     def test_digon_vertices_vanish_in_degree_one(self, digon_poset,
                                                  digon_charmat):
         q = FaceRingQuotient(digon_poset, digon_charmat, QQ)
         p0 = q.presentation(0)
         for i in (1, 2):
-            image = q.vertex_action(i, p0.unit(BOTTOM), 0)
+            image = q.vertex_action(i, unit_vector(p0, BOTTOM), 0)
             assert all(QQ.is_zero(x) for x in image)
 
     def test_independent_of_cell_choice(self, annulus_poset, annulus_charmat):
@@ -383,13 +385,14 @@ class TestVertexAction:
                 pres = base.presentation(k)
                 for g in pres.generators:
                     for i in annulus_poset.vertices():
-                        assert base.vertex_action(i, pres.unit(g), k) == \
-                            other.vertex_action(i, pres.unit(g), k)
+                        vec = unit_vector(pres, g)
+                        assert base.vertex_action(i, vec, k) == \
+                            other.vertex_action(i, vec, k)
 
     def test_non_vertex_rejected(self, annulus_poset, annulus_charmat):
         q = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         with pytest.raises(ValidationError):
-            q.vertex_action(8, q.presentation(1).unit(1), 1)
+            q.vertex_action(8, unit_vector(q.presentation(1), 1), 1)
 
 
 class TestSocle:
@@ -407,7 +410,7 @@ class TestSocle:
         outer_second = [1, 0, 1, 3, 0, 0, 0]
         assert q.in_socle(outer_first, 1)
         assert q.in_socle(outer_second, 1)
-        assert not q.in_socle(q.presentation(1).unit(5), 1)
+        assert not q.in_socle(unit_vector(q.presentation(1), 5), 1)
 
     def test_socle_members_are_killed_by_every_vertex(self, annulus_poset,
                                                       annulus_charmat):
@@ -467,8 +470,7 @@ class TestPresentationMechanics:
 
 class TestSignedQuotient:
     def build(self, poset, charmat, flips):
-        signs = poset.gauge_transform(poset.default_sign_convention(), flips)
-        return FaceRingQuotient(poset, charmat, QQ, signs=signs)
+        return FaceRingQuotient(poset, charmat, QQ, flips=flips)
 
     def test_flipped_dimensions_agree(self, annulus_poset, annulus_charmat):
         flipped = self.build(annulus_poset, annulus_charmat, {2, 4, 10, 12})

@@ -48,7 +48,7 @@ def _posets():
 @pytest.mark.parametrize("name,poset", list(_posets()),
                          ids=[name for name, _ in _posets()])
 def test_links_match_the_scan(name, poset):
-    signs = poset.default_sign_convention()
+    signs = poset.sign_convention()
     for e in poset.elements():
         walked, reference = link(poset, e), scan_link(poset, e)
         elements = reference.elements(include_bottom=True)

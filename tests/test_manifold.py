@@ -249,15 +249,13 @@ class TestSignTransport:
                                                  annulus_charmat,
                                                  annulus_manifold):
         flips = {2, 4, 10, 12}
-        signs = annulus_poset.gauge_transform(
-            annulus_poset.default_sign_convention(), flips)
         cells = []
         for cell in ANNULUS_CELLS:
             boundary = [[ref, -co if ref in flips else co]
                         for ref, co in cell["boundary"]]
             cells.append({"id": cell["id"], "dim": cell["dim"],
                           "boundary": boundary})
-        corner = CornerComplex(annulus_poset, cells, signs=signs)
+        corner = CornerComplex(annulus_poset, cells, flips=flips)
         flipped = TorusManifold(corner, annulus_charmat)
         base = annulus_manifold
         assert flipped.diagonal_dimensions(QQ, "initial") == \

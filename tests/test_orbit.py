@@ -340,14 +340,13 @@ class TestValidation:
 
 class TestSignTransport:
     def flipped(self, poset, cells, flips):
-        signs = poset.gauge_transform(poset.default_sign_convention(), flips)
         adjusted = []
         for cell in cells:
             boundary = [[ref, -co if ref in flips else co]
                         for ref, co in cell["boundary"]]
             adjusted.append({"id": cell["id"], "dim": cell["dim"],
                              "boundary": boundary})
-        return CornerComplex(poset, adjusted, signs=signs)
+        return CornerComplex(poset, adjusted, flips=flips)
 
     def test_gauge_preserves_everything(self, annulus_poset, annulus_cx):
         flips = {1, 11, 13}
@@ -360,8 +359,7 @@ class TestSignTransport:
         assert delta_rows(cx, 1) == [
             {1: -1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}]
 
-    def test_incomplete_sign_table_rejected(self, square_poset):
-        signs = square_poset.default_sign_convention()
-        signs.pop((5, 1))
-        with pytest.raises(ValidationError):
-            CornerComplex(square_poset, SQUARE_CELLS, signs=signs)
+    def test_non_face_flip_rejected(self, square_poset):
+        # a cover pair names a sign, not a face that can be reversed
+        with pytest.raises(ValidationError, match=r"reverse \(5, 1\)"):
+            CornerComplex(square_poset, SQUARE_CELLS, flips={(5, 1)})

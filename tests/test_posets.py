@@ -1,12 +1,15 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torushom.errors import ValidationError
+from torushom.facering import FaceRingQuotient
 from torushom.fields import GF, QQ
 from torushom.fixtures import resolve_fixture
+from torushom.orbit import CornerComplex
 from torushom.posets import BOTTOM, SimplicialPoset
 
 from conftest import (build_annulus_poset, build_cross_polytope,
@@ -82,7 +85,7 @@ class TestOrderStructure:
 
 class TestSignConventions:
     def test_default_signs_on_a_pair(self, annulus_poset):
-        signs = annulus_poset.default_sign_convention()
+        signs = annulus_poset.sign_convention()
         # edge 11 has vertices {1, 4}: dropping the smaller vertex is +1
         assert signs[(11, 4)] == 1
         assert signs[(11, 1)] == -1
@@ -92,55 +95,28 @@ class TestSignConventions:
         for build in (build_square_poset, build_annulus_poset,
                       build_digon_poset):
             p = build()
-            assert p.validate_sign_convention(p.default_sign_convention())
+            assert p.simplex_chain_complex().validate()
 
-    def test_missing_pair_detected(self, square_poset):
-        signs = square_poset.default_sign_convention()
-        del signs[(5, 1)]
-        with pytest.raises(ValidationError):
-            square_poset.validate_sign_convention(signs)
-
-    def test_broken_cocycle_detected(self, square_poset):
-        signs = square_poset.default_sign_convention()
-        signs[(5, 1)] = -signs[(5, 1)]
-        with pytest.raises(ValidationError):
-            square_poset.validate_sign_convention(signs)
+    def test_flip_negates_the_pairs_it_meets(self, annulus_poset):
+        default = annulus_poset.sign_convention()
+        flipped = annulus_poset.sign_convention({1, 11})
+        # (11, 1) joins two flipped faces and keeps its sign
+        assert flipped[(11, 1)] == default[(11, 1)]
+        assert flipped[(11, 4)] == -default[(11, 4)]
+        assert flipped[(1, BOTTOM)] == -default[(1, BOTTOM)]
 
     def test_gauge_flip_stays_valid(self, annulus_poset):
         rng = random.Random(4821)
-        signs = annulus_poset.default_sign_convention()
         elems = annulus_poset.elements()
         for _ in range(10):
             flips = [e for e in elems if rng.random() < 0.5]
-            flipped = annulus_poset.gauge_transform(signs, flips)
-            assert annulus_poset.validate_sign_convention(flipped)
-            cx = annulus_poset.simplex_chain_complex(signs=flipped)
+            cx = annulus_poset.simplex_chain_complex(flips).validate()
             assert cx.homology(0, QQ).rank == 1
             assert cx.homology(1, QQ).rank == 2
 
 
 def cover_pairs(poset):
     return [(e, f) for e in poset.elements() for f in poset.lower_covers(e)]
-
-
-def boundary_squares_to_zero(poset, signs):
-    """The sign check before orientation recovery, the reference: every
-    cover pair has a sign +-1 and the augmented complex of the table
-    passes its d∘d = 0 check."""
-    if any(signs.get(pair) not in (1, -1) for pair in cover_pairs(poset)):
-        return False
-    try:
-        poset.simplex_chain_complex(signs=signs).validate()
-    except ValidationError:
-        return False
-    return True
-
-
-def accepts(poset, signs):
-    try:
-        return poset.validate_sign_convention(signs)
-    except ValidationError:
-        return False
 
 
 SIGN_POSETS = {
@@ -152,61 +128,58 @@ SIGN_POSETS = {
 }
 
 
+def _flip_entry_points():
+    """Each way to hand a set of reversed faces to the package, on the
+    square with a hole."""
+    fixture = resolve_fixture("square_hole")
+    poset, charmat = fixture.poset, fixture.charmat
+    cells = fixture.manifold.corner.interior
+    return {
+        "CornerComplex": lambda flips: CornerComplex(poset, cells,
+                                                     flips=flips),
+        "FaceRingQuotient": lambda flips: FaceRingQuotient(
+            poset, charmat, QQ, flips=flips),
+        "simplex_chain_complex": poset.simplex_chain_complex,
+    }
+
+
 class TestSignTables:
-    """``validate_sign_convention`` recovers an orientation in one pass
-    over the covers; it must agree with the d∘d = 0 check."""
-
-    def test_non_cover_key_named(self):
-        poset = SIGN_POSETS["square_hole"]()
-        signs = poset.default_sign_convention()
-        assert accepts(poset, signs)
-        signs[("bogus", 1)] = 5
-        with pytest.raises(ValidationError, match="'bogus'"):
-            poset.validate_sign_convention(signs)
-
-    def test_flipped_edge_names_the_element(self):
-        poset = SIGN_POSETS["square_hole"]()
-        edge = poset.elements_of_rank(2)[0]
-        low = poset.lower_covers(edge)[1]
-        signs = poset.default_sign_convention()
-        signs[(edge, low)] *= -1
-        with pytest.raises(ValidationError, match="at %r" % (edge,)):
-            poset.validate_sign_convention(signs)
+    """Every sign table is ``sign_convention(flips)``: any set of faces
+    above the bottom is an orientation, and nothing else is accepted."""
 
     def test_default_table_is_kept_and_copied(self, square_poset):
-        signs = square_poset.default_sign_convention()
+        signs = square_poset.sign_convention()
         signs[(5, 1)] *= -1
-        assert square_poset.default_sign_convention()[(5, 1)] == -signs[(5, 1)]
-        assert square_poset.default_sign_convention() is not \
-            square_poset.default_sign_convention()
+        assert square_poset.sign_convention()[(5, 1)] == -signs[(5, 1)]
+        assert square_poset.sign_convention() is not \
+            square_poset.sign_convention()
+
+    @pytest.mark.parametrize("entry", ["CornerComplex", "FaceRingQuotient",
+                                       "simplex_chain_complex"])
+    @pytest.mark.parametrize("flip", ["bogus", (5, 1), BOTTOM],
+                             ids=["unknown", "cover-pair", "bottom"])
+    def test_flip_that_is_no_face_is_named(self, entry, flip):
+        build = _flip_entry_points()[entry]
+        build({1, 5})
+        with pytest.raises(ValidationError,
+                           match=re.escape("cannot reverse %r" % (flip,))):
+            build({1, flip})
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(sorted(SIGN_POSETS)), st.data())
-    def test_gauges_pass_and_single_flips_fail(self, name, data):
+    def test_any_flip_set_is_an_orientation(self, name, data):
         poset = SIGN_POSETS[name]()
-        default = poset.default_sign_convention()
         flips = data.draw(st.sets(st.sampled_from(poset.elements())))
-        signs = poset.gauge_transform(default, flips)
-        assert accepts(poset, signs)
-        assert boundary_squares_to_zero(poset, signs)
-        orientation = poset.orientation(signs)
-        assert all(orientation[e] == (-1 if e in flips else 1)
-                   for e in poset.elements())
-        upper = [p for p in cover_pairs(poset) if poset.rank(p[0]) > 1]
-        pair = data.draw(st.sampled_from(upper))
-        signs[pair] *= -1
-        assert not accepts(poset, signs)
-        assert not boundary_squares_to_zero(poset, signs)
-
-    @settings(deadline=None, max_examples=150)
-    @given(st.sampled_from(["square", "annulus", "digon"]), st.data())
-    def test_agrees_with_the_boundary_check(self, name, data):
-        poset = SIGN_POSETS[name]()
-        pairs = cover_pairs(poset)
-        values = data.draw(st.lists(st.sampled_from([1, -1]),
-                                    min_size=len(pairs), max_size=len(pairs)))
-        signs = dict(zip(pairs, values))
-        assert accepts(poset, signs) == boundary_squares_to_zero(poset, signs)
+        default, signs = poset.sign_convention(), poset.sign_convention(flips)
+        assert signs == {(e, f): s * (-1 if (e in flips) != (f in flips)
+                                      else 1)
+                         for (e, f), s in default.items()}
+        assert set(signs) == set(cover_pairs(poset))
+        cx = poset.simplex_chain_complex(flips).validate()
+        for e in poset.elements():
+            poset._local_complex(e, signs).validate()
+        assert {k: cx.homology(k, QQ).rank
+                for k in range(-1, poset.top_rank)} == poset.reduced_betti()
 
 
 class TestCounting:

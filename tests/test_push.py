@@ -67,12 +67,12 @@ def _poset_and_charmat(shape):
 @pytest.mark.parametrize("shape", SHAPES + ["tetrahedron"])
 def test_first_kind_rows_match_the_cover_loop(shape, flipped):
     poset, charmat = _poset_and_charmat(shape)
-    signs = poset.default_sign_convention()
+    signs = poset.sign_convention()
     if flipped:
         flips = {e for k in range(1, poset.top_rank + 1)
                  for e in poset.elements_of_rank(k)[::2]}
-        signs = poset.gauge_transform(signs, flips)
-        assert signs != poset.default_sign_convention()
+        signs = poset.sign_convention(flips)
+        assert signs != poset.sign_convention()
     for k in range(poset.top_rank + 1):
         got = linear_relations(poset, charmat, signs, k)
         assert got == cover_loop_relations(poset, charmat, signs, k), k

@@ -17,7 +17,7 @@ from torushom.fixtures import bundled_names, resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.posets import BOTTOM, SimplicialPoset
 
-from conftest import build_cross_polytope
+from conftest import build_cross_polytope, unit_vector
 from test_cross_polytope import build_digon_square_join
 from test_posets import reference_buchsbaum, triangle_pair_at_vertex
 from test_push import SHAPES, _fixture, _poset_and_charmat, \
@@ -99,7 +99,7 @@ class DenseReference:
         src, dst = self.quo.presentation(k), self.quo.presentation(k + 1)
         cols = []
         for g in src.basis:
-            image = self.vertex_action(i, src.unit(g), k)
+            image = self.vertex_action(i, unit_vector(src, g), k)
             cols.append([image[c] for c in dst._basis_cols])
         return [[col[r] for col in cols] for r in range(len(dst.basis))]
 
@@ -125,12 +125,8 @@ def _last_top(e, tops):
 
 def _quotient(shape, field, flipped=False, choice=None):
     poset, charmat = _poset_and_charmat(shape)
-    signs = None
-    if flipped:
-        signs = poset.gauge_transform(poset.default_sign_convention(),
-                                      _flips(poset))
-        assert signs != poset.default_sign_convention()
-    return FaceRingQuotient(poset, charmat, field, signs=signs,
+    flips = _flips(poset) if flipped else ()
+    return FaceRingQuotient(poset, charmat, field, flips=flips,
                             simplex_choice=choice)
 
 
@@ -167,7 +163,7 @@ def _check_products(quo):
         pres = quo.presentation(k)
         for i in quo.poset.vertices():
             for g in pres.generators:
-                unit = pres.unit(g)
+                unit = unit_vector(pres, g)
                 assert quo.vertex_action(i, unit, k) == \
                     ref.vertex_action(i, unit, k), (i, g, k)
                 checked += 1
@@ -239,7 +235,7 @@ def test_non_vertices_are_rejected(bad):
     square_hole) are all refused with the same message."""
     quo = resolve_fixture("square_hole").manifold.quotient(QQ)
     assert 8 in quo.poset.elements_of_rank(2)
-    unit = quo.presentation(1).unit(quo.poset.vertices()[0])
+    unit = unit_vector(quo.presentation(1), quo.poset.vertices()[0])
     with pytest.raises(ValidationError, match="is not a vertex"):
         quo.vertex_action(bad, unit, 1)
     with pytest.raises(ValidationError, match="is not a vertex"):
