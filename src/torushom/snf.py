@@ -4,15 +4,20 @@ integer kernels and solves, exact determinants.
 ``smith_normal_form`` is one sparse elimination loop, the integer
 counterpart of ``fields.Echelon``.  Its working rows are dicts
 {column: value}, and a column index lists the rows with an entry in each
-column, so a row or column step touches only nonzero entries.  The pivot
-is a live entry of least magnitude, and among those one of least
-fill-in (other entries in its row times other entries in its column), so
-the unit entries of boundary and relation matrices are eliminated first
-and cheaply.  A remainder left by the integer quotients becomes the next
-pivot (Euclid's step); once a pivot's row and column are clear it must
-divide every entry left, or a row holding an offending entry is added to
-its row.  Pivot positions are recorded rather than swapped into place,
-and the permutation is applied once at the end.
+column, so a row or column step touches only nonzero entries.  The unit
+pivots come first, with no search (Kaczynski, Mrozek and Ślusarek 1998;
+Dumas, Heckenbach, Saunders and Welker 2003): the rows are visited
+once, shortest first, and each takes the ±1 entry whose column is
+shortest.  Its column is cleared by row steps, after which the column
+holds only the pivot, so the column steps that clear its row touch that
+row alone.  Only the block left when the units run out is scanned whole
+for an entry of least magnitude and least fill-in; on boundary and
+relation matrices it is usually empty.  A remainder left by the integer
+quotients becomes the next pivot (Euclid's step); once a pivot's row and
+column are clear it must divide every entry left, or a row holding an
+offending entry is added to its row.  Pivot positions are recorded
+rather than swapped into place, and the permutation is applied once at
+the end.
 
 The transforms are kept sparse as well: the rows of U, the columns of V,
 and W = U^-1 by columns, each row operation on U mirrored by its inverse
@@ -29,6 +34,8 @@ and ``int_inverse`` takes the inverse and its existence from one form.
 Matrices passed in, and those the other routines return, are lists of
 row lists of Python ints.
 """
+
+from itertools import compress
 
 
 def int_identity(n):
@@ -93,7 +100,8 @@ def smith_normal_form(m):
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    a = [{j: x for j, x in enumerate(row) if x} for row in m]
+    a = [dict(zip(compress(range(ncols), row), compress(row, row)))
+         for row in m]
     cols = [set() for _ in range(ncols)]
     for i, row in enumerate(a):
         for j in row:
@@ -130,7 +138,8 @@ def smith_normal_form(m):
         _axpy(v[dst], v[src], q)
 
     pivots = []
-    found = _pivot(a, cols)
+    units = _units(a, cols)
+    found = next(units, None) or _pivot(a, cols)
     while found is not None:
         r, c = found
         if a[r][c] < 0:
@@ -146,15 +155,16 @@ def smith_normal_form(m):
             q = a[r][j] // p
             if q:
                 add_col(j, c, -q)
-        # Euclid step: a remainder left in the pivot's row or column is
-        # smaller than p and becomes the pivot
-        rest = [(abs(a[i][c]), i, c) for i in cols[c] if i != r]
-        rest += [(abs(x), r, j) for j, x in a[r].items() if j != c]
-        if rest:
-            found = min(rest)[1:]
-            continue
-        # row and column are clear; p must divide every entry left
+        # a unit pivot divides exactly: its row and column are clear
         if p > 1:
+            # Euclid step: a remainder left in the pivot's row or column
+            # is smaller than p and becomes the pivot
+            rest = [(abs(a[i][c]), i, c) for i in cols[c] if i != r]
+            rest += [(abs(x), r, j) for j, x in a[r].items() if j != c]
+            if rest:
+                found = min(rest)[1:]
+                continue
+            # row and column are clear; p must divide every entry left
             offender = next((i for i, row in enumerate(a) if i != r
                              and any(x % p for x in row.values())), None)
             if offender is not None:
@@ -163,7 +173,7 @@ def smith_normal_form(m):
         pivots.append((r, c, p))
         cols[c].discard(r)
         a[r] = {}
-        found = _pivot(a, cols)
+        found = next(units, None) or _pivot(a, cols)
 
     row_order = _order([r for r, _, _ in pivots], nrows)
     col_order = _order([c for _, c, _ in pivots], ncols)
@@ -171,20 +181,32 @@ def smith_normal_form(m):
             [v[j] for j in col_order], [wt[i] for i in row_order])
 
 
+def _units(a, cols):
+    """Unit pivot positions, taken as the elimination goes: the rows in
+    order of their starting length, then index, each that still holds a
+    ±1 entry when it is reached; of those entries the one whose column
+    has fewest live entries, the lowest column on a tie."""
+    lengths = list(map(len, a))
+    for i in sorted(range(len(a)), key=lengths.__getitem__):
+        best = None
+        for j, x in a[i].items():
+            if x == 1 or x == -1:
+                key = len(cols[j]), j
+                if best is None or key < best:
+                    best = key
+        if best:
+            yield i, best[1]
+
+
 def _pivot(a, cols):
     """Position of a live entry of least magnitude, and among those of
     least fill-in (other entries in its row x other entries in its
-    column), the first such in row order.  A unit whose fill-in meets the
-    lower bound set by the shortest row and column ends the search.  None
-    when every row is empty."""
-    shortest = min(filter(None, map(len, a)), default=0)
-    if not shortest:
-        return None
-    floor = (shortest - 1) * (min(filter(None, map(len, cols))) - 1)
+    column), the first such in row order, by a scan of every live entry.
+    It runs only on the block the unit pivots leave, where a unit is
+    born of a Euclid step or of fill-in.  None when every row is
+    empty."""
     best = None
     for i, row in enumerate(a):
-        if not row:
-            continue
         others = len(row) - 1
         for j, x in row.items():
             mag = x if x > 0 else -x
@@ -192,10 +214,8 @@ def _pivot(a, cols):
                 continue
             fill = others * (len(cols[j]) - 1)
             if best is None or (mag, fill) < best[:2]:
-                if mag == 1 and fill == floor:
-                    return i, j
                 best = (mag, fill, i, j)
-    return best[2:]
+    return best and best[2:]
 
 
 def _axpy(dst, src, q):

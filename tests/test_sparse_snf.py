@@ -8,17 +8,26 @@ only as the reference.  Every comparison checks the whole contract of the
 sparse form, made dense by ``conftest.dense_smith``: U @ m @ V = D, W @ U = U @ W = I, |det U| = |det V| = 1,
 d_1 | d_2 | ..., and the same diagonal as the reference and as sympy's
 invariant factors.
+
+The sparse form takes its unit pivots by a sweep over the rows and
+scans the whole matrix (``snf._pivot``) only for what the sweep leaves.
+Matrices that mix units with larger entries reach that scan; the
+torsion-free boundary matrices of ``TestUnitSweep`` never do.
 """
 
+from contextlib import contextmanager
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy import ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
-from conftest import dense_complex, dense_smith
+from conftest import build_cross_polytope, dense_complex, dense_smith
 from torushom import snf
+from torushom.fields import ZZ
+from torushom.fixtures import resolve_fixture
 from torushom.generator import polygon_with_holes
 
 
@@ -177,6 +186,48 @@ def boundary_matrices(draw):
     return m
 
 
+@st.composite
+def unit_and_residual_matrices(draw):
+    """A block of up to 7 x 7 with entries in {0, ±1, ±2, ±3, 4} beside a
+    diagonal block of one or two entries in {±2, ±3, 4}, the rows and
+    columns shuffled.  The diagonal block shares no row or column with the
+    rest and holds no unit, so the unit sweep never reaches it and the
+    whole-matrix scan always has a residual to take."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3, 4])
+    block = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+             for _ in range(nrows)]
+    diagonal = draw(st.lists(st.sampled_from([2, -2, 3, -3, 4]),
+                             min_size=1, max_size=2))
+    m = [row + [0] * len(diagonal) for row in block]
+    m += [[0] * ncols + [x if j == i else 0 for j in range(len(diagonal))]
+          for i, x in enumerate(diagonal)]
+    row_order = draw(st.permutations(range(len(m))))
+    col_order = draw(st.permutations(range(len(m[0]))))
+    return [[m[i][j] for j in col_order] for i in row_order]
+
+
+@contextmanager
+def scan_choices():
+    """The positions the whole-matrix scan ``snf._pivot`` picks while the
+    block runs, listed as they come; a scan that finds nothing adds none."""
+    scan = snf._pivot
+    chosen = []
+
+    def recording(a, cols):
+        found = scan(a, cols)
+        if found is not None:
+            chosen.append(found)
+        return found
+
+    snf._pivot = recording
+    try:
+        yield chosen
+    finally:
+        snf._pivot = scan
+
+
 class TestAgainstDenseReference:
     @settings(deadline=None, max_examples=200)
     @given(small_matrices())
@@ -197,9 +248,23 @@ class TestAgainstDenseReference:
         ([[2, 0], [0, 3]], [1, 6]),
         ([[4, 0], [0, 6]], [2, 12]),
         ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 6]),
+        # two unit pivots leave -2, 3 and 4 to the scan
+        ([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 3, 0], [0, 1, 0, 4]],
+         [1, 1, 1, 24]),
     ])
     def test_divisibility_fixup(self, m, factors):
         assert assert_smith_contract(m, snf.smith_normal_form(m)) == factors
+
+    @settings(deadline=None, max_examples=150)
+    @given(unit_and_residual_matrices())
+    # after its two unit pivots the sweep leaves diag(-2, 3), which the
+    # divisibility fix-up turns into the factors 1, 6
+    @example([[1, 1, 0], [1, -1, 0], [0, 0, 3]])
+    def test_units_then_a_residual(self, m):
+        with scan_choices() as chosen:
+            result = snf.smith_normal_form(m)
+        assert chosen
+        assert_smith_contract(m, result)
 
     def test_polygon_boundaries(self):
         corner = polygon_with_holes((6, 4, 3), seed=3).manifold.corner
@@ -211,6 +276,48 @@ class TestAgainstDenseReference:
                 assert_smith_contract(mat, snf.smith_normal_form(mat))
                 seen += 1
         assert seen >= 4
+
+
+SELECTORS = ("boundary", "space", "pair")
+
+SWEPT = {
+    "square_hole": lambda: [
+        resolve_fixture("square_hole").manifold.corner.complex_for(selector)
+        for selector in SELECTORS],
+    "polygon_6_4_3": lambda: [
+        polygon_with_holes((6, 4, 3), seed=3).manifold.corner.complex_for(
+            selector) for selector in SELECTORS],
+    "cross5": lambda: [build_cross_polytope(5)[0].simplex_chain_complex()],
+}
+
+
+class TestUnitSweep:
+    """Torsion-free boundary matrices are eliminated by the unit sweep
+    alone: the whole-matrix scan, which cost a pass over every live
+    entry per pivot, selects nothing."""
+
+    @pytest.mark.parametrize("name", sorted(SWEPT))
+    def test_boundaries_need_no_scan(self, name):
+        seen = 0
+        for cx in SWEPT[name]():
+            for k in cx.boundaries:
+                mat = cx.boundary_matrix(k)
+                with scan_choices() as chosen:
+                    factors = snf.invariant_factors(mat)
+                assert chosen == []
+                assert factors == [1] * len(factors)
+                seen += 1
+        assert seen >= 3
+
+    def test_seven_cross_polytope(self):
+        """The boundary of the 7-dimensional cross-polytope, a 6-sphere
+        with 2,186 faces: reduced integral homology 0, ..., 0, Z, read off
+        seven Smith forms, the largest 560 x 672, with no scan."""
+        cx = build_cross_polytope(7)[0].simplex_chain_complex()
+        with scan_choices() as chosen:
+            groups = [cx.homology(k, ZZ).describe() for k in range(-1, 7)]
+        assert groups == ["0"] * 7 + ["Z"]
+        assert chosen == []
 
 
 # --- torsion that outlives the unit pivots ------------------------------
