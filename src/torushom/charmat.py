@@ -7,7 +7,7 @@ what makes the associated quotient space a manifold.
 paired with an axis subset A of size n-k goes to the row whose g-entry is
 chain[g] * c(g, A), with c the signed complementary minor
 (``c_coefficient``).  Both kinds of relation rows and the socle-placement
-vectors are such pushes, of different chains.
+vectors are such pushes, of different chains, each a {position: value}.
 """
 
 from itertools import combinations
@@ -113,15 +113,15 @@ class CharacteristicMatrix:
     def push(self, k, chains, coeffs=ZZ):
         """Rows of ``chains`` pushed along the axes.
 
-        ``chains`` holds (label, vector) pairs, each vector running over
-        the rank-k elements in ``poset.elements_of_rank(k)`` order.  Each
-        chain gives one row per axis subset A of size n-k, in
-        ``axis_subsets`` order, whose g-entry is chain[g] * c(g, A) in
-        ``coeffs``; its label is (label, sorted A).  Only nonzero chain
-        entries are visited, and the integers c(g, A) are kept per k on
-        the matrix, which does not change.  Integral entries stay plain
-        ints, so over Q integer chains give int rows.  Returns the rows
-        and labels.
+        ``chains`` holds (label, chain) pairs, each chain a {position:
+        nonzero value} over the rank-k elements in
+        ``poset.elements_of_rank(k)`` order.  Each chain gives one row per
+        axis subset A of size n-k, in ``axis_subsets`` order: {g:
+        chain[g] * c(g, A) in ``coeffs``}, with no entry zero in
+        ``coeffs`` (over GF(p) a nonzero minor can vanish), labelled
+        (label, sorted A).  The integers c(g, A) are kept per k on the
+        matrix.  Integral entries stay plain ints, so over Q integer
+        chains give int rows.  Returns the rows and labels.
         """
         if k not in self._minors:
             gens = self.poset.elements_of_rank(k)
@@ -130,11 +130,13 @@ class CharacteristicMatrix:
                                for axes in self.axis_subsets(self.n - k)]
         rows, labels = [], []
         for label, chain in chains:
-            support = [(g, plain(z)) for g, z in enumerate(chain) if z]
+            support = [(g, plain(z)) for g, z in chain.items()]
             for axes, minors in self._minors[k]:
-                row = [0] * len(minors)
+                row = {}
                 for g, z in support:
-                    row[g] = coeffs.mul(z, minors[g])
+                    x = coeffs.mul(z, minors[g])
+                    if not coeffs.is_zero(x):
+                        row[g] = x
                 rows.append(row)
                 labels.append((label, axes))
         return rows, labels

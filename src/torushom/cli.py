@@ -139,9 +139,9 @@ def cmd_report(args):
 
     relations = []
     for q in range(m.n + 1):
-        first = len(m.diagonal_page(q, field, "initial").rows)
+        first = m.diagonal_page(q, field, "initial").row_count
         relations.append(
-            (q, first, len(m.diagonal_page(q, field).rows) - first))
+            (q, first, m.diagonal_page(q, field).row_count - first))
 
     initial = m.diagonal_dimensions(field, "initial")
     limit = m.diagonal_dimensions(field, "limit")

@@ -20,7 +20,7 @@ from math import comb
 
 from . import snf
 from .errors import ValidationError
-from .fields import QQ, Echelon, PrimeField, lift, nullspace, plain
+from .fields import QQ, ZZ, Echelon, lift, nullspace, plain
 from .posets import BOTTOM
 
 
@@ -50,54 +50,47 @@ def hilbert_series(poset, maxdeg):
     return dims
 
 
-def linear_relations(poset, charmat, signs, k):
-    """Integer relation rows among the rank-k elements, one per pair of a
-    rank-(k-1) element J and an axis subset A of size n-k.  The chain of
-    J is its cell boundary, sum of signs[(I, J)] * e_I over the covers I
-    of J; its rows are that chain pushed along the axes
+def linear_relations(poset, charmat, signs, k, coeffs=ZZ):
+    """Relation rows among the rank-k elements over ``coeffs``, one per
+    pair of a rank-(k-1) element J and an axis subset A of size n-k.  The
+    chain of J is its cell boundary, {column of I: signs[(I, J)]} over the
+    covers I of J; its rows are that chain pushed along the axes
     (``CharacteristicMatrix.push``), so the entry of a cover I is its
-    incidence sign times its complementary minor c(I, A).  Returns the
-    rows and their (J, A) labels."""
+    incidence sign times its complementary minor c(I, A), and a row is a
+    {column: value} with no entry zero in ``coeffs``.  Returns the rows
+    and their (J, A) labels."""
     if k < 1:
         return [], []
-    gens = poset.elements_of_rank(k)
-    col = {g: i for i, g in enumerate(gens)}
-    chains = []
-    for j_elt in poset.elements_of_rank(k - 1):
-        chain = [0] * len(gens)
-        for i_elt in poset.upper_covers(j_elt):
-            chain[col[i_elt]] += signs[(i_elt, j_elt)]
-        chains.append((j_elt, chain))
-    return charmat.push(k, chains)
+    col = {g: i for i, g in enumerate(poset.elements_of_rank(k))}
+    chains = [(j_elt, {col[i_elt]: signs[(i_elt, j_elt)]
+                       for i_elt in poset.upper_covers(j_elt)})
+              for j_elt in poset.elements_of_rank(k - 1)]
+    return charmat.push(k, chains, coeffs)
 
 
 class GradedPresentation:
-    """One graded piece of a module given by labelled generators and
-    relation rows over a field.
+    """One graded piece of a module given by generators and relation rows
+    over a field.
 
-    The relation rows are kept as given, ints or field values (over
-    GF(p) each entry taken mod p), and row reduced once, into
-    ``echelon``; pivot generators are eliminated and the surviving
-    generators form the reduction basis.  With ``base``, a presentation
-    of the same generators, its rows come first and its kept echelon is
-    copied and extended by ``rows`` rather than built again.  Sparse
+    Each relation row, a {column: nonzero value} of ints or field values,
+    goes straight into ``echelon``, which keeps the row space in reduced
+    echelon form; the rows themselves are not kept, only ``row_count``.
+    Pivot generators are eliminated and the surviving generators form the
+    reduction basis.  With ``base``, a presentation of the same
+    generators, its kept echelon is copied and extended by ``rows``
+    rather than built again, and its rows are counted first.  Sparse
     vectors are reduced and tested on ``echelon`` itself.
     """
 
-    def __init__(self, degree, generators, rows, field, row_labels=None,
-                 base=None):
+    def __init__(self, degree, generators, rows, field, base=None):
         self.degree = degree
         self.generators = list(generators)
         self.field = field
-        p = field.p if isinstance(field, PrimeField) else None
-        rows = [[x % p for x in r] if p else list(r) for r in rows]
         self.echelon = base.echelon.copy() if base else Echelon(field)
+        self.row_count = base.row_count if base else 0
         for row in rows:
-            self.echelon.add(row)
-        self.rows = rows if base is None else base.rows + rows
-        self.row_labels = list(row_labels) if row_labels is not None else None
-        if self.row_labels is not None and len(self.row_labels) != len(self.rows):
-            raise ValidationError("row labels do not match relation rows")
+            self.echelon.add_sparse(row)
+            self.row_count += 1
         pivot_set = set(self.echelon.pivots)
         self._basis_cols = [i for i in range(len(self.generators))
                             if i not in pivot_set]
@@ -200,10 +193,10 @@ class FaceRingQuotient:
     def _build_presentation(self, k):
         if k < 0 or k > self.n:
             return GradedPresentation(k, [], [], self.field)
-        rows, labels = linear_relations(self.poset, self.charmat,
-                                        self.signs, k)
+        rows, _ = linear_relations(self.poset, self.charmat, self.signs, k,
+                                   self.field)
         return GradedPresentation(k, self.poset.elements_of_rank(k), rows,
-                                  self.field, row_labels=labels)
+                                  self.field)
 
     # --- theta elimination ---------------------------------------------
 
@@ -400,16 +393,15 @@ class FaceRingQuotient:
         return [src.lift(coords) for coords in coords_list]
 
     def in_socle(self, vec, k):
-        """Whether every vertex kills a degree-k vector.  The vector is
-        reduced once; the image under a vertex is the sum of the kept
-        products over its nonzero coordinates, and only a nonempty image
-        is reduced."""
+        """Whether every vertex kills a degree-k vector, given as {column:
+        nonzero value} over the rank-k generators.  The vector is reduced
+        once; the image under a vertex is the sum of the kept products
+        over its nonzero coordinates, and only a nonempty image is
+        reduced."""
         src = self.presentation(k)
         dst = self.presentation(k + 1)
         images = {}
-        for col, coeff in enumerate(src.reduce(vec)):
-            if self.field.is_zero(coeff):
-                continue
+        for col, coeff in src.echelon.reduce_sparse(vec).items():
             coeff = plain(coeff)
             for i in self._reach(src.generators[col]):
                 _add_scaled(self.field, images.setdefault(i, {}), coeff,

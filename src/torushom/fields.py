@@ -21,11 +21,11 @@ Kernels are read off kept echelons: ``Echelon.kernel`` gives the right
 kernel of the rows (``nullspace``, field homology), and each kernel of a
 map into a quotient (the connecting map, the inclusion kernel, the socle
 placement) comes from a ``tracked`` copy of the quotient's kept echelon
-and is checked by ``kernel_spans``.  The dense helpers ``rref``, ``rank``,
-``nullspace``, ``solve_all``, ``solve`` and ``row_space_contains`` each
-build an ``Echelon``; no command path calls them, and the package calls
-only ``nullspace``, in ``FaceRingQuotient.socle_basis``, which only tests
-call.
+and is checked by ``kernel_spans``.  Relation rows and tracked vectors
+come in sparse.  The dense helpers ``rref``, ``rank``, ``nullspace``,
+``solve_all``, ``solve`` and ``row_space_contains`` each build an
+``Echelon``; no command path calls them, and the package calls only
+``nullspace``, in ``FaceRingQuotient.socle_basis``, which only tests call.
 """
 
 from fractions import Fraction
@@ -458,10 +458,10 @@ class Echelon:
             yield (w if p is None else {j: x % p for j, x in w.items()}), d
 
     def row(self, pc):
-        """The kept row with pivot column pc as field values, {column:
+        """The kept row with pivot column pc as field values, a new {column:
         value}, its pivot entry one."""
         row = self._rows[pc]
-        return self._values(row, row[pc])
+        return dict(self._values(row, row[pc]))
 
     def copy(self):
         """The same rows, copied to be extended apart: ``add_sparse``
@@ -472,13 +472,13 @@ class Echelon:
         return other
 
     def tracked(self, vectors, m):
-        """A copy extended by each vector v_j, dense over m columns, tagged
-        with -1 in column m+j.  Pivots are least columns, so the rows from
-        column m on are (0, c) for c in the reduced echelon basis of the
+        """A copy extended by each v_j, {column: nonzero value} below m,
+        tagged by -1 in column m+j.  Pivots are least columns, so the rows
+        from column m on are (0, c), c in the reduced echelon basis of the
         kernel of c -> sum c_j v_j into the quotient by the rows."""
         other = self.copy()
         for j, vec in enumerate(vectors):
-            tagged = {i: x for i, x in enumerate(vec) if x}
+            tagged = dict(vec)
             tagged[m + j] = -1
             other.add_sparse(tagged)
         return other

@@ -9,9 +9,9 @@ vectors that place the boundary classes in the socle, are chains over the
 faces pushed along the axes (``CharacteristicMatrix.push``).  Rows of the
 first kind push the cell boundary of each face: they are the face ring
 presentation, one per face-and-axes pair.  Rows of the second kind push
-the images of the connecting map of the quotient pair.  The limit page of
-each degree holds them after the first-kind rows, and every reader of the
-second-kind rows takes them, or their count and rank, from there.
+the images of the connecting map of the quotient pair.  Rows go sparse
+into a page echelon, which keeps no row: the limit page of each degree
+extends the initial page's by the second-kind rows, read there.
 Nothing here eliminates but into a page's kept echelon: the restriction
 kernel is read off the limit page's, and the socle placement off a copy
 of the presentation's tracking the pushed classes (``Echelon.tracked``).
@@ -109,7 +109,9 @@ class TorusManifold:
                 "second-kind rows exist in degrees 0..%d, not %d"
                 % (self.n - 2, q))
         chains, _ = self.corner.delta_image(q, coeffs)
-        return self.charmat.push(self.n - q, enumerate(chains), coeffs)
+        return self.charmat.push(
+            self.n - q, ((b, {i: x for i, x in enumerate(chain) if x})
+                         for b, chain in enumerate(chains)), coeffs)
 
     # --- diagonal pages -------------------------------------------------
 
@@ -117,8 +119,8 @@ class TorusManifold:
         """The degree-2q diagonal as a presented module: generators are
         the rank-(n-q) faces.  The initial page is the face ring quotient's
         own presentation in degree n-q, with its first-kind rows; the limit
-        page adds the second-kind rows where they exist, extending the
-        initial page's echelon."""
+        page adds the second-kind rows where they exist, extending a copy
+        of the initial page's echelon, and counts both kinds."""
         if kind not in ("initial", "limit"):
             raise ValidationError("page kind %r is not initial or limit"
                                   % (kind,))
@@ -129,12 +131,9 @@ class TorusManifold:
         key = (q, field)
         page = self._pages.get(key)
         if page is None:
-            extra, extra_labels = self.second_kind_rows(q, field)
-            labels = ([("face",) + lab for lab in initial.row_labels]
-                      + [("pair",) + lab for lab in extra_labels])
             page = GradedPresentation(self.n - q, initial.generators,
-                                      extra, field, row_labels=labels,
-                                      base=initial)
+                                      self.second_kind_rows(q, field)[0],
+                                      field, base=initial)
             self._pages[key] = page
         return page
 
@@ -147,11 +146,16 @@ class TorusManifold:
         factored once per q and shared by later calls."""
         found = self._integral.get(q)
         if found is None:
-            rows, _ = self.first_kind_rows(q)
+            sparse, _ = self.first_kind_rows(q)
             if q <= self.n - 2:
-                rows = rows + self.second_kind_rows(q, ZZ)[0]
+                sparse += self.second_kind_rows(q, ZZ)[0]
+            width = len(self.generators(q))
+            rows = [[0] * width for _ in sparse]
+            for dense, row in zip(rows, sparse):
+                for j, x in row.items():
+                    dense[j] = x
             factors = snf.invariant_factors(rows) if rows else []
-            found = (len(self.generators(q)) - len(factors),
+            found = (width - len(factors),
                      [f for f in factors if f > 1])
             self._integral[q] = found
         return found
@@ -200,8 +204,8 @@ class TorusManifold:
         """Basis rows, in reduced echelon form, of the part of the degree-2k
         diagonal killed on the limit page: the limit page's kept rows
         whose pivots the initial page lacks, which are its second-kind
-        rows reduced against the initial page.  Empty when the matching
-        connecting degree is above its range."""
+        rows reduced against the initial page, as {column: value}.  Empty
+        when the matching connecting degree is above its range."""
         if k < 0 or k > self.n:
             raise ValidationError("diagonal degree %d outside 0..%d"
                                   % (k, self.n))
@@ -210,10 +214,8 @@ class TorusManifold:
             return []
         initial = set(self.diagonal_page(q, field, "initial").echelon.pivots)
         page = self.diagonal_page(q, field)
-        fresh = (page.echelon.row(pc) for pc in page.echelon.pivots
-                 if pc not in initial)
-        return [[row.get(j, field.zero) for j in range(len(page.generators))]
-                for row in fresh]
+        return [page.echelon.row(pc) for pc in page.echelon.pivots
+                if pc not in initial]
 
     # --- socle placement of the boundary classes -----------------------
 
@@ -233,8 +235,9 @@ class TorusManifold:
         pres = quo.presentation(k)
         hq = self.corner.homology("boundary", q, field)
         axes_count = comb(self.n, q)
-        vectors, _ = self.charmat.push(k, enumerate(hq.free_generators),
-                                       field)
+        vectors, _ = self.charmat.push(
+            k, ((j, {i: x for i, x in enumerate(cls) if x})
+                for j, cls in enumerate(hq.free_generators)), field)
         socle_ok = all(quo.in_socle(vec, k) for vec in vectors)
         m = len(pres.generators)
         tracked = pres.echelon.tracked(vectors, m)
@@ -312,7 +315,7 @@ class TorusManifold:
         for q in range(self.n - 1):
             initial = self.diagonal_page(q, field, kind="initial")
             limit = self.diagonal_page(q, field)
-            rows = len(limit.rows) - len(initial.rows)
+            rows = limit.row_count - initial.row_count
             dim = initial.dimension - limit.dimension
             details.append("degree %d: %d rows, reduced dimension %d"
                            % (q, rows, dim))

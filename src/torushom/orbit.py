@@ -320,7 +320,8 @@ class CornerComplex:
         past column m.  Returns it, m."""
         m = target.dim(q)
         echelon = target._echelon(q + 1, field)
-        return echelon.tracked(hface.free_generators, m), m
+        return echelon.tracked([{i: x for i, x in enumerate(g) if x}
+                                for g in hface.free_generators], m), m
 
     # --- validation ----------------------------------------------------
 

@@ -38,10 +38,6 @@ row lists of Python ints.
 from itertools import compress
 
 
-def int_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def int_mat_mul(a, b):
     if not a or not b:
         return [[] for _ in a]

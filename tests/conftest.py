@@ -22,6 +22,25 @@ def row_spaces_equal(rows_a, rows_b, field):
     return Echelon(field, rows_a).rows == Echelon(field, rows_b).rows
 
 
+def int_identity(n):
+    """The n x n integer identity matrix."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def densify(row, width, zero=0):
+    """A {column: value} row as a dense list of ``width`` entries."""
+    out = [zero] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def sparsify(vec):
+    """A dense vector as {column: nonzero value}, the form relation rows,
+    ``in_socle`` and ``Echelon.tracked`` take."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
 def unit_vector(pres, generator):
     """The coordinate vector of one generator of a graded presentation."""
     v = [pres.field.zero] * len(pres.generators)

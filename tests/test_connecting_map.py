@@ -29,8 +29,8 @@ with a second arc, where two chains have dependent nonzero coordinates.
 
 import pytest
 
-from conftest import (build_cross_polytope, build_punctured_torus,
-                      row_spaces_equal)
+from conftest import (build_cross_polytope, build_punctured_torus, densify,
+                      row_spaces_equal, sparsify)
 from test_cross_polytope import build_digon_square_join
 from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
@@ -213,11 +213,15 @@ def test_integral_connecting_map_matches_the_smith_solve(shape):
         seen += len(chains)
         if q > m.n - 2:
             continue
+        width = len(m.generators(q))
         first, _ = m.first_kind_rows(q)
         recombined, _ = independent_rows(every, solved, ZZ)
-        pushed, _ = m.charmat.push(m.n - q, enumerate(recombined), ZZ)
-        assert same_lattice(first + m.second_kind_rows(q, ZZ)[0],
-                            first + pushed)
+        pushed, _ = m.charmat.push(
+            m.n - q, [(b, sparsify(c)) for b, c in enumerate(recombined)],
+            ZZ)
+        second, _ = m.second_kind_rows(q, ZZ)
+        assert same_lattice([densify(r, width) for r in first + second],
+                            [densify(r, width) for r in first + pushed])
     assert seen
 
 

@@ -69,7 +69,6 @@ def _refuse_dense_products(monkeypatch):
         raise AssertionError("dense product on a CLI path")
 
     monkeypatch.setattr(snf, "int_mat_mul", refused)
-    monkeypatch.setattr(snf, "int_identity", refused)
 
 
 def test_integral_path_makes_no_dense_product(monkeypatch, capsys,

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import dense_smith, mat_from_int, mat_vec, row_spaces_equal
+from conftest import (dense_smith, int_identity, mat_from_int, mat_vec,
+                      row_spaces_equal)
 from torushom import fields, snf
 from torushom.errors import CoefficientError
 from torushom.fields import GF, QQ, ZZ, coefficient_system
@@ -15,7 +16,7 @@ def is_diagonal(m):
 
 def is_inverse_pair(u, w):
     """U @ W = W @ U = I."""
-    identity = snf.int_identity(len(u))
+    identity = int_identity(len(u))
     return snf.int_mat_mul(u, w) == identity == snf.int_mat_mul(w, u)
 
 
@@ -35,12 +36,12 @@ class TestSmithNormalForm:
         assert snf.invariant_factors([[2, 0], [0, 3]]) == [1, 6]
 
     def test_identity(self):
-        assert snf.invariant_factors(snf.int_identity(3)) == [1, 1, 1]
+        assert snf.invariant_factors(int_identity(3)) == [1, 1, 1]
 
     def test_zero_matrix(self):
         u, d, v, w = dense_smith(snf.smith_normal_form([[0, 0], [0, 0]]))
         assert d == [[0, 0], [0, 0]]
-        assert w == snf.int_identity(2)
+        assert w == int_identity(2)
         assert snf.invariant_factors([[0, 0], [0, 0]]) == []
 
     def test_rectangular(self):
@@ -97,7 +98,7 @@ class TestIntegerSolvers:
     def test_inverse(self):
         m = [[2, 1], [1, 1]]
         inv = snf.int_inverse(m)
-        assert snf.int_mat_mul(m, inv) == snf.int_identity(2)
+        assert snf.int_mat_mul(m, inv) == int_identity(2)
 
     def test_inverse_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="invariant factors 2 are not 1"):

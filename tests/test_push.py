@@ -1,9 +1,10 @@
 """One push along the axes: the first-kind rows, the second-kind rows and
 the socle-placement vectors are chains over the faces carried by
 ``CharacteristicMatrix.push``.  Each is checked here against the product
-chain[g] * c(g, A) written out directly."""
+chain[g] * c(g, A) written out directly, and every pushed row, a {column:
+value}, holds no entry that is zero in its coefficients."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +15,8 @@ from torushom.fields import GF, QQ, ZZ, lift
 from torushom.fixtures import resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.posets import SimplicialPoset
+
+from conftest import densify
 
 
 def cover_loop_relations(poset, charmat, signs, k):
@@ -33,6 +36,13 @@ def cover_loop_relations(poset, charmat, signs, k):
                 rows.append(row)
                 labels.append((j_elt, tuple(sorted(axes))))
     return rows, labels
+
+
+def dense_rows(rows, width, coeffs):
+    """Pushed rows as dense lists, after checking that no entry is zero
+    in ``coeffs``."""
+    assert not any(coeffs.is_zero(x) for row in rows for x in row.values())
+    return [densify(row, width, coeffs.zero) for row in rows]
 
 
 def tetrahedron_boundary():
@@ -63,6 +73,10 @@ def _poset_and_charmat(shape):
     return fixture.poset, fixture.charmat
 
 
+PUSH_COEFFS = [ZZ, QQ, GF(2), GF(5)]
+PUSH_IDS = ["ZZ", "QQ", "GF2", "GF5"]
+
+
 @pytest.mark.parametrize("flipped", [False, True], ids=["default", "gauged"])
 @pytest.mark.parametrize("shape", SHAPES + ["tetrahedron"])
 def test_first_kind_rows_match_the_cover_loop(shape, flipped):
@@ -73,13 +87,18 @@ def test_first_kind_rows_match_the_cover_loop(shape, flipped):
                  for e in poset.elements_of_rank(k)[::2]}
         signs = poset.sign_convention(flips)
         assert signs != poset.sign_convention()
-    for k in range(poset.top_rank + 1):
-        got = linear_relations(poset, charmat, signs, k)
-        assert got == cover_loop_relations(poset, charmat, signs, k), k
-        assert bool(got[0]) == (k >= 1)
+    for k, coeffs in product(range(poset.top_rank + 1), PUSH_COEFFS):
+        rows, labels = linear_relations(poset, charmat, signs, k, coeffs)
+        ref_rows, ref_labels = cover_loop_relations(poset, charmat, signs, k)
+        width = len(poset.elements_of_rank(k))
+        assert labels == ref_labels, (k, coeffs)
+        assert dense_rows(rows, width, coeffs) == \
+            [[coeffs.from_int(x) for x in row] for row in ref_rows], \
+            (k, coeffs)
+        assert bool(rows) == (k >= 1)
 
 
-@pytest.mark.parametrize("coeffs", [ZZ, QQ, GF(5)], ids=["ZZ", "QQ", "GF5"])
+@pytest.mark.parametrize("coeffs", PUSH_COEFFS, ids=PUSH_IDS)
 @pytest.mark.parametrize("shape", ["square_hole", "polygon-6-4-3"])
 def test_second_kind_rows_are_chains_times_minors(shape, coeffs):
     m = _fixture(shape).manifold
@@ -93,7 +112,9 @@ def test_second_kind_rows_are_chains_times_minors(shape, coeffs):
                                  m.charmat.c_coefficient(g, axes)))
                              for z, g in zip(chain, m.generators(q))])
                 labels.append((b, axes))
-        assert m.second_kind_rows(q, coeffs) == (rows, labels)
+        got, got_labels = m.second_kind_rows(q, coeffs)
+        assert got_labels == labels
+        assert dense_rows(got, len(m.generators(q)), coeffs) == rows
         built += len(rows)
     assert built
 
@@ -124,12 +145,11 @@ def test_socle_rank_is_the_rank_of_the_reduced_vectors(shape, field):
 def test_push_rows_run_over_chains_then_axes():
     poset, charmat = tetrahedron_boundary()
     gens = poset.elements_of_rank(2)
-    chain = [1 if i == 0 else 0 for i in range(len(gens))]
-    rows, labels = charmat.push(2, [("a", chain), ("b", chain)], QQ)
+    rows, labels = charmat.push(2, [("a", {0: 1}), ("b", {0: 1})], QQ)
     assert labels == [("a", (1,)), ("a", (2,)), ("a", (3,)),
                       ("b", (1,)), ("b", (2,)), ("b", (3,))]
     assert rows[:3] == rows[3:]
     for (_, axes), row in zip(labels, rows):
-        assert row[0] == charmat.c_coefficient(gens[0], axes)
-        assert all(x == 0 for x in row[1:])
+        c = charmat.c_coefficient(gens[0], axes)
+        assert row == ({0: c} if c else {})
     assert charmat.push(2, [], QQ) == ([], [])

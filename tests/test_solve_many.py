@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from conftest import dense_complex, dense_smith, mat_from_int, mat_vec
+from conftest import (dense_complex, dense_smith, int_identity, mat_from_int,
+                      mat_vec)
 from torushom import fields, snf
 from torushom.fields import GF, QQ, ZZ
 from torushom.generator import polygon_with_holes
@@ -134,7 +135,7 @@ class TestFieldSolveAll:
 
 def unimodular(ops, n):
     """A product of elementary integer matrices."""
-    m = snf.int_identity(n)
+    m = int_identity(n)
     for i, j, q, swap in ops:
         i, j = i % n, j % n
         if swap:

@@ -24,7 +24,8 @@ from sympy import Matrix
 from sympy import ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
-from conftest import build_cross_polytope, dense_complex, dense_smith
+from conftest import (build_cross_polytope, dense_complex, dense_smith,
+                      int_identity)
 from torushom import snf
 from torushom.fields import ZZ
 from torushom.fixtures import resolve_fixture
@@ -39,9 +40,9 @@ class DenseSmithReference:
         nrows = len(m)
         ncols = len(m[0]) if m else 0
         a = [list(row) for row in m]
-        u = snf.int_identity(nrows)
-        v = snf.int_identity(ncols)
-        wt = snf.int_identity(nrows)  # wt[i] is column i of W
+        u = int_identity(nrows)
+        v = int_identity(ncols)
+        wt = int_identity(nrows)  # wt[i] is column i of W
 
         def swap_rows(i, j):
             a[i], a[j] = a[j], a[i]
@@ -135,7 +136,7 @@ def assert_smith_contract(m, result):
     assert [len(row) for row in v] == [ncols] * ncols
     assert [len(row) for row in d] == [ncols] * nrows
     assert snf.int_mat_mul(snf.int_mat_mul(u, m), v) == d
-    identity = snf.int_identity(nrows)
+    identity = int_identity(nrows)
     assert snf.int_mat_mul(w, u) == identity == snf.int_mat_mul(u, w)
     assert abs(snf.int_det(u)) == 1
     assert abs(snf.int_det(v)) == 1
