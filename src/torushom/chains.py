@@ -12,12 +12,15 @@ read the columns; the Smith form takes the dense ``boundary_matrix``.
 
 Homology is read rank first: rank H_k = dim C_k - rank d_k - rank d_{k+1},
 each rank off one elimination of d_k kept per degree and shared by degrees
-k and k-1.  Over Z that is a Smith form, of which the factors above 1 of
-d_{k+1} are the torsion and W = U^-1 gives the generators; over a field,
-a ``fields.Echelon`` of the columns, kept per (k, field), whose rows span
-the boundaries in degree k-1: the free generators of degree k-1 and the
-connecting map (``orbit``) extend copies of it.  Free generators are
-built on the first read (``_int_generators``, ``_field_generators``).
+k and k-1.  Over Z that is a Smith form, kept per degree as its factors
+and its W = U^-1: the factors give the ranks, and those above 1 of
+d_{k+1} are the torsion.  W is replayed from the form's step log only
+when a generator is first read, so ranks and ``describe`` build no
+transform.  Over a field it is a ``fields.Echelon`` of the columns, kept
+per (k, field), whose rows span the boundaries in degree k-1: the free
+generators of degree k-1 and the connecting map (``orbit``) extend
+copies of it.  Generators are built on the first read
+(``_int_generators``, ``_field_generators``).
 
 A complex is not changed after construction, so ``ChainComplex.homology``
 computes each (degree, coefficients) group once and hands the same
@@ -40,10 +43,11 @@ class HomologyGroup:
     ``torsion`` (each dividing the next).  Over a field the group is a vector
     space, ``torsion`` is empty and ``free_rank`` is its dimension.
     Generator vectors are coordinate lists over the degree basis, readable
-    through ``labels``.  ``free_generators`` may be given as a function,
-    called on the first read and never by ``rank``, ``describe`` or
-    ``is_trivial``.  Groups are shared through the homology cache of
-    their complex, so callers must not modify them.
+    through ``labels``.  ``free_generators`` and ``torsion_generators``
+    may each be given as a function, called on the first read and never
+    by ``rank``, ``describe`` or ``is_trivial``.  Groups are shared
+    through the homology cache of their complex, so callers must not
+    modify them.
     """
 
     def __init__(self, free_rank, torsion, free_generators, torsion_generators,
@@ -51,7 +55,7 @@ class HomologyGroup:
         self.free_rank = free_rank
         self.torsion = list(torsion)
         self._free_generators = free_generators
-        self.torsion_generators = torsion_generators
+        self._torsion_generators = torsion_generators
         self.labels = labels
         self.coeffs = coeffs
 
@@ -60,6 +64,12 @@ class HomologyGroup:
         if callable(self._free_generators):
             self._free_generators = self._free_generators()
         return self._free_generators
+
+    @property
+    def torsion_generators(self):
+        if callable(self._torsion_generators):
+            self._torsion_generators = self._torsion_generators()
+        return self._torsion_generators
 
     @property
     def rank(self):
@@ -92,10 +102,13 @@ def _chain(weights, columns, n):
     return out
 
 
-def _int_generators(rest, lower, n, m):
+def _int_generators(basis, s, lower, n, m):
     """The kernel of d_k, given by its columns ``lower`` into a degree of
-    dimension m, on ``rest``, the columns of W past the factors of d_{k+1}
-    (all of ``rest`` when there is no d_k).  It takes no complex."""
+    dimension m, on ``rest``, the columns of W in ``basis`` past the s
+    factors of d_{k+1} (all of ``rest`` when there is no d_k).  W is
+    sliced here, so it is replayed on this first read only.  It takes no
+    complex."""
+    rest = basis[s:]
     if lower is None:
         return [_chain((1,), (w,), n) for w in rest]
     images = [[0] * len(rest) for _ in range(m)]
@@ -104,6 +117,13 @@ def _int_generators(rest, lower, n, m):
             for i, x in lower[j].items():
                 images[i][t] += q * x
     return [_chain(kv, rest, n) for kv in snf.int_kernel(images)]
+
+
+def _torsion_generators(basis, factors, n):
+    """(d_i, w_i) for each factor d_i > 1 of d_{k+1}, w_i its column of W
+    in ``basis``."""
+    return [(f, _chain((1,), (basis[i],), n))
+            for i, f in enumerate(factors) if f > 1]
 
 
 def _field_generators(lower, upper, n, rank):
@@ -248,12 +268,13 @@ class ChainComplex:
         factors, basis = self._smith(k + 1)
         s = len(factors)
         rank = n - len(self._smith(k)[0]) - s
-        gens = partial(_int_generators, basis[s:], self.boundaries.get(k),
+        gens = partial(_int_generators, basis, s, self.boundaries.get(k),
                        n, self.dim(k - 1)) if rank else []
-        torsion_gens = [(f, _chain((1,), (basis[i],), n))
-                        for i, f in enumerate(factors) if f > 1]
-        return HomologyGroup(rank, [f for f, _ in torsion_gens], gens,
-                             torsion_gens, self.basis(k), ZZ)
+        torsion = [f for f in factors if f > 1]
+        torsion_gens = partial(_torsion_generators, basis, factors,
+                               n) if torsion else []
+        return HomologyGroup(rank, torsion, gens, torsion_gens,
+                             self.basis(k), ZZ)
 
     def _echelon(self, k, field):
         """The columns of d_k in echelon form over ``field``, kept: its

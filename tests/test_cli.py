@@ -288,6 +288,16 @@ class TestExample:
         assert code == 1
         assert "lengths" in err
 
+    @pytest.mark.parametrize("lengths", ["1000000000000", "10000,2",
+                                         "9000,1000,1000"])
+    def test_too_many_walls(self, capsys, lengths):
+        """A wall count past ``MAX_WALLS`` is refused before anything is
+        built: exit 1 with an error, and no output."""
+        code, out, err = run(capsys, "example", lengths)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "at most 10000 walls" in err
+
     def test_checkable_output(self, capsys, tmp_path):
         code, out, _ = run(capsys, "example", "3,3,3", "--seed", "4")
         assert code == 0

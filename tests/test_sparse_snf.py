@@ -279,7 +279,86 @@ class TestAgainstDenseReference:
         assert seen >= 4
 
 
+@contextmanager
+def replays():
+    """The transforms replayed from a step log while the block runs, by
+    kind ("u", "v" or "w"), listed as they are built."""
+    replay = snf._replay
+    built = []
+
+    def recording(kind, log, order):
+        built.append(kind)
+        return replay(kind, log, order)
+
+    snf._replay = recording
+    try:
+        yield built
+    finally:
+        snf._replay = replay
+
+
 SELECTORS = ("boundary", "space", "pair")
+
+
+class TestReplayOnDemand:
+    """U, V and W are replayed from the step log when first read, each
+    once; reading only factors or ranks builds none of them."""
+
+    def test_factors_and_ranks_build_no_transform(self):
+        complexes = resolve_fixture("square_hole").manifold.corner
+        seen = 0
+        with replays() as built:
+            for selector in SELECTORS:
+                cx = complexes.complex_for(selector)
+                for k in cx.boundaries:
+                    snf.invariant_factors(cx.boundary_matrix(k))
+                for k in cx.degrees():
+                    cx.homology(k, ZZ).describe()
+                    seen += 1
+        assert seen >= 6
+        assert built == []
+
+    def test_torsion_generators_on_first_read(self):
+        """On the projective plane H_1 = Z/2 is described from the factors
+        alone; its generator replays W of the second boundary once."""
+        c = rp2()
+        with replays() as built:
+            assert [c.homology(k).describe() for k in range(3)] == [
+                "Z", "Z/2", "0"]
+            assert built == []
+            group = c.homology(1)
+            [(order, _)] = group.torsion_generators
+            assert group.torsion_generators is group.torsion_generators
+        assert order == 2
+        assert built == ["w"]
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_matrices(), st.permutations(["u", "v", "w"]),
+           st.integers(0, 3))
+    # W read before U
+    @example([[2, 4], [6, 8]], ["w", "u", "v"], 2)
+    # V alone
+    @example([[1, 2, 3], [4, 5, 6]], ["v", "u", "w"], 1)
+    def test_any_read_order(self, m, order, reads):
+        """Reading the first ``reads`` transforms of ``order`` replays
+        exactly those, once each, whatever the order; the contract then
+        holds with the rest replayed as they are read."""
+        result = snf.smith_normal_form(m)
+        position = {"u": 1, "v": 2, "w": 3}
+        with replays() as built:
+            for kind in order[:reads]:
+                for _ in range(2):
+                    list(result[position[kind]])
+            assert built == order[:reads]
+            assert_smith_contract(m, result)
+        assert sorted(built) == ["u", "v", "w"]
+        assert built[:reads] == order[:reads]
+
+    def test_length_needs_no_replay(self):
+        with replays() as built:
+            _, u, v, w = snf.smith_normal_form([[1, 2, 3], [4, 5, 6]])
+            assert (len(u), len(v), len(w)) == (2, 3, 2)
+        assert built == []
 
 SWEPT = {
     "square_hole": lambda: [
