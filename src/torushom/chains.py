@@ -2,25 +2,24 @@
 over Z, Q, or a prime field.  Integer homology comes with representative
 cycles for both free and torsion generators.
 
-Every boundary of the package is built here, in one form: a complex takes
-its bases and the boundary terms of each cell, and keeps each boundary as
-sparse columns {row index: int}, since cellular boundaries are mostly
-zeros (as in Dumas, Heckenbach, Saunders and Welker, 2003).  The echelons,
-the cycle check d_k d_{k+1} = 0 (once per degree, by ``validate`` or the
-first homology read over any ring), and the images of the Smith basis
-read the columns; the Smith form takes the dense ``boundary_matrix``.
+Every chain of the package has one form, set here: {basis index:
+nonzero value}, since cellular chains are mostly zeros (as in Dumas,
+Heckenbach, Saunders and Welker, 2003).  A complex keeps each boundary
+as such columns, built from its bases and each cell's boundary terms.
+The echelons, the cycle check d_k d_{k+1} = 0 (once per degree),
+``boundary_of`` and the generators keep the form; only the Smith form
+reads the dense ``boundary_matrix``.
 
 Homology is read rank first: rank H_k = dim C_k - rank d_k - rank d_{k+1},
 each rank off one elimination of d_k kept per degree and shared by degrees
-k and k-1.  Over Z that is a Smith form, kept per degree as its factors
-and its W = U^-1: the factors give the ranks, and those above 1 of
-d_{k+1} are the torsion.  W is replayed from the form's step log only
-when a generator is first read, so ranks and ``describe`` build no
-transform.  Over a field it is a ``fields.Echelon`` of the columns, kept
-per (k, field), whose rows span the boundaries in degree k-1: the free
-generators of degree k-1 and the connecting map (``orbit``) extend
-copies of it.  Generators are built on the first read
-(``_int_generators``, ``_field_generators``).
+k and k-1.  Over Z that is a Smith form, kept as its factors, which give
+the ranks and, above 1 in d_{k+1}, the torsion, and its W = U^-1, replayed
+from the step log on the first generator read only.  Over a field it is a
+``fields.Echelon`` of the columns, kept per (k, field), whose rows span the
+boundaries in degree k-1; the free generators of degree k-1 and the
+connecting map (``orbit``) extend copies of it.  Generators are built on
+the first read: W columns or their integer kernel combinations
+(``_int_generators``), or an echelon's kernel vectors (``_field_generators``).
 
 A complex is not changed after construction, so ``ChainComplex.homology``
 computes each (degree, coefficients) group once and hands the same
@@ -42,7 +41,7 @@ class HomologyGroup:
     Over Z: ``free_rank`` copies of Z plus cyclic summands of the orders in
     ``torsion`` (each dividing the next).  Over a field the group is a vector
     space, ``torsion`` is empty and ``free_rank`` is its dimension.
-    Generator vectors are coordinate lists over the degree basis, readable
+    Generators are {index: nonzero value} over the degree basis, readable
     through ``labels``.  ``free_generators`` and ``torsion_generators``
     may each be given as a function, called on the first read and never
     by ``rank``, ``describe`` or ``is_trivial``.  Groups are shared
@@ -93,16 +92,16 @@ class HomologyGroup:
         return "<HomologyGroup %s>" % self.describe()
 
 
-def _chain(weights, columns, n):
-    """The dense combination of the sparse ``columns`` with ``weights``."""
-    out = [0] * n
+def _chain(weights, columns):
+    """The int combination of the sparse ``columns`` with ``weights``."""
+    out = {}
     for q, column in zip(weights, columns):
-        for i, x in column.items():
-            out[i] += q * x
+        if q:
+            snf._axpy(out, column, q)
     return out
 
 
-def _int_generators(basis, s, lower, n, m):
+def _int_generators(basis, s, lower, m):
     """The kernel of d_k, given by its columns ``lower`` into a degree of
     dimension m, on ``rest``, the columns of W in ``basis`` past the s
     factors of d_{k+1} (all of ``rest`` when there is no d_k).  W is
@@ -110,20 +109,19 @@ def _int_generators(basis, s, lower, n, m):
     complex."""
     rest = basis[s:]
     if lower is None:
-        return [_chain((1,), (w,), n) for w in rest]
+        return rest
     images = [[0] * len(rest) for _ in range(m)]
     for t, w in enumerate(rest):
         for j, q in w.items():
             for i, x in lower[j].items():
                 images[i][t] += q * x
-    return [_chain(kv, rest, n) for kv in snf.int_kernel(images)]
+    return [_chain(kv, rest) for kv in snf.int_kernel(images)]
 
 
-def _torsion_generators(basis, factors, n):
+def _torsion_generators(basis, factors):
     """(d_i, w_i) for each factor d_i > 1 of d_{k+1}, w_i its column of W
     in ``basis``."""
-    return [(f, _chain((1,), (basis[i],), n))
-            for i, f in enumerate(factors) if f > 1]
+    return [(f, basis[i]) for i, f in enumerate(factors) if f > 1]
 
 
 def _field_generators(lower, upper, n, rank):
@@ -140,7 +138,7 @@ def _field_generators(lower, upper, n, rank):
     for i in sorted(rows):
         echelon.add_sparse(rows[i])
     span = upper.copy()
-    return list(islice((echelon.dense(w, d, n) for w, d in echelon.kernel(n)
+    return list(islice((echelon.values(w, d) for w, d in echelon.kernel(n)
                         if span.add_sparse(w)), rank))
 
 
@@ -222,14 +220,15 @@ class ChainComplex:
         self._cycles_checked.add(k)
 
     def boundary_of(self, k, vec, coeffs=ZZ):
-        """The boundary of the degree-k chain ``vec``, a coordinate list
-        over ``basis(k)`` with values in ``coeffs``, as a coordinate list
-        over ``basis(k - 1)``."""
-        out = [coeffs.zero] * self.dim(k - 1)
-        for value, column in zip(vec, self.boundaries.get(k, ())):
-            if value:
-                for i, x in column.items():
-                    out[i] = coeffs.add(out[i], coeffs.mul(value, x))
+        """The boundary of ``vec``, an {index into basis(k): nonzero value
+        in ``coeffs``}, in the same form over ``basis(k - 1)``."""
+        out = {}
+        columns = self.boundaries.get(k)
+        for j, value in vec.items() if columns else ():
+            if coeffs is ZZ:
+                snf._axpy(out, columns[j], value)
+            else:
+                fields.add_scaled(coeffs, out, value, columns[j])
         return out
 
     def homology(self, k, coeffs=ZZ):
@@ -269,10 +268,10 @@ class ChainComplex:
         s = len(factors)
         rank = n - len(self._smith(k)[0]) - s
         gens = partial(_int_generators, basis, s, self.boundaries.get(k),
-                       n, self.dim(k - 1)) if rank else []
+                       self.dim(k - 1)) if rank else []
         torsion = [f for f in factors if f > 1]
-        torsion_gens = partial(_torsion_generators, basis, factors,
-                               n) if torsion else []
+        torsion_gens = partial(_torsion_generators, basis,
+                               factors) if torsion else []
         return HomologyGroup(rank, torsion, gens, torsion_gens,
                              self.basis(k), ZZ)
 

@@ -170,10 +170,6 @@ class CycleExpression:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def describe(self):
         if not self.terms:
             return "0"

@@ -20,20 +20,8 @@ from math import comb
 
 from . import snf
 from .errors import ValidationError
-from .fields import QQ, ZZ, Echelon, lift, nullspace, plain
+from .fields import QQ, ZZ, Echelon, add_scaled, lift, nullspace, plain
 from .posets import BOTTOM
-
-
-def _add_scaled(field, target, coeff, vec):
-    """target += coeff·vec for vectors kept as {column: nonzero field
-    value}; coeff is a nonzero field element.  Plain int values and
-    coefficients keep the target's values plain ints."""
-    for c, x in vec.items():
-        y = field.add(target.get(c, 0), field.mul(coeff, x))
-        if field.is_zero(y):
-            del target[c]
-        else:
-            target[c] = y
 
 
 def hilbert_series(poset, maxdeg):
@@ -263,7 +251,7 @@ class FaceRingQuotient:
         base = self._orient(i) * self._orient(g)
 
         def add_joins(a, coeff):
-            _add_scaled(field, product, coeff,
+            add_scaled(field, product, coeff,
                         {dst.column(j): base * self._orient(j)
                          for j in self.poset.join_set(a, g)})
 
@@ -313,7 +301,7 @@ class FaceRingQuotient:
                 continue
             coeff = plain(coeff)
             if not self.field.is_zero(coeff):
-                _add_scaled(self.field, out, coeff, self._product(i, k, col))
+                add_scaled(self.field, out, coeff, self._product(i, k, col))
         image = [self.field.zero] * len(dst.generators)
         for c, x in dst.echelon.reduce_sparse(out).items():
             image[c] = x
@@ -344,10 +332,10 @@ class FaceRingQuotient:
             for v in shared:
                 step = {}
                 for col, coeff in vec.items():
-                    _add_scaled(field, step, coeff, self._product(v, k, col))
+                    add_scaled(field, step, coeff, self._product(v, k, col))
                 vec = step
                 k += 1
-            _add_scaled(field, out, sign * self._orient(rho), vec)
+            add_scaled(field, out, sign * self._orient(rho), vec)
         image = [field.zero] * len(dst.generators)
         if out:
             for c, x in dst.echelon.reduce_sparse(out).items():
@@ -404,7 +392,7 @@ class FaceRingQuotient:
         for col, coeff in src.echelon.reduce_sparse(vec).items():
             coeff = plain(coeff)
             for i in self._reach(src.generators[col]):
-                _add_scaled(self.field, images.setdefault(i, {}), coeff,
+                add_scaled(self.field, images.setdefault(i, {}), coeff,
                             self._product(i, k, col))
         return all(not image or dst.echelon.contains_sparse(image)
                    for image in images.values())

@@ -21,11 +21,12 @@ Kernels are read off kept echelons: ``Echelon.kernel`` gives the right
 kernel of the rows (``nullspace``, field homology), and each kernel of a
 map into a quotient (the connecting map, the inclusion kernel, the socle
 placement) comes from a ``tracked`` copy of the quotient's kept echelon
-and is checked by ``kernel_spans``.  Relation rows and tracked vectors
-come in sparse.  The dense helpers ``rref``, ``rank``, ``nullspace``,
-``solve_all``, ``solve`` and ``row_space_contains`` each build an
-``Echelon``; no command path calls them, and the package calls only
-``nullspace``, in ``FaceRingQuotient.socle_basis``, which only tests call.
+and is checked by ``kernel_spans``.  Relation rows, chains, coordinates
+and tracked vectors come in sparse, summed by ``add_scaled``: ``report``
+and ``check`` hand an ``Echelon`` no dense vector.  The dense helpers
+``rref``, ``rank``, ``nullspace``, ``solve_all``, ``solve`` and
+``row_space_contains`` each build an ``Echelon``; the package calls only
+``nullspace``, in ``socle_basis``, which only tests call.
 """
 
 from fractions import Fraction
@@ -224,6 +225,17 @@ def plain(value):
     return value
 
 
+def add_scaled(coeffs, target, coeff, vec):
+    """target += coeff·vec, both {index: nonzero value} in ``coeffs`` and
+    coeff nonzero; plain int values and coefficients stay plain ints."""
+    for c, x in vec.items():
+        y = coeffs.add(target.get(c, 0), coeffs.mul(coeff, x))
+        if coeffs.is_zero(y):
+            del target[c]
+        else:
+            target[c] = y
+
+
 def rref(rows, field):
     """Reduced row echelon form, built by adding the rows one by one to an
     ``Echelon``.
@@ -270,7 +282,7 @@ def solve_all(rows, bs, field):
         if pc >= ncols:
             inconsistent.update(row)
             continue
-        for j, x in echelon._values(row, row[pc]).items():
+        for j, x in echelon.values(row, row[pc]).items():
             if j >= ncols:
                 out[j - ncols][pc] = x
     return [None if ncols + i in inconsistent else x
@@ -302,14 +314,13 @@ class Echelon:
     Over Q they are ints or ``Fraction``s, whose denominators are cleared
     by their lcm, so the elimination is plain integer arithmetic on
     nonzero entries, and ``Fraction``s are made only where values are
-    read (``dense``): the output of ``reduce`` and ``reduce_sparse``,
+    read (``values``): the output of ``reduce`` and ``reduce_sparse``,
     ``rows``, and the answers of ``nullspace`` and ``solve_all``.
 
     ``add`` keeps a vector when it is independent of the rows so far and
-    reports whether it was; testing a stack of vectors one by one this
-    way eliminates each vector once instead of the whole stack again for
-    every vector.  ``rows`` and ``pivots`` are the dense reduced echelon
-    form, built when read and kept until the next ``add``.
+    reports whether it was, so a stack of vectors is eliminated once, not
+    once per vector.  ``rows`` and ``pivots`` are the dense reduced
+    echelon form, built when read and kept until the next ``add``.
     """
 
     def __init__(self, field, rows=()):
@@ -421,7 +432,7 @@ class Echelon:
             for j in w:
                 w[j] //= g
 
-    def _values(self, w, d):
+    def values(self, w, d):
         """The field values w/d of the ints of w, as {column: value}."""
         p = self._modulus
         if p is not None:
@@ -436,13 +447,13 @@ class Echelon:
     def dense(self, w, d, width):
         """The field values w/d of the ints of w as a dense list."""
         out = [self.field.zero] * width
-        for j, x in self._values(w, d).items():
+        for j, x in self.values(w, d).items():
             out[j] = x
         return out
 
     def kernel(self, width):
         """The right kernel in ``width`` columns, a vector per free column
-        in column order, as (w, d) with w/d the vector (read by ``dense``):
+        in column order, as (w, d) with w/d the vector (read by ``values``):
         w a {column: nonzero int} in the form ``add_sparse`` takes."""
         rows = self._rows
         entries = {c: {} for c in range(width) if c not in rows}
@@ -461,7 +472,7 @@ class Echelon:
         """The kept row with pivot column pc as field values, a new {column:
         value}, its pivot entry one."""
         row = self._rows[pc]
-        return dict(self._values(row, row[pc]))
+        return dict(self.values(row, row[pc]))
 
     def copy(self):
         """The same rows, copied to be extended apart: ``add_sparse``
@@ -485,15 +496,16 @@ class Echelon:
 
     def kernel_spans(self, m, vectors):
         """Whether the rows with pivot at or past m, the kernel a ``tracked``
-        copy reads, span exactly the independent ``vectors``, each a
-        {column: nonzero value}: as many rows, each vector in the span."""
+        copy reads, span exactly the independent ``vectors``, each {j:
+        nonzero value} on the tags m+j: as many rows, each in the span."""
         return (sum(pc >= m for pc in self._rows) == len(vectors)
-                and all(map(self.contains_sparse, vectors)))
+                and all(self.contains_sparse({m + j: x for j, x in v.items()})
+                        for v in vectors))
 
     def reduce_sparse(self, v):
         """v, given as {column: nonzero value}, with the pivot columns
         cleared, in the same form; v is not modified."""
-        return self._values(*self._reduce(v))
+        return self.values(*self._reduce(v))
 
     def contains_sparse(self, v):
         """Whether v, given as {column: nonzero value}, lies in the row

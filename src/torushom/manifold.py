@@ -6,7 +6,8 @@ matrix, and the corner complex of the quotient.  Classes of the
 characteristic submanifolds generate the diagonal part of a bigraded
 decomposition; they satisfy relations of two kinds.  Both kinds, and the
 vectors that place the boundary classes in the socle, are chains over the
-faces pushed along the axes (``CharacteristicMatrix.push``).  Rows of the
+faces, {index: value} as ``chains`` and ``orbit`` give them, pushed along
+the axes as they come (``CharacteristicMatrix.push``).  Rows of the
 first kind push the cell boundary of each face: they are the face ring
 presentation, one per face-and-axes pair.  Rows of the second kind push
 the images of the connecting map of the quotient pair.  Rows go sparse
@@ -100,18 +101,16 @@ class TorusManifold:
 
     def second_kind_rows(self, q, coeffs=ZZ):
         """Relation rows carried by the connecting map of the quotient
-        pair: each boundary chain pushed along every axis subset of the
-        matching size, labelled by its index.  Defined only below the top
-        diagonal degrees.  The limit page holds these rows; read them
-        there."""
+        pair: each chain of ``delta_image``, as it comes, pushed along every
+        axis subset of the matching size, labelled by its index.  Defined
+        only below the top diagonal degrees.  The limit page holds these
+        rows; read them there."""
         if q < 0 or q > self.n - 2:
             raise ValidationError(
                 "second-kind rows exist in degrees 0..%d, not %d"
                 % (self.n - 2, q))
         chains, _ = self.corner.delta_image(q, coeffs)
-        return self.charmat.push(
-            self.n - q, ((b, {i: x for i, x in enumerate(chain) if x})
-                         for b, chain in enumerate(chains)), coeffs)
+        return self.charmat.push(self.n - q, enumerate(chains), coeffs)
 
     # --- diagonal pages -------------------------------------------------
 
@@ -220,13 +219,15 @@ class TorusManifold:
     # --- socle placement of the boundary classes -----------------------
 
     def novik_swartz_check(self, q, field=QQ):
-        """Push every boundary homology class into the face ring quotient
-        along every axis subset and report where it lands: all images must
-        be socle elements, the map must be injective below the top degree,
-        and on the top degree its kernel must be exactly the image of the
-        connecting map tensored with the axes, read off the quotient's
-        echelon tracking the pushed classes (``Echelon.tracked``) by
-        ``Echelon.kernel_spans``, as the exactness check reads its own."""
+        """Push every boundary homology class, a generator as it comes,
+        into the face ring quotient along every axis subset and report
+        where it lands: all images must be socle elements, the map must be
+        injective below the top degree, and on the top degree its kernel
+        must be exactly the image of the connecting map tensored with the
+        axes, the coordinates of ``delta_image`` spread over the tags, read
+        off the quotient's echelon tracking the pushed classes
+        (``Echelon.tracked``) by ``Echelon.kernel_spans``, as the exactness
+        check reads its own."""
         if q < 0 or q > self.n - 1:
             raise ValidationError("boundary degree %d outside 0..%d"
                                   % (q, self.n - 1))
@@ -235,19 +236,17 @@ class TorusManifold:
         pres = quo.presentation(k)
         hq = self.corner.homology("boundary", q, field)
         axes_count = comb(self.n, q)
-        vectors, _ = self.charmat.push(
-            k, ((j, {i: x for i, x in enumerate(cls) if x})
-                for j, cls in enumerate(hq.free_generators)), field)
+        vectors, _ = self.charmat.push(k, enumerate(hq.free_generators),
+                                       field)
         socle_ok = all(quo.in_socle(vec, k) for vec in vectors)
         m = len(pres.generators)
         tracked = pres.echelon.tracked(vectors, m)
         kernel_dim = sum(pc >= m for pc in tracked.pivots)
         # injective below the top degree q = n-1, k = 1; on it, the
         # connecting-map coordinates spread across the axes, at tag
-        # m + j*axes + pick
+        # j*axes + pick
         coords = self.corner.delta_image(q, field)[1] if k == 1 else []
-        expected = [{m + j * axes_count + pick: x
-                     for j, x in enumerate(coord) if x}
+        expected = [{j * axes_count + pick: x for j, x in coord.items()}
                     for coord in coords for pick in range(axes_count)]
         kernel_ok = tracked.kernel_spans(m, expected)
         return {

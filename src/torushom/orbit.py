@@ -14,15 +14,16 @@ Each is its cell bases plus one terms function, ``_cell_boundary``;
 ``chains.ChainComplex`` builds and keeps the boundaries as sparse columns.
 The connecting map of the long exact sequence is computed once per degree
 and coefficient system on explicit cellular representatives: ``delta_image``
-returns the image chains together with their coordinates over the boundary
-homology generators.  Both the coordinates and the kernel of the inclusion
-are read off the kept echelon of the target's boundary columns tracking
-the generators (``_tracked_echelon``, by ``Echelon.tracked``, the kernel
-reader the socle placement shares).  Over Z that is the Q echelon, with
-the integral generators, which the torsion guards make a basis over Z
-and Q alike.
-Relation rows are built from the chains; the socle and exactness checks
-read the coordinates, and give their verdicts by ``Echelon.kernel_spans``.
+lifts each pair cycle into the space basis by an index shift and returns
+its boundary over the face cells with its coordinates over the boundary
+homology generators, each {index: value}.  Both the coordinates and the
+kernel of the inclusion are read off the kept echelon of the target's
+boundary columns tracking the generators (``_tracked_echelon``, by
+``Echelon.tracked``, the kernel reader the socle placement shares).  Over
+Z that is the Q echelon, with the integral generators, which the torsion
+guards make a basis over Z and Q alike.  Relation rows are built from the
+chains; the socle and exactness checks read the coordinates as they come,
+and give their verdicts by ``Echelon.kernel_spans``.
 """
 
 from . import fields
@@ -233,12 +234,12 @@ class CornerComplex:
 
     def delta_image(self, q, coeffs=ZZ):
         """The image of the connecting map from the pair homology one degree
-        up, as ``(chains, coords)``: ``chains`` are boundary-complex cycles
-        over ``boundary_complex().basis(q)`` spanning the image, and
-        ``coords`` their coordinates over the free generators of
-        ``boundary_complex().homology(q, coeffs)``.  Computed once per
-        (q, coeffs) and shared by every later call, so treat both lists as
-        read-only.
+        up, as ``(chains, coords)``: ``chains`` are boundary-complex cycles,
+        {index into ``boundary_complex().basis(q)``: value}, spanning the
+        image, and ``coords`` their coordinates, {j: value} over the free
+        generators g_j of ``boundary_complex().homology(q, coeffs)``.
+        Computed once per (q, coeffs) and shared by every later call, so
+        treat both lists as read-only.
 
         Over a field the coordinates kept are independent, so their count
         is the rank of the image.  Over the integers both groups involved
@@ -275,15 +276,16 @@ class CornerComplex:
 
         # a pair cycle is a space chain on the interior cells, which follow
         # the face cells in the space basis
-        faces = [coeffs.zero] * (space.dim(q + 1) - pair.dim(q + 1))
+        shift = space.dim(q + 1) - pair.dim(q + 1)
         nface = face.dim(q)
         chains = []
         for rep in hpair.free_generators:
-            dvec = space.boundary_of(q + 1, faces + rep, coeffs)
-            if any(dvec[nface:]):
+            chain = space.boundary_of(
+                q + 1, {shift + i: x for i, x in rep.items()}, coeffs)
+            if chain and max(chain) >= nface:
                 raise ValidationError(
                     "pair cycle leaks onto interior cells in degree %d" % q)
-            chains.append(dvec[:nface])
+            chains.append(chain)
 
         # H_q(∂Q; Z) is free, so its integral generators are a basis over
         # Q too: the rational coordinates of an integral cycle are integers
@@ -292,19 +294,17 @@ class CornerComplex:
         span = fields.Echelon(field)
         kept, coords = [], []
         for chain in chains:
-            rest = echelon.reduce_sparse(
-                {i: x for i, x in enumerate(chain) if x})
-            coord = [rest.get(m + j, field.zero) for j in range(hface.rank)]
-            if coeffs is ZZ:
-                coord = [fields.plain(x) for x in coord]
-            integral = coeffs is not ZZ or all(type(x) is int for x in coord)
-            if rest and min(rest) < m or not integral:
+            rest = echelon.reduce_sparse(chain)
+            coord = {j - m: fields.plain(x) if coeffs is ZZ else x
+                     for j, x in rest.items() if j >= m}
+            if len(coord) < len(rest) or coeffs is ZZ and not all(
+                    type(x) is int for x in coord.values()):
                 raise ValidationError(
                     "connecting-map chain is not a cycle of the boundary "
                     "complex in degree %d" % q)
             # over Z every chain with a nonzero coordinate is kept: a
             # greedy choice over Q would drop [3] after [2]
-            if any(coord) if coeffs is ZZ else span.add(coord):
+            if coord if coeffs is ZZ else span.add_sparse(coord):
                 kept.append(chain)
                 coords.append(coord)
         return kept, coords
@@ -320,8 +320,7 @@ class CornerComplex:
         past column m.  Returns it, m."""
         m = target.dim(q)
         echelon = target._echelon(q + 1, field)
-        return echelon.tracked([{i: x for i, x in enumerate(g) if x}
-                                for g in hface.free_generators], m), m
+        return echelon.tracked(hface.free_generators, m), m
 
     # --- validation ----------------------------------------------------
 
@@ -390,9 +389,7 @@ class CornerComplex:
             hface = self.boundary_complex().homology(q, field)
             echelon, m = self._tracked_echelon(hface, self.space_complex(),
                                                q, field)
-            tagged = [{m + j: x for j, x in enumerate(coord) if x}
-                      for coord in coords]
-            if not echelon.kernel_spans(m, tagged):
+            if not echelon.kernel_spans(m, coords):
                 problems.append(
                     "connecting-map image and inclusion kernel differ in "
                     "degree %d" % q)

@@ -41,6 +41,14 @@ def sparsify(vec):
     return {j: x for j, x in enumerate(vec) if x}
 
 
+def assert_sparse_cycle(c, k, gen):
+    """The one form of a homology generator of degree k of ``c``: a dict
+    {index into basis(k): nonzero value} whose boundary is {}."""
+    assert type(gen) is dict
+    assert all(x and 0 <= i < c.dim(k) for i, x in gen.items()), gen
+    assert c.boundary_of(k, gen) == {}
+
+
 def unit_vector(pres, generator):
     """The coordinate vector of one generator of a graded presentation."""
     v = [pres.field.zero] * len(pres.generators)

@@ -386,9 +386,7 @@ def reference_socle_kernel(m, q, field):
     pres = m.quotient(field).presentation(k)
     hq = m.corner.homology("boundary", q, field)
     axes = comb(m.n, q)
-    vectors, _ = m.charmat.push(
-        k, [(j, sparsify(g)) for j, g in enumerate(hq.free_generators)],
-        field)
+    vectors, _ = m.charmat.push(k, enumerate(hq.free_generators), field)
     reduced = [pres.reduce(densify(v, len(pres.generators)))
                for v in vectors]
     kernel = fields.nullspace([list(c) for c in zip(*reduced)], field)
@@ -396,8 +394,8 @@ def reference_socle_kernel(m, q, field):
     if q == m.n - 1:
         for coord in m.corner.delta_image(q, field)[1]:
             for pick in range(axes):
-                row = [field.zero] * (len(coord) * axes)
-                for j, value in enumerate(coord):
+                row = [field.zero] * (hq.free_rank * axes)
+                for j, value in coord.items():
                     row[j * axes + pick] = value
                 expected.append(row)
     return len(kernel), row_spaces_equal(kernel, expected, field)
@@ -448,14 +446,14 @@ def test_socle_kernel_check_fails_on_a_wrong_delta(shape, field,
     top = m.n - 1
     chains, coords = m.corner.delta_image(top, field)
     assert m.novik_swartz_check(top, field)["kernel_ok"]
-    span = Echelon(field, coords)
-    width = len(coords[0])
+    width = m.corner.boundary_complex().homology(top, field).free_rank
+    span = Echelon(field, [densify(c, width, field.zero) for c in coords])
     units = [[field.one if i == j else field.zero for i in range(width)]
              for j in range(width)]
     outside = [u for u in units if not span.contains(u)]
     wrong = [(chains[:-1], coords[:-1])]
     if outside:  # the span is proper: swap in a vector off it
-        wrong.append((chains, [outside[0]] + coords[1:]))
+        wrong.append((chains, [sparsify(outside[0])] + coords[1:]))
     for image in wrong:
         monkeypatch.setattr(type(m.corner), "delta_image",
                             lambda self, q, coeffs, image=image: image)
@@ -472,18 +470,18 @@ EXACTNESS_SHAPES = {
 }
 
 
-def wrong_deltas(chains, coords, field):
+def wrong_deltas(chains, coords, width, field):
     """Connecting-map images that break exactness, by name: the last
-    coordinate vector dropped, and, where the coordinates span a proper
-    subspace, the first swapped for a unit vector off it."""
+    coordinate vector dropped, and, where the coordinates, over ``width``
+    generators, span a proper subspace, the first swapped for a unit
+    vector off it."""
     wrong = {"drop": (chains[:-1], coords[:-1])}
-    span = Echelon(field, coords)
-    width = len(coords[0])
+    span = Echelon(field, [densify(c, width, field.zero) for c in coords])
     units = [[field.one if i == j else field.zero for i in range(width)]
              for j in range(width)]
     outside = [u for u in units if not span.contains(u)]
     if outside:
-        wrong["swap"] = (chains, [outside[0]] + coords[1:])
+        wrong["swap"] = (chains, [sparsify(outside[0])] + coords[1:])
     return wrong
 
 
@@ -506,7 +504,9 @@ def test_exactness_check_fails_on_a_wrong_delta(shape, field, tmp_path,
         chains, coords = corner.delta_image(q, field)
         if not coords:
             continue
-        for name, image in wrong_deltas(chains, coords, field).items():
+        width = corner.boundary_complex().homology(q, field).free_rank
+        for name, image in wrong_deltas(chains, coords, width,
+                                        field).items():
             def patched(self, degree, coeffs=ZZ, q=q, image=image):
                 if degree == q and coeffs == field:
                     return image
@@ -531,23 +531,24 @@ DENSE_HELPERS = ("rref", "rank", "nullspace", "solve", "solve_all",
                  "row_space_contains", "row_spaces_equal")
 
 
+def _recording(called, name, original):
+    """``original``, appending ``name`` to ``called`` on each call."""
+    def wrapper(*args, **kwargs):
+        called.append(name)
+        return original(*args, **kwargs)
+    return wrapper
+
+
 def test_no_command_path_calls_a_dense_helper(example_file, monkeypatch,
                                               capsys):
     """Every kernel and span question of ``report``, ``check`` and
     ``intersect`` is answered on a kept echelon, over every coefficient
     ring: no dense helper of ``fields`` runs."""
     called = []
-
-    def recording(name, original):
-        def wrapper(*args, **kwargs):
-            called.append(name)
-            return original(*args, **kwargs)
-        return wrapper
-
     for name in DENSE_HELPERS:
         if hasattr(fields, name):
-            monkeypatch.setattr(fields, name,
-                                recording(name, getattr(fields, name)))
+            monkeypatch.setattr(fields, name, _recording(
+                called, name, getattr(fields, name)))
     for shape in (example_file, "square_hole"):
         for coeffs in ("q", "f2", "f5", "z"):
             for command in ("report", "check"):
@@ -555,5 +556,29 @@ def test_no_command_path_calls_a_dense_helper(example_file, monkeypatch,
                              "--coeffs", coeffs]) == 0
     assert main(["intersect", "square_hole", "face:1", "face:2"]) == 0
     assert main(["intersect", "square_hole", "dia:L:e1", "dia:L:e2"]) == 0
+    capsys.readouterr()
+    assert called == []
+
+
+# the entry points of ``Echelon`` that take or give dense vectors
+DENSE_ECHELON = ("add", "reduce", "contains", "dense")
+
+
+def test_no_command_path_calls_a_dense_echelon_entry_point(example_file,
+                                                          monkeypatch,
+                                                          capsys):
+    """Generators, connecting-map chains and their coordinates stay
+    {index: value} from the elimination that finds them to the echelons
+    that read them: ``report`` and ``check`` over every coefficient ring
+    make no dense round trip through an ``Echelon``."""
+    called = []
+    for name in DENSE_ECHELON:
+        monkeypatch.setattr(Echelon, name, _recording(
+            called, name, getattr(Echelon, name)))
+    for shape in (example_file, "square_hole"):
+        for coeffs in ("q", "f2", "f5", "z"):
+            for command in ("report", "check"):
+                assert main([command, shape, "--json",
+                             "--coeffs", coeffs]) == 0
     capsys.readouterr()
     assert called == []

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from torushom import fixtures
+from torushom.cli import main
 from torushom.cycles import CycleExpression
 from torushom.errors import TorushomError, ValidationError
 from torushom.fields import QQ
@@ -226,15 +227,19 @@ def _paths(value, path=()):
         yield from _paths(inner, path + (key,))
 
 
-def test_every_single_value_mutation_loads_or_is_rejected():
+def test_every_single_value_mutation_loads_or_is_rejected(tmp_path, capsys):
     """Each value of every bundled fixture and of one generated polygon
     (``example 4,3 --seed 2``), at every path, replaced by each of a few
     values of other JSON types: the fixture either loads or is rejected
-    with a ``TorushomError``, never another exception."""
+    with a ``TorushomError``, never another exception.  A mutant that
+    loads is run from a file through ``report``, ``report --coeffs z``
+    and ``check``: none exits 3, an internal error, and ``check`` fails
+    whenever ``report`` rejects the input."""
     sources = {name: fixtures.resolve_fixture(name)
                for name in ("square_hole", "digon", "square")}
     sources["example 4,3 --seed 2"] = polygon_with_holes((4, 3), seed=2)
-    counts, escaped = {}, []
+    counts, escaped, exits = {}, [], []
+    path_file = str(tmp_path / "mutant.json")
     for name, fixture in sources.items():
         base = json.loads(fixtures.dumps_fixture(fixture))
         paths = list(_paths(base))
@@ -249,9 +254,21 @@ def test_every_single_value_mutation_loads_or_is_rejected():
                 try:
                     fixtures.parse_fixture(data)
                 except TorushomError:
-                    pass
+                    continue
                 except Exception as exc:
                     escaped.append((name, path, value, repr(exc)))
+                    continue
+                with open(path_file, "w") as handle:
+                    json.dump(data, handle)
+                codes = tuple(main(argv) for argv in (
+                    ["report", path_file], ["report", path_file,
+                                            "--coeffs", "z"],
+                    ["check", path_file]))
+                capsys.readouterr()
+                exits.append((name, path, value, codes))
     assert counts == {"square_hole": 186, "digon": 36, "square": 60,
                       "example 4,3 --seed 2": 106}
     assert escaped == []
+    assert len(exits) == 271
+    assert [e for e in exits if not set(e[-1]) <= {0, 1, 2}] == []
+    assert [e for e in exits if e[-1][0] == 1 and not e[-1][2]] == []

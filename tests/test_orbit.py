@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat_from_int
+from conftest import densify, mat_from_int
 from torushom import fields, snf
 from torushom.errors import CoefficientError, ValidationError
 from torushom.fields import GF, QQ, ZZ
@@ -32,6 +32,9 @@ def assert_coordinates(cx, q, coeffs):
     chains, coords = cx.delta_image(q, coeffs)
     face = cx.boundary_complex()
     gens = face.homology(q, coeffs).free_generators
+    chains = [densify(chain, face.dim(q), coeffs.zero) for chain in chains]
+    coords = [densify(row, len(gens), coeffs.zero) for row in coords]
+    gens = [densify(g, face.dim(q), coeffs.zero) for g in gens]
     assert len(coords) == len(chains)
     assert all(len(row) == len(gens) for row in coords)
     bmat = face.boundary_matrix(q + 1)
@@ -53,7 +56,7 @@ def delta_rows(cx, q, coeffs=ZZ):
     assert_coordinates(cx, q, coeffs)
     chains, _ = cx.delta_image(q, coeffs)
     basis = cx.boundary_complex().basis(q)
-    return [{c: v for c, v in zip(basis, chain) if v} for chain in chains]
+    return [{basis[i]: v for i, v in chain.items()} for chain in chains]
 
 
 @pytest.fixture
@@ -193,7 +196,8 @@ class TestDeltaImage:
     def test_rational_coefficients(self, annulus_cx):
         assert delta_rows(annulus_cx, 0, QQ) == [{11: 1, 14: 1}]
         chains, coords = annulus_cx.delta_image(0, QQ)
-        assert all(isinstance(v, Fraction) for v in chains[0] + coords[0])
+        assert all(isinstance(v, Fraction)
+                   for v in [*chains[0].values(), *coords[0].values()])
         assert len(delta_rows(annulus_cx, 1, QQ)) == 1
 
     def test_prime_field(self, annulus_cx):

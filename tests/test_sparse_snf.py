@@ -16,6 +16,7 @@ torsion-free boundary matrices of ``TestUnitSweep`` never do.
 """
 
 from contextlib import contextmanager
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,8 @@ from sympy import Matrix
 from sympy import ZZ as SYMPY_ZZ
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
-from conftest import (build_cross_polytope, dense_complex, dense_smith,
-                      int_identity)
+from conftest import (assert_sparse_cycle, build_cross_polytope,
+                      dense_complex, dense_smith, densify, int_identity)
 from torushom import snf
 from torushom.fields import ZZ
 from torushom.fixtures import resolve_fixture
@@ -465,6 +466,23 @@ def _is_boundary(mat, vec):
                for i, yi in enumerate(y))
 
 
+def boundary_order(mat, vec):
+    """The least t >= 1 with t * vec an integer combination of the
+    columns of ``mat``, None when there is none, read off sympy's Smith
+    form S @ mat @ T = D: each entry y_i of S @ vec needs d_i | t y_i."""
+    diag, s = _sympy_diagonal(mat)
+    if s is None:
+        return None if any(vec) else 1
+    order = 1
+    for i, yi in enumerate(s * Matrix(vec)):
+        di = diag[i] if i < len(diag) else 0
+        if di:
+            order = lcm(order, di // gcd(int(yi), di))
+        elif yi:
+            return None
+    return order
+
+
 def assert_group_matches_sympy(c, k):
     group = c.homology(k)
     lower, upper = c.boundary_matrix(k), c.boundary_matrix(k + 1)
@@ -473,11 +491,13 @@ def assert_group_matches_sympy(c, k):
     assert group.free_rank == len(c.basis(k)) - lower_rank - len(upper_diag)
     assert group.torsion == [x for x in upper_diag if x > 1]
     for gen in group.free_generators:
-        assert not any(c.boundary_of(k, gen))
+        assert_sparse_cycle(c, k, gen)
     for order, gen in group.torsion_generators:
-        assert not any(c.boundary_of(k, gen))
-        assert _is_boundary(upper, [order * x for x in gen])
-        assert not _is_boundary(upper, gen)
+        assert_sparse_cycle(c, k, gen)
+        dense = densify(gen, c.dim(k))
+        assert _is_boundary(upper, [order * x for x in dense])
+        assert not _is_boundary(upper, dense)
+        assert boundary_order(upper, dense) == order
     return group
 
 

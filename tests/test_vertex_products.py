@@ -143,9 +143,8 @@ def _pushed_vectors(shape, quo, flipped):
     for q in range(m.n):
         k = m.n - q
         hq = m.corner.homology("boundary", q, quo.field)
-        vectors, _ = m.charmat.push(
-            k, [(j, sparsify(g)) for j, g in enumerate(hq.free_generators)],
-            quo.field)
+        vectors, _ = m.charmat.push(k, enumerate(hq.free_generators),
+                                    quo.field)
         gens = m.poset.elements_of_rank(k)
         out[k] = [[quo.field.neg(x) if g in flips else x for g, x in
                    zip(gens, densify(vec, len(gens), quo.field.zero))]
