@@ -2,24 +2,28 @@
 over Z, Q, or a prime field.  Integer homology comes with representative
 cycles for both free and torsion generators.
 
-Every chain of the package has one form, set here: {basis index:
-nonzero value}, since cellular chains are mostly zeros (as in Dumas,
-Heckenbach, Saunders and Welker, 2003).  A complex keeps each boundary
-as such columns, built from its bases and each cell's boundary terms.
-The echelons, the cycle check d_k d_{k+1} = 0 (once per degree),
-``boundary_of`` and the generators keep the form; only the Smith form
-reads the dense ``boundary_matrix``.
+Every boundary of the package is built here, in one form: a complex takes
+its bases and the boundary terms of each cell, and keeps each boundary as
+sparse columns {row index: int}, since cellular boundaries are mostly
+zeros (as in Dumas, Heckenbach, Saunders and Welker, 2003).  A chain has
+the same form, {basis index: nonzero value}: ``boundary_of`` and the
+generators keep it.  The echelons, the cycle check d_k d_{k+1} = 0 (once
+per degree, by ``validate`` or the first homology read over any ring), and
+the images of the Smith basis read the columns; the Smith form takes the
+dense ``boundary_matrix``.
 
 Homology is read rank first: rank H_k = dim C_k - rank d_k - rank d_{k+1},
 each rank off one elimination of d_k kept per degree and shared by degrees
-k and k-1.  Over Z that is a Smith form, kept as its factors, which give
-the ranks and, above 1 in d_{k+1}, the torsion, and its W = U^-1, replayed
-from the step log on the first generator read only.  Over a field it is a
-``fields.Echelon`` of the columns, kept per (k, field), whose rows span the
-boundaries in degree k-1; the free generators of degree k-1 and the
-connecting map (``orbit``) extend copies of it.  Generators are built on
-the first read: W columns or their integer kernel combinations
-(``_int_generators``), or an echelon's kernel vectors (``_field_generators``).
+k and k-1.  Over Z that is a Smith form, kept per degree as its factors
+and its W = U^-1: the factors give the ranks, and those above 1 of
+d_{k+1} are the torsion.  W is replayed from the form's step log only
+when a generator is first read, so ranks and ``describe`` build no
+transform.  Over a field it is a ``fields.Echelon`` of the columns, kept
+per (k, field), whose rows span the boundaries in degree k-1: the free
+generators of degree k-1 and the connecting map (``orbit``) extend
+copies of it.  Generators are built on the first read: W columns or
+their integer kernel combinations (``_int_generators``), or an echelon's
+kernel vectors (``_field_generators``).
 
 A complex is not changed after construction, so ``ChainComplex.homology``
 computes each (degree, coefficients) group once and hands the same
@@ -225,10 +229,7 @@ class ChainComplex:
         out = {}
         columns = self.boundaries.get(k)
         for j, value in vec.items() if columns else ():
-            if coeffs is ZZ:
-                snf._axpy(out, columns[j], value)
-            else:
-                fields.add_scaled(coeffs, out, value, columns[j])
+            fields.add_scaled(coeffs, out, value, columns[j])
         return out
 
     def homology(self, k, coeffs=ZZ):

@@ -252,8 +252,8 @@ class FaceRingQuotient:
 
         def add_joins(a, coeff):
             add_scaled(field, product, coeff,
-                        {dst.column(j): base * self._orient(j)
-                         for j in self.poset.join_set(a, g)})
+                       {dst.column(j): base * self._orient(j)
+                        for j in self.poset.join_set(a, g)})
 
         if g is BOTTOM:
             product[dst.column(i)] = 1
@@ -393,7 +393,7 @@ class FaceRingQuotient:
             coeff = plain(coeff)
             for i in self._reach(src.generators[col]):
                 add_scaled(self.field, images.setdefault(i, {}), coeff,
-                            self._product(i, k, col))
+                           self._product(i, k, col))
         return all(not image or dst.echelon.contains_sparse(image)
                    for image in images.values())
 

@@ -318,9 +318,10 @@ class Echelon:
     ``rows``, and the answers of ``nullspace`` and ``solve_all``.
 
     ``add`` keeps a vector when it is independent of the rows so far and
-    reports whether it was, so a stack of vectors is eliminated once, not
-    once per vector.  ``rows`` and ``pivots`` are the dense reduced
-    echelon form, built when read and kept until the next ``add``.
+    reports whether it was; testing a stack of vectors one by one this
+    way eliminates each vector once instead of the whole stack again for
+    every vector.  ``rows`` and ``pivots`` are the dense reduced echelon
+    form, built when read and kept until the next ``add``.
     """
 
     def __init__(self, field, rows=()):
