@@ -8,9 +8,10 @@ paired with an axis subset A of size n-k goes to the row whose g-entry is
 chain[g] * c(g, A), with c the signed complementary minor.  Both kinds of
 relation rows and the socle-placement vectors are such pushes, of
 different chains, each a {position: value}.  The minors of a rank are
-tabulated once on the matrix (``_minor_table``); the rank-n table holds
-the top-cell determinants, which ``check_star`` reads, and
-``c_coefficient`` is the validating reader of a single entry.
+tabulated once on the matrix (``_minor_table``), the one place the sign
+of c is written; the rank-n table holds the top-cell determinants, which
+``check_star`` reads, and ``c_coefficient`` is the validating reader of
+a single entry, for the bordism search and the vertex-matrix inverses.
 """
 
 from itertools import combinations
@@ -26,6 +27,7 @@ class CharacteristicMatrix:
         self.n = poset.top_rank
         self.rows = {}
         self._minors = {}  # k -> ``_minor_table(k)``
+        self._positions = {}  # k -> {rank-k element: its table column}
         self._unimodular = False  # set once check_star(ZZ) passes
         for v in poset.vertices():
             if v not in rows:
@@ -76,15 +78,15 @@ class CharacteristicMatrix:
         return True
 
     def c_coefficient(self, element, axes):
-        """Signed complementary minor of an element.
+        """Signed complementary minor c(element, axes), read from the minor
+        table of the element's rank (``_minor_table``) once the arguments
+        are checked.
 
         ``axes`` is a subset of {1..n} with |axes| = n - rank(element); the
         minor uses the columns outside ``axes`` and the vertices of the
-        element in increasing order.  The sign alternates with the sum of
-        the retained column indices.
+        element in increasing order.
         """
-        verts = sorted(self.poset.ver(element))
-        m = len(verts)
+        m = self.poset.rank(element)
         axes = frozenset(axes)
         if not axes <= set(range(1, self.n + 1)):
             raise ValidationError("axes %r are not inside 1..%d"
@@ -93,10 +95,8 @@ class CharacteristicMatrix:
             raise ValidationError(
                 "element of rank %d needs %d axes, got %d"
                 % (m, self.n - m, len(axes)))
-        kept = [j for j in range(1, self.n + 1) if j not in axes]
-        det = snf.int_det([[self.rows[v][j - 1] for j in kept] for v in verts])
-        exponent = m * (m + 1) // 2 + sum(kept)
-        return (-1) ** exponent * det
+        minors = dict(self._minor_table(m))[tuple(sorted(axes))]
+        return minors[self._positions[m][element]]
 
     def theta(self, j):
         """Coefficients of the j-th linear parameter: vertex -> its j-th
@@ -145,6 +145,8 @@ class CharacteristicMatrix:
         one determinant per (g, kept columns) (``_cell_minors``)."""
         table = self._minors.get(k)
         if table is None:
+            elements = self.poset.elements_of_rank(k)
+            self._positions[k] = {g: i for i, g in enumerate(elements)}
             subsets = [tuple(sorted(axes))
                        for axes in self.axis_subsets(self.n - k)]
             kept_sets = [[j for j in range(self.n) if j + 1 not in axes]
@@ -153,8 +155,7 @@ class CharacteristicMatrix:
             # counted from 1
             signs = [(-1) ** (k * (k + 3) // 2 + sum(kept))
                      for kept in kept_sets]
-            dets = self._cell_minors(self.poset.elements_of_rank(k),
-                                     kept_sets)
+            dets = self._cell_minors(elements, kept_sets)
             table = self._minors[k] = [
                 (axes, [sign * d for d in minors])
                 for axes, sign, minors in zip(subsets, signs, dets)]

@@ -23,7 +23,7 @@ backtracking search through bordism moves bounded by ``max_depth``.
 
 from .errors import (ValidationError, UnresolvableError,
                      DegreeOverflowError, MismatchedDatumError)
-from .fields import QQ, is_int, lift, require_field
+from .fields import QQ, add_scaled, is_int, lift, require_field
 from .posets import BOTTOM
 
 FACE = "face"
@@ -391,9 +391,10 @@ class IntersectionCalculator:
             elt = key[1]
             q = self.n - self._rank_of(elt)
             page = self.manifold.diagonal_page(q, self.field, "limit")
-            vec = vecs.setdefault(q, [self.field.zero] * len(page.generators))
             col = page.column(elt)
-            vec[col] = self.field.add(vec[col], lift(c, self.field))
+            c = lift(c, self.field)
+            if not self.field.is_zero(c):
+                add_scaled(self.field, vecs.setdefault(q, {}), c, {col: 1})
         out = {}
         for q, vec in sorted(vecs.items()):
             page = self.manifold.diagonal_page(q, self.field, "limit")

@@ -18,7 +18,6 @@ its degree, half its topological degree.
 
 from math import comb
 
-from . import snf
 from .errors import ValidationError
 from .fields import QQ, ZZ, Echelon, add_scaled, lift, nullspace, plain
 from .posets import BOTTOM
@@ -102,12 +101,14 @@ class GradedPresentation:
             raise ValidationError(
                 "vector of length %d against %d generators"
                 % (len(vec), len(self.generators)))
-        return self.echelon.reduce(vec)
+        v = self.echelon.reduce_sparse({j: x for j, x in enumerate(vec) if x})
+        return [v.get(j, self.field.zero) for j in range(len(vec))]
 
     def coordinates(self, vec):
-        """Coordinates of a vector over the surviving basis."""
-        v = self.reduce(vec)
-        return [v[i] for i in self._basis_cols]
+        """Coordinates over the surviving basis of a vector given as
+        {column: nonzero value}."""
+        v = self.echelon.reduce_sparse(vec)
+        return [v.get(i, self.field.zero) for i in self._basis_cols]
 
     def lift(self, coords):
         """Full coordinate vector of a basis combination."""
@@ -141,22 +142,20 @@ class FaceRingQuotient:
     field value}.  It is nonzero only for the vertices on a maximal cell
     above g.  When i lies below g, x_i is first eliminated through the
     inverse of the vertex matrix of the maximal cell chosen above g
-    (``simplex_above``), inverted once per cell.  ``vertex_action``,
-    ``action_matrix`` and ``in_socle`` sum the kept products over the
-    nonzero coordinates of their input and reduce each sum once.
-    ``face_product`` multiplies two faces by straightening them in the
-    face ring and multiplying by the shared vertices through the kept
-    products, reducing once.
+    (``simplex_above``), read off the minor tables once per cell.
+    ``vertex_action``, ``action_matrix`` and ``in_socle`` sum the kept
+    products over the nonzero coordinates of their input and reduce each
+    sum once.  ``face_product`` multiplies two faces by straightening
+    them in the face ring and multiplying by the shared vertices through
+    the kept products, reducing once.
     """
 
-    def __init__(self, poset, charmat, field=QQ, flips=(),
-                 simplex_choice=None):
+    def __init__(self, poset, charmat, field=QQ, flips=()):
         self.poset = poset
         self.charmat = charmat
         self.field = field
         self.flips = frozenset(flips)
         self.signs = poset.sign_convention(self.flips)
-        self._choice = simplex_choice
         charmat.check_star(field)
         self._presentations = {}
         self._substitutions = {}
@@ -189,39 +188,36 @@ class FaceRingQuotient:
     # --- theta elimination ---------------------------------------------
 
     def simplex_above(self, e):
-        """The maximal cell used to eliminate vertices of e: least by vertex
-        set unless a custom chooser was supplied."""
+        """The maximal cell used to eliminate vertices of e: the least by
+        vertex set."""
         tops = self.poset.tops_above(e)
         if not tops:
             raise ValidationError("no maximal cell above %r" % (e,))
-        if self._choice is not None:
-            m = self._choice(e, tops)
-            if m not in tops:
-                raise ValidationError(
-                    "simplex choice returned %r, not above %r" % (m, e))
-            return m
         return min(tops, key=lambda m: (sorted(map(repr, self.poset.ver(m))),
                                         repr(m)))
 
     def _substitution(self, top):
-        """The inverse of the vertex matrix of a maximal cell (rows the
-        axes, columns its vertices in sorted order), adj(M)·det(M)⁻¹ from
-        integer cofactors, kept per cell; plain ints when det(M) = ±1.
-        Modulo the linear system, x_w = -Σ_u (Σ_j inv[w][j]·λ_u[j])·x_u
-        over the vertices u outside the cell.  Returns (vertex → its
-        row, inverse)."""
+        """The inverse of the vertex matrix M of a maximal cell (rows the
+        axes, columns its vertices in sorted order), adj(M)·det(M)⁻¹, kept
+        per cell; plain ints when det(M) = ±1.  Both are read off the
+        minor tables of the characteristic matrix (``c_coefficient``):
+        det M = c(top, ∅), and row r of adj M, r counted from 0, is
+        (−1)^(r+n+1)·[c(F_r, {1}), …, c(F_r, {n})], F_r the face of top
+        without its r-th vertex.  Modulo the linear system, x_w = -Σ_u
+        (Σ_j inv[w][j]·λ_u[j])·x_u over the vertices u outside the cell.
+        Returns (vertex → its row, inverse)."""
         cached = self._substitutions.get(repr(top))
         if cached is not None:
             return cached
         field = self.field
-        inside = sorted(self.poset.ver(top))
-        matrix = [[self.charmat.row(w)[j] for w in inside]
-                  for j in range(self.n)]
-        det = snf.int_det(matrix)
+        c = self.charmat.c_coefficient
+        det = c(top, ())
         scale = det if det in (1, -1) else field.inv(field.from_int(det))
-        inverse = [[plain(field.mul(scale, x)) for x in row]
-                   for row in snf.int_adjugate(matrix)]
-        position = {w: r for r, w in enumerate(inside)}
+        inverse = [[plain(field.mul(scale, (-1) ** (r + self.n + 1)
+                                    * c(face, (j,))))
+                    for j in range(1, self.n + 1)]
+                   for r, face in enumerate(self.poset.lower_covers(top))]
+        position = {w: r for r, w in enumerate(sorted(self.poset.ver(top)))}
         self._substitutions[repr(top)] = position, inverse
         return position, inverse
 
@@ -336,6 +332,11 @@ class FaceRingQuotient:
                 vec = step
                 k += 1
             add_scaled(field, out, sign * self._orient(rho), vec)
+        # dense on purpose: handing {column: value} to ``_face_face`` cut
+        # the products benchmark's call_s from 25.2 to 17.7 µs (medians of
+        # three 30 s runs, Xeon, Python 3.11), but that benchmark keeps
+        # every latency sample, so the extra calls raised its peak RSS
+        # from 37.4 to 42.9 MB, past its 10% bound (ROADMAP item 2)
         image = [field.zero] * len(dst.generators)
         if out:
             for c, x in dst.echelon.reduce_sparse(out).items():

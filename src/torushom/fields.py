@@ -21,12 +21,13 @@ Kernels are read off kept echelons: ``Echelon.kernel`` gives the right
 kernel of the rows (``nullspace``, field homology), and each kernel of a
 map into a quotient (the connecting map, the inclusion kernel, the socle
 placement) comes from a ``tracked`` copy of the quotient's kept echelon
-and is checked by ``kernel_spans``.  Relation rows, chains, coordinates
-and tracked vectors come in sparse, summed by ``add_scaled``: ``report``
-and ``check`` hand an ``Echelon`` no dense vector.  The dense helpers
-``rref``, ``rank``, ``nullspace``, ``solve_all``, ``solve`` and
-``row_space_contains`` each build an ``Echelon``; the package calls only
-``nullspace``, in ``socle_basis``, which only tests call.
+and is checked by ``kernel_spans``.  An ``Echelon`` takes and gives
+only {column: value}: relation rows, chains, coordinates and tracked
+vectors come in sparse, summed by ``add_scaled``.  Dense lists are met
+only by the helpers ``rref``, ``rank``, ``nullspace``, ``solve_all``,
+``solve`` and ``row_space_contains``, which convert at one place each
+way (``_sparse`` for vectors in, ``_spread`` for vectors out); the package
+calls only ``nullspace``, in ``socle_basis``, which only tests call.
 """
 
 from fractions import Fraction
@@ -236,6 +237,33 @@ def add_scaled(coeffs, target, coeff, vec):
             target[c] = y
 
 
+def _echelon(rows, field):
+    """An ``Echelon`` of dense rows of ints or field values, and their
+    width (None for no rows); rows of unequal length raise
+    ``ValueError``."""
+    echelon, width = Echelon(field), None
+    for row in rows:
+        echelon.add_sparse(_sparse(row, width))
+        width = len(row)
+    return echelon, width
+
+
+def _sparse(vec, width):
+    """A dense vector as {column: nonzero value}, checked to have length
+    ``width`` when that is not None."""
+    if width is not None and len(vec) != width:
+        raise ValueError("dimension mismatch")
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _spread(vec, width, field):
+    """A {column: value} as a dense list of ``width`` field values."""
+    out = [field.zero] * width
+    for j, x in vec.items():
+        out[j] = x
+    return out
+
+
 def rref(rows, field):
     """Reduced row echelon form, built by adding the rows one by one to an
     ``Echelon``.
@@ -244,12 +272,13 @@ def rref(rows, field):
     modified.  Zero rows are dropped from the result, and rows of unequal
     length raise ``ValueError``.
     """
-    echelon = Echelon(field, rows)
-    return echelon.rows, echelon.pivots
+    echelon, width = _echelon(rows, field)
+    pivots = echelon.pivots
+    return [_spread(echelon.row(pc), width, field) for pc in pivots], pivots
 
 
 def rank(rows, field):
-    return len(Echelon(field, rows))
+    return len(_echelon(rows, field)[0])
 
 
 def nullspace(rows, field):
@@ -257,9 +286,9 @@ def nullspace(rows, field):
     one per free column, read off the echelon form by ``Echelon.kernel``."""
     if not rows:
         return []
-    echelon = Echelon(field, rows)
-    width = echelon.width
-    return [echelon.dense(w, d, width) for w, d in echelon.kernel(width)]
+    echelon, width = _echelon(rows, field)
+    return [_spread(echelon.values(w, d), width, field)
+            for w, d in echelon.kernel(width)]
 
 
 def solve_all(rows, bs, field):
@@ -274,8 +303,8 @@ def solve_all(rows, bs, field):
     if not rows or not bs:
         return [[] for _ in bs]
     ncols = len(rows[0])
-    echelon = Echelon(field, [list(r) + [b[i] for b in bs]
-                              for i, r in enumerate(rows)])
+    echelon, _ = _echelon([list(r) + [b[i] for b in bs]
+                           for i, r in enumerate(rows)], field)
     out = [[field.zero] * ncols for _ in bs]
     inconsistent = set()
     for pc, row in echelon._rows.items():
@@ -295,6 +324,11 @@ def solve(rows, b, field):
     return solve_all(rows, [b], field)[0]
 
 
+def row_space_contains(rows, vec, field):
+    echelon, width = _echelon(rows, field)
+    return echelon.contains_sparse(_sparse(vec, width))
+
+
 class Echelon:
     """A row space over a field, kept in reduced row echelon form on ints.
 
@@ -306,32 +340,24 @@ class Echelon:
     in range(p).  Both run the one loop, ``_clear``; they differ in how
     ``_normalise`` scales a row and in that GF(p) reduces entries mod p.
 
-    Vectors come in as dense lists of ints or field elements (``reduce``,
-    ``contains``, ``add``), all of the width of the first row added
-    (``ValueError`` otherwise), or as {column: nonzero value}
-    (``*_sparse``).  Over GF(p) the values are any ints, reduced mod p in
-    one place, ``_reduce``, so a boundary column comes in as it is kept.
-    Over Q they are ints or ``Fraction``s, whose denominators are cleared
-    by their lcm, so the elimination is plain integer arithmetic on
-    nonzero entries, and ``Fraction``s are made only where values are
-    read (``values``): the output of ``reduce`` and ``reduce_sparse``,
-    ``rows``, and the answers of ``nullspace`` and ``solve_all``.
+    It starts empty, and every vector comes in and goes out as {column:
+    nonzero value}; it has no width.  Over GF(p) the values are any ints,
+    reduced mod p in one place, ``_reduce``, so a boundary column comes in
+    as it is kept.  Over Q they are ints or ``Fraction``s, whose
+    denominators are cleared by their lcm, so the elimination is plain
+    integer arithmetic on nonzero entries, and ``Fraction``s are made only
+    where values are read (``values``, ``row``, ``reduce_sparse``).
 
-    ``add`` keeps a vector when it is independent of the rows so far and
-    reports whether it was; testing a stack of vectors one by one this
-    way eliminates each vector once instead of the whole stack again for
-    every vector.  ``rows`` and ``pivots`` are the dense reduced echelon
-    form, built when read and kept until the next ``add``.
+    ``add_sparse`` keeps a vector when it is independent of the rows so
+    far and reports whether it was; testing a stack of vectors one by one
+    this way eliminates each vector once instead of the whole stack again
+    for every vector.
     """
 
-    def __init__(self, field, rows=()):
+    def __init__(self, field):
         self.field = require_field(field)
         self._modulus = field.p if isinstance(field, PrimeField) else None
-        self.width = None
         self._rows = {}
-        self._dense = None
-        for row in rows:
-            self.add(row)
 
     def __len__(self):
         return len(self._rows)
@@ -339,21 +365,6 @@ class Echelon:
     @property
     def pivots(self):
         return sorted(self._rows)
-
-    @property
-    def rows(self):
-        if self._dense is None:
-            self._dense = [self.dense(self._rows[pc], self._rows[pc][pc],
-                                      self.width) for pc in self.pivots]
-        return self._dense
-
-    def _sparse(self, vec):
-        """A dense vector of ints or field values as {column: nonzero
-        value}, in the form ``_reduce`` takes."""
-        if self.width is not None and len(vec) != self.width:
-            raise ValueError("dimension mismatch")
-        zero = self.field.zero  # most zeros of a dense vector: no compare
-        return {j: x for j, x in enumerate(vec) if x is not zero and x}
 
     def _clear(self, steps):
         """The one elimination loop.  Each step (w, pc, row) clears column
@@ -445,13 +456,6 @@ class Echelon:
             return {j: Fraction(x) for j, x in w.items()}
         return {j: Fraction(x, d) for j, x in w.items()}
 
-    def dense(self, w, d, width):
-        """The field values w/d of the ints of w as a dense list."""
-        out = [self.field.zero] * width
-        for j, x in self.values(w, d).items():
-            out[j] = x
-        return out
-
     def kernel(self, width):
         """The right kernel in ``width`` columns, a vector per free column
         in column order, as (w, d) with w/d the vector (read by ``values``):
@@ -479,7 +483,6 @@ class Echelon:
         """The same rows, copied to be extended apart: ``add_sparse``
         clears kept rows in place."""
         other = Echelon(self.field)
-        other.width = self.width
         other._rows = {pc: dict(row) for pc, row in self._rows.items()}
         return other
 
@@ -513,19 +516,9 @@ class Echelon:
         space; no field value is made."""
         return not self._reduce(v)[0]
 
-    def reduce(self, vec):
-        return self.dense(*self._reduce(self._sparse(vec)), len(vec))
-
-    def contains(self, vec):
-        return self.contains_sparse(self._sparse(vec))
-
-    def add(self, vec):
-        v = self._sparse(vec)  # checks the width once it is set
-        self.width = len(vec)
-        return self.add_sparse(v)
-
     def add_sparse(self, v):
-        """``add`` for v given as {column: nonzero value}."""
+        """Keeps v, given as {column: nonzero value}, reduced, when it is
+        independent of the kept rows, and returns whether it was."""
         w, _ = self._reduce(v)
         if not w:
             return False
@@ -537,9 +530,4 @@ class Echelon:
             if row[pr] != 1:
                 self._normalise(row, pr)
         self._rows[pc] = w
-        self._dense = None
         return True
-
-
-def row_space_contains(rows, vec, field):
-    return Echelon(field, rows).contains(vec)

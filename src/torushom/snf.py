@@ -1,5 +1,6 @@
 """Integer matrix routines: Smith normal form with transform tracking,
-integer kernels and solves, exact determinants.
+integer kernels and solves, exact determinants (``int_det``, whose one
+caller in the package tabulates the minors of the wall rows).
 
 ``smith_normal_form`` is one sparse elimination loop, the integer
 counterpart of ``fields.Echelon``.  Its working rows are dicts
@@ -79,14 +80,6 @@ def int_det(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def int_adjugate(m):
-    """The adjugate of a square integer matrix: entry (r, j) is the
-    cofactor (-1)**(r+j) det(m without row j and column r)."""
-    return [[(-1) ** (r + j) * int_det([row[:r] + row[r + 1:]
-                                        for i, row in enumerate(m) if i != j])
-             for j in range(len(m))] for r in range(len(m))]
 
 
 def smith_normal_form(m):

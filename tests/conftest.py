@@ -1,10 +1,11 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 from torushom.chains import ChainComplex
 from torushom.charmat import CharacteristicMatrix
-from torushom.fields import Echelon
+from torushom.fields import Echelon, rref
 from torushom.fixtures import parse_fixture
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
@@ -19,7 +20,16 @@ def mat_from_int(rows, field):
 def row_spaces_equal(rows_a, rows_b, field):
     """Whether two lists of dense rows span the same space over ``field``:
     reduced echelon forms are unique, so equal spans have equal ones."""
-    return Echelon(field, rows_a).rows == Echelon(field, rows_b).rows
+    return rref(rows_a, field)[0] == rref(rows_b, field)[0]
+
+
+def echelon_of(rows, field):
+    """An ``Echelon`` of dense rows, each added as {column: nonzero
+    value}."""
+    echelon = Echelon(field)
+    for row in rows:
+        echelon.add_sparse(sparsify(row))
+    return echelon
 
 
 def int_identity(n):
@@ -192,6 +202,24 @@ def build_cross_polytope(n):
     rows = {v: tuple(int((v - 1) % n == j) for j in range(n))
             for v in vertices}
     return SimplicialPoset(vertices, cells), rows
+
+
+def build_gauged_cross_polytope(n, seed, scale=1):
+    """``build_cross_polytope(n)`` with every row times a seeded integer
+    matrix of determinant ``scale``, made of random elementary row steps,
+    so the vertex matrices are no longer signed permutations and their
+    minors and inverses are not trivial.  Returns (poset, rows)."""
+    poset, rows = build_cross_polytope(n)
+    rng = random.Random(seed)
+    u = int_identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    u[0] = [scale * x for x in u[0]]
+    return poset, {v: tuple(sum(x * y for x, y in zip(row, column))
+                            for column in zip(*u))
+                   for v, row in rows.items()}
 
 
 @pytest.fixture

@@ -18,16 +18,16 @@ from math import comb
 
 import pytest
 
-from conftest import (build_cross_polytope, build_punctured_torus, densify,
-                      row_spaces_equal, sparsify)
+from conftest import (build_cross_polytope, build_gauged_cross_polytope,
+                      build_punctured_torus, densify, row_spaces_equal)
 from test_connecting_map import filled_sphere
 from test_sparse_snf import replays
 from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
 from torushom.cli import main
-from torushom.facering import FaceRingQuotient
+from torushom.facering import FaceRingQuotient, GradedPresentation
 from torushom.fields import GF, QQ, ZZ, Echelon
-from torushom.fixtures import dumps_fixture
+from torushom.fixtures import dumps_fixture, resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
@@ -253,34 +253,39 @@ def test_push_computes_each_coefficient_once(example_file, monkeypatch,
     assert {len(key[2]) for key in counts} >= {1, 2}
 
 
-def test_report_inverts_each_cell_matrix_once_per_field(
+INVERSE_SHAPES = {
+    "cross3": lambda: build_gauged_cross_polytope(3, seed=1),
+    "cross3-det3": lambda: build_gauged_cross_polytope(3, seed=3, scale=3),
+    "cross4": lambda: build_gauged_cross_polytope(4, seed=2),
+    "square_hole": lambda: (lambda m: (m.poset, m.charmat.rows))(
+        resolve_fixture("square_hole").manifold),
+}
+
+
+def test_substitution_inverts_each_cell_matrix_once_per_field(
         example_file, monkeypatch, capsys):
-    """One adjugate per (field, cell), and what ``_substitution`` keeps is
-    the inverse of the vertex matrix over that field; neither the field
-    path nor the integral one solves anything."""
-    adjugates, cells = [], []
-    int_adjugate = snf.int_adjugate
+    """What ``_substitution`` keeps for a top cell is the inverse of its
+    vertex matrix over QQ, GF(2) and GF(5), read off the minor tables
+    (``c_coefficient``) once per (field, cell): the gauged cross-polytopes
+    (one with vertex determinants ±3) and square_hole, cell by cell, and
+    ``report`` over Q and Z, where neither the field path nor the integral
+    one solves anything."""
+    reads, built, solved = [], [], []
+    c_coefficient = CharacteristicMatrix.c_coefficient
     substitution = FaceRingQuotient._substitution
-    solved = []
     solve_all = fields.solve_all
     int_solve_all = snf.int_solve_all
 
-    def counting(m):
-        adjugates.append(m)
-        return int_adjugate(m)
+    def counting(self, element, axes):
+        reads.append((element, tuple(axes)))
+        return c_coefficient(self, element, axes)
 
     def recording(self, top):
-        before = len(adjugates)
-        position, inverse = substitution(self, top)
-        if len(adjugates) > before:
-            assert len(adjugates) == before + 1
-            matrix, field = adjugates[before], self.field
-            cells.append((field, top))
-            for j, row in enumerate(matrix):
-                for r in range(len(inverse[0])):
-                    entry = sum(x * inverse[c][r] for c, x in enumerate(row))
-                    assert field.is_zero(field.from_int(int(j == r)) - entry)
-        return position, inverse
+        before = len(reads)
+        out = substitution(self, top)
+        if len(reads) > before:
+            built.append((self.field, top))
+        return out
 
     def counting_solve(rows, bs, field):
         solved.append(field)
@@ -290,18 +295,38 @@ def test_report_inverts_each_cell_matrix_once_per_field(
         solved.append(ZZ)
         return int_solve_all(m, bs)
 
-    monkeypatch.setattr(snf, "int_adjugate", counting)
+    monkeypatch.setattr(CharacteristicMatrix, "c_coefficient", counting)
     monkeypatch.setattr(FaceRingQuotient, "_substitution", recording)
     monkeypatch.setattr(fields, "solve_all", counting_solve)
     monkeypatch.setattr(snf, "int_solve_all", counting_int_solve)
+    for shape, build in INVERSE_SHAPES.items():
+        poset, rows = build()
+        charmat = CharacteristicMatrix(poset, rows)
+        for field in KERNEL_FIELDS:
+            quo = FaceRingQuotient(poset, charmat, field)
+            for top in poset.elements_of_rank(charmat.n):
+                position, inverse = quo._substitution(top)
+                again = quo._substitution(top)
+                assert again[0] is position and again[1] is inverse
+                inside = sorted(poset.ver(top))
+                assert position == {w: r for r, w in enumerate(inside)}
+                for r in range(len(inside)):
+                    for w in inside:
+                        entry = field.zero
+                        for x, y in zip(inverse[r], rows[w]):
+                            entry = field.add(entry, field.mul(
+                                x, field.from_int(y)))
+                        assert entry == field.from_int(
+                            int(w == inside[r])), (shape, field, top)
+            assert Counter(built) == Counter(
+                (field, top) for top in poset.elements_of_rank(charmat.n))
+            built.clear()
     for coeffs in ("q", "z"):
-        adjugates.clear()
-        cells.clear()
         assert main(["report", example_file, "--coeffs", coeffs,
                      "--json"]) == 0
         capsys.readouterr()
-        assert adjugates and len(cells) == len(adjugates)
-        assert max(Counter(cells).values()) == 1
+        assert built and max(Counter(built).values()) == 1
+        built.clear()
     assert solved == []
 
 
@@ -447,13 +472,14 @@ def test_socle_kernel_check_fails_on_a_wrong_delta(shape, field,
     chains, coords = m.corner.delta_image(top, field)
     assert m.novik_swartz_check(top, field)["kernel_ok"]
     width = m.corner.boundary_complex().homology(top, field).free_rank
-    span = Echelon(field, [densify(c, width, field.zero) for c in coords])
-    units = [[field.one if i == j else field.zero for i in range(width)]
-             for j in range(width)]
-    outside = [u for u in units if not span.contains(u)]
+    span = Echelon(field)
+    for c in coords:
+        span.add_sparse(c)
+    units = [{j: field.one} for j in range(width)]
+    outside = [u for u in units if not span.contains_sparse(u)]
     wrong = [(chains[:-1], coords[:-1])]
     if outside:  # the span is proper: swap in a vector off it
-        wrong.append((chains, [sparsify(outside[0])] + coords[1:]))
+        wrong.append((chains, [outside[0]] + coords[1:]))
     for image in wrong:
         monkeypatch.setattr(type(m.corner), "delta_image",
                             lambda self, q, coeffs, image=image: image)
@@ -476,12 +502,13 @@ def wrong_deltas(chains, coords, width, field):
     generators, span a proper subspace, the first swapped for a unit
     vector off it."""
     wrong = {"drop": (chains[:-1], coords[:-1])}
-    span = Echelon(field, [densify(c, width, field.zero) for c in coords])
-    units = [[field.one if i == j else field.zero for i in range(width)]
-             for j in range(width)]
-    outside = [u for u in units if not span.contains(u)]
+    span = Echelon(field)
+    for c in coords:
+        span.add_sparse(c)
+    units = [{j: field.one} for j in range(width)]
+    outside = [u for u in units if not span.contains_sparse(u)]
     if outside:
-        wrong["swap"] = (chains, [sparsify(outside[0])] + coords[1:])
+        wrong["swap"] = (chains, [outside[0]] + coords[1:])
     return wrong
 
 
@@ -560,25 +587,39 @@ def test_no_command_path_calls_a_dense_helper(example_file, monkeypatch,
     assert called == []
 
 
-# the entry points of ``Echelon`` that take or give dense vectors
-DENSE_ECHELON = ("add", "reduce", "contains", "dense")
+def test_echelon_has_no_dense_entry_point():
+    """An ``Echelon`` takes and gives only {column: value}: the dense
+    entry points and the width they checked are gone, and it is built
+    empty."""
+    for name in ("add", "reduce", "contains", "dense", "rows", "width"):
+        assert not hasattr(Echelon, name), name
+        assert not hasattr(Echelon(QQ), name), name
+    with pytest.raises(TypeError):
+        Echelon(QQ, [[1, 0]])
 
 
-def test_no_command_path_calls_a_dense_echelon_entry_point(example_file,
-                                                          monkeypatch,
-                                                          capsys):
-    """Generators, connecting-map chains and their coordinates stay
-    {index: value} from the elimination that finds them to the echelons
-    that read them: ``report`` and ``check`` over every coefficient ring
-    make no dense round trip through an ``Echelon``."""
+def test_no_intersect_path_calls_a_dense_helper(example_file, monkeypatch,
+                                                capsys):
+    """``intersect`` reduces its face terms sparsely on the kept page
+    echelon, over Q, GF(2) and GF(5), in text and JSON: neither the
+    dense ``GradedPresentation.reduce`` nor any dense helper of
+    ``fields`` runs."""
     called = []
-    for name in DENSE_ECHELON:
-        monkeypatch.setattr(Echelon, name, _recording(
-            called, name, getattr(Echelon, name)))
-    for shape in (example_file, "square_hole"):
-        for coeffs in ("q", "f2", "f5", "z"):
-            for command in ("report", "check"):
-                assert main([command, shape, "--json",
-                             "--coeffs", coeffs]) == 0
-    capsys.readouterr()
+    for name in DENSE_HELPERS:
+        if hasattr(fields, name):
+            monkeypatch.setattr(fields, name, _recording(
+                called, name, getattr(fields, name)))
+    monkeypatch.setattr(GradedPresentation, "reduce", _recording(
+        called, "reduce", GradedPresentation.reduce))
+    terms = [("square_hole", "face:1", "face:2"),
+             ("square_hole", "dia:L:e1", "dia:L:e2"),
+             ("square_hole", "face:1", "dia:L:e1"),
+             (example_file, "face:1", "face:2"),
+             (example_file, "face:1", "face:3")]
+    for shape, left, right in terms:
+        for coeffs in ("q", "f2", "f5"):
+            for extra in ([], ["--json"]):
+                assert main(["intersect", shape, left, right,
+                             "--coeffs", coeffs] + extra) == 0
+    assert "reduced_faces" in capsys.readouterr().out
     assert called == []

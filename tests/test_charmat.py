@@ -1,4 +1,5 @@
 import pytest
+from sympy import Matrix
 
 from torushom.charmat import CharacteristicMatrix
 from torushom.errors import StarConditionError, ValidationError
@@ -6,7 +7,8 @@ from torushom.facering import FaceRingQuotient
 from torushom.fields import GF, QQ, ZZ
 
 from conftest import (ANNULUS_ROWS, build_annulus_poset, build_cross_polytope,
-                      build_square_poset)
+                      build_gauged_cross_polytope, build_square_poset)
+from torushom.fixtures import resolve_fixture
 from torushom.generator import polygon_with_holes
 
 
@@ -126,17 +128,35 @@ MINOR_SHAPES = {
     "cross3": lambda: CharacteristicMatrix(*build_cross_polytope(3)),
     "cross4": lambda: CharacteristicMatrix(*build_cross_polytope(4)),
     "cross5": lambda: CharacteristicMatrix(*build_cross_polytope(5)),
+    "cross3-gauged": lambda: CharacteristicMatrix(
+        *build_gauged_cross_polytope(3, seed=1)),
+    "cross4-gauged": lambda: CharacteristicMatrix(
+        *build_gauged_cross_polytope(4, seed=2)),
     "polygon_5_4_3": lambda: polygon_with_holes(
         (5, 4, 3), seed=7).manifold.charmat,
+    "square_hole": lambda: resolve_fixture("square_hole").manifold.charmat,
 }
+
+
+def sympy_minor(cm, g, axes):
+    """c(g, A) from its definition: (-1)^(m(m+1)/2 + the sum of the kept
+    columns, counted from 1) times the sympy determinant of the rows of
+    the m vertices of g, in increasing order, on the columns outside A."""
+    verts = sorted(cm.poset.ver(g))
+    kept = [j for j in range(1, cm.n + 1) if j not in axes]
+    m = len(verts)
+    det = Matrix([[cm.row(v)[j - 1] for j in kept] for v in verts]).det()
+    return (-1) ** (m * (m + 1) // 2 + sum(kept)) * int(det)
 
 
 class TestMinorTable:
     @pytest.mark.parametrize("shape", sorted(MINOR_SHAPES))
     def test_table_is_the_complementary_minors(self, shape):
-        """Every entry of every rank's table is c(g, A) as the validating
-        ``c_coefficient`` computes it, in ``axis_subsets`` and
-        ``elements_of_rank`` order."""
+        """Every entry of every rank's table, and ``c_coefficient``, which
+        reads it, is the signed minor c(g, A) that sympy computes
+        (``sympy_minor``), in ``axis_subsets`` and ``elements_of_rank``
+        order.  The gauged cross-polytopes and square_hole carry vertex
+        matrices that are not signed permutations."""
         cm = MINOR_SHAPES[shape]()
         for k in range(cm.n + 1):
             gens = cm.poset.elements_of_rank(k)
@@ -144,7 +164,9 @@ class TestMinorTable:
             assert [axes for axes, _ in table] == [
                 tuple(sorted(axes)) for axes in cm.axis_subsets(cm.n - k)]
             for axes, minors in table:
-                assert minors == [cm.c_coefficient(g, axes) for g in gens]
+                expected = [sympy_minor(cm, g, axes) for g in gens]
+                assert minors == expected
+                assert [cm.c_coefficient(g, axes) for g in gens] == expected
 
     def test_star_check_reads_the_top_table(self, monkeypatch):
         """The top-cell determinants of ``check_star`` are the rank-n

@@ -91,7 +91,8 @@ def independent_rows(chains, coords, coeffs):
     rank, mix the chains and the coordinates into a lattice basis."""
     if coeffs is not ZZ:
         span = fields.Echelon(coeffs)
-        kept = [i for i, row in enumerate(coords) if span.add(row)]
+        kept = [i for i, row in enumerate(coords)
+                if span.add_sparse(sparsify(row))]
         return [chains[i] for i in kept], [coords[i] for i in kept]
     if not coords:
         return [], []

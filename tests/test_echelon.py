@@ -17,7 +17,7 @@ from sympy import Matrix
 from sympy.polys.domains import GF as SympyGF
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import mat_from_int, mat_vec
+from conftest import densify, echelon_of, mat_from_int, mat_vec, sparsify
 from torushom import fields
 from torushom.fields import GF, QQ
 
@@ -33,16 +33,22 @@ def int_matrices(width):
 matrices = WIDTH.flatmap(int_matrices)
 
 
+def dense_rows(echelon, width):
+    """The kept rows of an ``Echelon`` as a dense reduced echelon form."""
+    return [densify(echelon.row(pc), width, echelon.field.zero)
+            for pc in echelon.pivots]
+
+
 def _check_against(field, rows, sympy_rank):
     echelon = fields.Echelon(field)
     stacked = []
     for row in rows:
-        vec = [field.from_int(x) for x in row]
+        vec = sparsify([field.from_int(x) for x in row])
         before = sympy_rank(stacked)
         grows = sympy_rank(stacked + [row]) > before
-        assert echelon.contains(vec) is not grows
-        assert echelon.add(vec) is grows
-        assert echelon.contains(vec)
+        assert echelon.contains_sparse(vec) is not grows
+        assert echelon.add_sparse(vec) is grows
+        assert echelon.contains_sparse(vec)
         stacked.append(row)
         assert len(echelon) == sympy_rank(stacked)
 
@@ -202,11 +208,15 @@ def test_incremental_echelon_matches_the_dense_loop(matrix, field):
     sparse, dense = fields.Echelon(field), DenseEchelon(field)
     for row in rows:
         expected = dense.reduce(row)
-        assert sparse.reduce(row) == expected
-        assert sparse.contains(row) == all(map(field.is_zero, expected))
-        assert sparse.add(row) is dense.add(row)
-        assert (sparse.rows, sparse.pivots) == (dense.rows, dense.pivots)
-        assert sparse.contains(row)
+        vec = sparsify(row)
+        assert densify(sparse.reduce_sparse(vec), width,
+                       field.zero) == expected
+        assert sparse.contains_sparse(vec) == all(map(field.is_zero,
+                                                      expected))
+        assert sparse.add_sparse(vec) is dense.add(row)
+        assert (dense_rows(sparse, width), sparse.pivots) == \
+            (dense.rows, dense.pivots)
+        assert sparse.contains_sparse(vec)
 
 
 # --- the integer loop against the Fraction loop it replaced ---------------
@@ -258,15 +268,6 @@ class FractionEchelon:
                     else:
                         out[j] = d
         return out
-
-    def reduce(self, vec):
-        out = [self.field.zero] * len(vec)
-        for j, x in self.reduce_sparse(self._sparse(vec)).items():
-            out[j] = x
-        return out
-
-    def contains(self, vec):
-        return not self.reduce_sparse(self._sparse(vec))
 
     def add(self, vec):
         f = self.field
@@ -370,24 +371,21 @@ def _check_against_the_fraction_loop(field, rows, bs):
     new, ref = fields.Echelon(field), FractionEchelon(field)
     for row in rows:
         lifted = _lifted(row, field)
-        for vec in (row, lifted):
-            assert new.reduce(vec) == ref.reduce(lifted)
-            assert new.contains(vec) is ref.contains(lifted)
-        _assert_values(new.reduce(row), field)
         sparse = ref._sparse(row)
-        inputs = [sparse]
-        if field is QQ:  # over Q the ints are field values too
-            inputs.append({j: x for j, x in enumerate(row) if x})
-        for v in inputs:
+        expected = ref.reduce_sparse(sparse)
+        # field values, and the values as given: ints over GF(p) are
+        # taken unreduced
+        for v in (sparse, sparsify(row)):
             got = new.reduce_sparse(v)
-            assert got == ref.reduce_sparse(sparse)
+            assert got == expected
             _assert_values(got.values(), field)
-            assert new.contains_sparse(v) is not ref.reduce_sparse(sparse)
-        assert new.add(row) is ref.add(lifted)
+            assert new.contains_sparse(v) is not expected
+        assert new.add_sparse(sparsify(row)) is ref.add(lifted)
         assert new.pivots == ref.pivots
-        assert new.rows == ref.rows
+        kept = dense_rows(new, len(row))
+        assert kept == ref.rows
         assert len(new) == len(ref.pivots)
-        for dense in new.rows:
+        for dense in kept:
             _assert_values(dense, field)
     matrix = [_lifted(r, field) for r in rows]
     kernel = fields.nullspace(rows, field)
@@ -421,13 +419,13 @@ def test_integer_rows_match_the_fraction_loop_over_gf5(stack):
 
 
 def test_kept_rows_are_primitive_integer_rows():
-    echelon = fields.Echelon(QQ, [[2, 4, 6, 1], [Fraction(-1, 2), 0, 3, 0],
-                                  [0, 0, 0, Fraction(7, 3)]])
+    echelon = echelon_of([[2, 4, 6, 1], [Fraction(-1, 2), 0, 3, 0],
+                          [0, 0, 0, Fraction(7, 3)]], QQ)
     for pc, row in echelon._rows.items():
         assert all(type(x) is int for x in row.values())
         assert row[pc] > 0 and gcd(*row.values()) == 1
         assert not any(c in echelon._rows for c in row if c != pc)
-    over_gf5 = fields.Echelon(GF(5), [[2, 4, 6, 1], [-1, 0, 3, 0]])
+    over_gf5 = echelon_of([[2, 4, 6, 1], [-1, 0, 3, 0]], GF(5))
     for pc, row in over_gf5._rows.items():
         assert row[pc] == 1 and all(0 < x < 5 for x in row.values())
 
@@ -510,21 +508,23 @@ def _polygon_boundary(n):
                          ids=["signed-permutation", "200-gon"])
 def test_work_follows_the_nonzero_entries(rows):
     echelon, products = _multiplications(
-        fields, lambda: fields.Echelon(QQ, rows))
+        fields, lambda: echelon_of(rows, QQ))
     nonzeros = sum(1 for row in rows for x in row if x)
     assert len(echelon) in (199, 200)
     assert products <= 2 * nonzeros
 
 
 def test_vectors_of_another_width_are_rejected():
-    echelon = fields.Echelon(QQ, [[1, 0, 0]])
     for bad in ([1], [0, 0], [1, 0, 0, 0]):
-        for method in (echelon.add, echelon.reduce, echelon.contains):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fields.row_space_contains([[1, 0, 0]], bad, QQ)
+        for helper in (fields.rref, fields.rank, fields.nullspace):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                method(bad)
+                helper([[1, 0, 0], bad], QQ)
+    # a zero row sets the width too
     with pytest.raises(ValueError, match="dimension mismatch"):
-        fields.Echelon(QQ, [[0, 0, 1]]).contains([1])
+        fields.row_space_contains([[0, 0]], [1], QQ)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        fields.Echelon(QQ, [[0, 0]]).add([1])
+        fields.rank([[0, 0], [1]], QQ)
     with pytest.raises(ValueError, match="dimension mismatch"):
         fields.rref([[1, 2, 3], [1, 0]], QQ)

@@ -386,9 +386,9 @@ class TestVertexAction:
         base = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         for seed in (11, 12, 13):
             rng = random.Random(seed)
-            chooser = lambda e, tops: rng.choice(sorted(tops, key=repr))
-            other = FaceRingQuotient(annulus_poset, annulus_charmat, QQ,
-                                     simplex_choice=chooser)
+            other = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
+            other.simplex_above = lambda e: rng.choice(
+                sorted(annulus_poset.tops_above(e), key=repr))
             for k in (0, 1):
                 pres = base.presentation(k)
                 for g in pres.generators:
@@ -463,7 +463,7 @@ class TestPresentationMechanics:
         q = FaceRingQuotient(annulus_poset, annulus_charmat, QQ)
         pres = q.presentation(1)
         vec = pres.reduce([1, 2, 0, 0, 1, 0, -1])
-        assert pres.lift(pres.coordinates(vec)) == vec
+        assert pres.lift(pres.coordinates(sparsify(vec))) == vec
 
 
 class TestSignedQuotient:

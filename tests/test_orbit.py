@@ -45,9 +45,8 @@ def assert_coordinates(cx, q, coeffs):
             assert snf.int_solve_all(bmat, [rest])[0] is not None
         else:
             columns = mat_from_int(zip(*bmat), coeffs)
-            assert fields.Echelon(coeffs, columns).contains(rest)
-    span = fields.Echelon(QQ if coeffs is ZZ else coeffs, coords)
-    assert len(span) == len(coords)
+            assert fields.row_space_contains(columns, rest, coeffs)
+    assert fields.rank(coords, QQ if coeffs is ZZ else coeffs) == len(coords)
 
 
 def delta_rows(cx, q, coeffs=ZZ):

@@ -42,8 +42,8 @@ class DenseReference:
         quo = self.quo
         tops = [m for m in quo.poset.elements_of_rank(quo.n)
                 if quo.poset.le(e, m)]
-        if quo._choice is not None:
-            return quo._choice(e, tops)
+        if "simplex_above" in vars(quo):  # a custom choice, set by _quotient
+            return quo.simplex_above(e)
         return min(tops, key=lambda m: (sorted(map(repr, quo.poset.ver(m))),
                                         repr(m)))
 
@@ -124,10 +124,14 @@ def _last_top(e, tops):
 
 
 def _quotient(shape, field, flipped=False, choice=None):
+    """The quotient of a shape; with ``choice``, its ``simplex_above``
+    takes choice(e, tops above e) in place of the least cell."""
     poset, charmat = _poset_and_charmat(shape)
     flips = _flips(poset) if flipped else ()
-    return FaceRingQuotient(poset, charmat, field, flips=flips,
-                            simplex_choice=choice)
+    quo = FaceRingQuotient(poset, charmat, field, flips=flips)
+    if choice is not None:
+        quo.simplex_above = lambda e: choice(e, poset.tops_above(e))
+    return quo
 
 
 def _pushed_vectors(shape, quo, flipped):
