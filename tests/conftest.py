@@ -222,6 +222,49 @@ def build_gauged_cross_polytope(n, seed, scale=1):
                    for v, row in rows.items()}
 
 
+def cross_polytope_ball(n, seed):
+    """Fixture data for the n-ball whose boundary is
+    ``build_gauged_cross_polytope(n, seed)``: one interior n-cell with
+    boundary sum of eps_v [v] over the walls, eps solved edge by edge from
+    eps_a * signs[(f, a)] + eps_b * signs[(f, b)] = 0 under the
+    vertex-order signs, so that the boundary of the cell is a cycle.  The
+    cells of rank 3 and more list their faces."""
+    poset, rows = build_gauged_cross_polytope(n, seed)
+    signs = poset.sign_convention()
+    edges = {}
+    for f in poset.elements_of_rank(2):
+        a, b = sorted(poset.ver(f))
+        edges.setdefault(a, []).append((f, b))
+        edges.setdefault(b, []).append((f, a))
+    first = min(poset.vertices())
+    eps, todo = {first: 1}, [first]
+    while todo:
+        a = todo.pop()
+        for f, b in edges[a]:
+            want = -eps[a] * signs[(f, a)] * signs[(f, b)]
+            if b not in eps:
+                eps[b] = want
+                todo.append(b)
+            assert eps[b] == want, "the walls admit no orientation"
+    cells = []
+    for k in range(2, n + 1):
+        for e in poset.elements_of_rank(k):
+            vs = poset.ver(e)
+            cell = {"id": e, "vertices": sorted(vs)}
+            if k >= 3:
+                cell["faces"] = [poset.face(e, vs - {v}) for v in sorted(vs)]
+            cells.append(cell)
+    return {
+        "name": "cross_polytope_ball_%d_s%d" % (n, seed),
+        "n": n,
+        "poset": {"vertices": sorted(poset.vertices()), "cells": cells},
+        "lambda": {str(v): list(row) for v, row in sorted(rows.items())},
+        "interior_cells": [{"id": "c", "dim": n,
+                            "boundary": [[v, eps[v]] for v in sorted(eps)]}],
+        "orientable": True,
+    }
+
+
 @pytest.fixture
 def square_poset():
     return build_square_poset()

@@ -5,9 +5,12 @@ stdout and stderr of one ``torushom`` run, made in-process through
 ``cli.main``:
 
 - ``report --json`` and ``check --json`` under the coefficients q, z, f2
-  and f5, on the bundled digon, square and square_hole and on five
-  ``torushom example`` outputs, the largest of which, (12,6,6) with 24
-  walls, pins the integral path at the size the benchmark runs;
+  and f5, on the bundled digon, square and square_hole, on five
+  ``torushom example`` outputs, the largest of which, (12,6,6), has 24
+  walls, as the polygons of the benchmark's Q workload do (its integral
+  workload runs 48), and on the 3- and 4-balls of
+  ``conftest.cross_polytope_ball``, which pin the minors of wall rows
+  of more than two columns;
 - those ``example`` outputs themselves;
 - ``intersect square_hole A B --json`` under q for every ordered pair of
   fifteen named terms.
@@ -28,11 +31,14 @@ from pathlib import Path
 
 from torushom import cli
 
+from conftest import cross_polytope_ball
+
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 COEFFS = ("q", "z", "f2", "f5")
 BUNDLED = ("digon", "square", "square_hole")
 EXAMPLES = (("4", 1), ("4,3", 2), ("5,4,3", 3), ("6,4", 5), ("12,6,6", 3))
+BALLS = ((3, 1), (4, 2))  # (n, seed) of ``cross_polytope_ball``
 TERMS = (["dia:%s:e%s" % (name, word)
           for name in ("L", "Lp", "Lpp") for word in ("0", "1", "2", "12")]
          + ["spine:eta", "face:1", "face:*"])
@@ -48,13 +54,20 @@ def _run(argv):
 
 def _commands(workdir):
     """(key, argv) for every pinned run, in a fixed order.  Each example
-    output is written to ``workdir`` before the runs that read it."""
+    output and each ball is written to ``workdir`` before the runs that
+    read it."""
     for lengths, seed in EXAMPLES:
         argv = ["example", lengths, "--seed", str(seed)]
         yield " ".join(argv), argv
+    balls = []
+    for n, seed in BALLS:
+        data = cross_polytope_ball(n, seed)
+        path = Path(workdir) / (data["name"] + ".json")
+        path.write_text(json.dumps(data))
+        balls.append(str(path))
     for name in BUNDLED + tuple(
             str(Path(workdir) / _example_stem(lengths, seed)) + ".json"
-            for lengths, seed in EXAMPLES):
+            for lengths, seed in EXAMPLES) + tuple(balls):
         label = Path(name).stem
         for command in ("report", "check"):
             for coeffs in COEFFS:
