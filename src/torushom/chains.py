@@ -101,7 +101,7 @@ def _chain(weights, columns):
     out = {}
     for q, column in zip(weights, columns):
         if q:
-            snf._axpy(out, column, q)
+            fields.add_scaled(ZZ, out, q, column)
     return out
 
 

@@ -8,15 +8,16 @@ paired with an axis subset A of size n-k goes to the row whose g-entry is
 chain[g] * c(g, A), with c the signed complementary minor.  Both kinds of
 relation rows and the socle-placement vectors are such pushes, of
 different chains, each a {position: value}.  The minors of a rank are
-tabulated once on the matrix (``_minor_table``), the one place the sign
-of c is written; the rank-n table holds the top-cell determinants, which
-``check_star`` reads, and ``c_coefficient`` is the validating reader of
-a single entry, for the bordism search and the vertex-matrix inverses.
+tabulated once on the matrix (``_minor_table``), each by cofactor
+expansion over the table of the rank below, so no determinant is taken
+and the expansion is the one place the sign of c is written.  The
+rank-n table holds the top-cell determinants, which ``check_star``
+reads, and ``c_coefficient`` is the validating reader of a single
+entry, for the bordism search and the vertex-matrix inverses.
 """
 
 from itertools import combinations
 
-from . import snf
 from .errors import StarConditionError, ValidationError
 from .fields import ZZ, is_int, plain
 
@@ -58,9 +59,8 @@ class CharacteristicMatrix:
         """Verify that every maximal cell carries an invertible vertex
         matrix: determinant +-1 over Z, nonzero over a field.  Cells of
         lower rank inherit the property, so only maximal ones are checked.
-        The determinants are the rank-n minor table, as c(g, {}) = det
-        (its sign exponent n(n+1) is even), so each is computed once per
-        matrix.  A pass over Z is kept, as +-1 is a unit in every field.
+        The determinants are the rank-n minor table, as c(g, {}) = det,
+        so each is computed once per matrix.  A pass over Z is kept, as +-1 is a unit in every field.
         Raises StarConditionError naming the first offending cell."""
         if self._unimodular:
             return True
@@ -141,40 +141,47 @@ class CharacteristicMatrix:
     def _minor_table(self, k):
         """[(sorted A, [c(g, A) per g])] over the axis subsets A of size
         n-k in ``axis_subsets`` order and the rank-k elements g in
-        ``elements_of_rank`` order, built once per k: one sign per A, and
-        one determinant per (g, kept columns) (``_cell_minors``)."""
+        ``elements_of_rank`` order, built once per k from the rank-(k-1)
+        table by expanding along the row of the largest vertex w of g:
+
+            c(g, A) = sum over t of (-1)^(a_t + t + 1) * row(w)[a_t]
+                      * c(g - w, A + {a_t}),
+
+        a_0 < a_1 < ... the axes outside A, t counted from 0, and g - w
+        the face of g without w.  The expansion starts from c(bottom,
+        {1..n}) = 1, and a vertex's face without it is the bottom, so
+        rank 1 reads the rows alone."""
         table = self._minors.get(k)
         if table is None:
             elements = self.poset.elements_of_rank(k)
             self._positions[k] = {g: i for i, g in enumerate(elements)}
-            subsets = [tuple(sorted(axes))
-                       for axes in self.axis_subsets(self.n - k)]
-            kept_sets = [[j for j in range(self.n) if j + 1 not in axes]
-                         for axes in subsets]
-            # the exponent is k(k+1)/2 + the sum of the kept columns,
-            # counted from 1
-            signs = [(-1) ** (k * (k + 3) // 2 + sum(kept))
-                     for kept in kept_sets]
-            dets = self._cell_minors(elements, kept_sets)
-            table = self._minors[k] = [
-                (axes, [sign * d for d in minors])
-                for axes, sign, minors in zip(subsets, signs, dets)]
+            axes_all = range(1, self.n + 1)
+            if k == 0:
+                table = [(tuple(axes_all), [1])]
+            else:
+                below = dict(self._minor_table(k - 1))
+                if k == 1:
+                    steps = [(0, self.rows[v]) for v in elements]
+                else:
+                    at, face, ver = (self._positions[k - 1], self.poset.face,
+                                     self.poset.ver)
+                    steps = []
+                    for g in elements:
+                        w = max(ver(g))
+                        steps.append((at[face(g, ver(g) - {w})],
+                                      self.rows[w]))
+                table = []
+                for axes in self.axis_subsets(self.n - k):
+                    outside = [a for a in axes_all if a not in axes]
+                    terms = [((-1) ** (a + t + 1), a - 1,
+                              below[tuple(sorted(axes | {a}))])
+                             for t, a in enumerate(outside)]
+                    table.append((tuple(sorted(axes)), [
+                        sum(sign * row[j] * minors[f]
+                            for sign, j, minors in terms)
+                        for f, row in steps]))
+            self._minors[k] = table
         return table
-
-    def _cell_minors(self, elements, kept_sets):
-        """Per set of kept columns (counted from 0), the determinant of
-        each element's vertex rows, in sorted vertex order, on those
-        columns.  Each vertex row is cut to the kept columns once per set;
-        at the top rank, which ``check_star`` reads at load, every column
-        is kept and the rows are used whole."""
-        cells = [sorted(self.poset.ver(g)) for g in elements]
-        out = []
-        for kept in kept_sets:
-            cut = self.rows if len(kept) == self.n else {
-                v: [row[j] for j in kept] for v, row in self.rows.items()}
-            out.append([snf.int_det([cut[v] for v in cell])
-                        for cell in cells])
-        return out
 
     def __repr__(self):
         return "<CharacteristicMatrix n=%d on %d vertices>" % (

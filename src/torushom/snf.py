@@ -1,6 +1,5 @@
 """Integer matrix routines: Smith normal form with transform tracking,
-integer kernels and solves, exact determinants (``int_det``, whose one
-caller in the package tabulates the minors of the wall rows).
+and the integer kernels, solves and inverses read off it.
 
 ``smith_normal_form`` is one sparse elimination loop, the integer
 counterpart of ``fields.Echelon``.  Its working rows are dicts
@@ -41,45 +40,6 @@ row lists of Python ints.
 
 from collections.abc import Sequence
 from itertools import compress
-
-
-def int_mat_mul(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            x = a[i][t]
-            if x:
-                row_b = b[t]
-                row_o = out[i]
-                for j in range(m):
-                    row_o[j] += x * row_b[j]
-    return out
-
-
-def int_det(m):
-    """Determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,22 @@ from torushom.fixtures import parse_fixture
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
 from torushom.posets import SimplicialPoset
+
+
+def count_table_builds(monkeypatch):
+    """A Counter, kept up to date, of the calls to
+    ``CharacteristicMatrix._minor_table`` that build a table rather than
+    read a kept one, keyed by (matrix, rank)."""
+    builds = Counter()
+    minor_table = CharacteristicMatrix._minor_table
+
+    def counting(self, k):
+        if k not in self._minors:
+            builds[(self, k)] += 1
+        return minor_table(self, k)
+
+    monkeypatch.setattr(CharacteristicMatrix, "_minor_table", counting)
+    return builds
 
 
 def mat_from_int(rows, field):
@@ -30,6 +47,14 @@ def echelon_of(rows, field):
     for row in rows:
         echelon.add_sparse(sparsify(row))
     return echelon
+
+
+def int_mat_mul(a, b):
+    """The product of two integer matrices, each a list of row lists."""
+    if not a or not b:
+        return [[] for _ in a]
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)]
+            for row in a]
 
 
 def int_identity(n):

@@ -19,7 +19,8 @@ from math import comb
 import pytest
 
 from conftest import (build_cross_polytope, build_gauged_cross_polytope,
-                      build_punctured_torus, densify, row_spaces_equal)
+                      build_punctured_torus, count_table_builds, densify,
+                      row_spaces_equal)
 from test_connecting_map import filled_sphere
 from test_sparse_snf import replays
 from torushom import fields, snf
@@ -189,20 +190,17 @@ def test_check_builds_second_kind_rows_once(example_file, monkeypatch,
 
 def test_push_computes_each_coefficient_once(example_file, monkeypatch,
                                              capsys):
-    """Every determinant behind c(g, A) is computed at most once per
-    (matrix, element, kept columns) across ``check_star`` and every push,
-    each within ``_cell_minors``: the minor table of a rank is built once
-    on the matrix, and ``check_star``'s top-cell determinants are its
-    rank-n table, which the top-rank push reads again.  Neither calls the
+    """Each rank's minor table, and so each c(g, A), is built once per
+    matrix across ``check_star`` and every push of ``report``: the table
+    of a rank is expanded from the one below it and kept, and
+    ``check_star``'s top-cell determinants are the rank-n table.  A later
+    ``check_star`` or push of any rank builds none, and neither calls the
     validating ``c_coefficient``."""
-    counts = Counter()
-    dets, coefficients = [], []
-    inside = []
+    builds = count_table_builds(monkeypatch)
+    coefficients, inside = [], []
     push = CharacteristicMatrix.push
     check_star = CharacteristicMatrix.check_star
-    cell_minors = CharacteristicMatrix._cell_minors
     c_coefficient = CharacteristicMatrix.c_coefficient
-    int_det = snf.int_det
 
     def within(method):
         def wrapped(self, *args, **kwargs):
@@ -213,20 +211,6 @@ def test_push_computes_each_coefficient_once(example_file, monkeypatch,
                 inside.pop()
         return wrapped
 
-    def counting_minors(self, elements, kept_sets):
-        before = len(dets)
-        out = cell_minors(self, elements, kept_sets)
-        assert len(dets) == before + len(elements) * len(kept_sets)
-        for kept in kept_sets:
-            for element in elements:
-                counts[(self, element, tuple(kept))] += 1
-        return out
-
-    def counting_det(m):
-        if inside:
-            dets.append(m)
-        return int_det(m)
-
     def counting_coefficient(self, element, axes):
         if inside:
             coefficients.append((element, axes))
@@ -235,22 +219,18 @@ def test_push_computes_each_coefficient_once(example_file, monkeypatch,
     monkeypatch.setattr(CharacteristicMatrix, "push", within(push))
     monkeypatch.setattr(CharacteristicMatrix, "check_star",
                         within(check_star))
-    monkeypatch.setattr(CharacteristicMatrix, "_cell_minors",
-                        counting_minors)
     monkeypatch.setattr(CharacteristicMatrix, "c_coefficient",
                         counting_coefficient)
-    monkeypatch.setattr(snf, "int_det", counting_det)
     assert main(["report", example_file, "--json"]) == 0
     capsys.readouterr()
+    [cm] = {cm for cm, _ in builds}
+    once = {(cm, k): 1 for k in range(cm.n + 1)}
+    assert builds == once
+    assert cm.check_star(QQ) and cm.check_star(GF(5))
+    for k in range(cm.n + 1):
+        cm.push(k, [("x", {0: 1})], GF(5))
+    assert builds == once
     assert coefficients == []
-    assert len(dets) == sum(counts.values())
-    assert max(counts.values()) == 1
-    [cm] = {key[0] for key in counts}
-    tops = cm.poset.elements_of_rank(cm.n)
-    every_column = tuple(range(cm.n))
-    assert all(counts[(cm, top, every_column)] == 1 for top in tops)
-    # first kind, second kind and socle placement read ranks 1 and 2
-    assert {len(key[2]) for key in counts} >= {1, 2}
 
 
 INVERSE_SHAPES = {

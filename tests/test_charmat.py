@@ -7,9 +7,12 @@ from torushom.facering import FaceRingQuotient
 from torushom.fields import GF, QQ, ZZ
 
 from conftest import (ANNULUS_ROWS, build_annulus_poset, build_cross_polytope,
-                      build_gauged_cross_polytope, build_square_poset)
+                      build_gauged_cross_polytope, build_square_poset,
+                      count_table_builds)
 from torushom.fixtures import resolve_fixture
 from torushom.generator import polygon_with_holes
+from test_cross_polytope import build_digon_square_join
+from test_push import tetrahedron_boundary
 
 
 class TestConstruction:
@@ -135,6 +138,12 @@ MINOR_SHAPES = {
     "polygon_5_4_3": lambda: polygon_with_holes(
         (5, 4, 3), seed=7).manifold.charmat,
     "square_hole": lambda: resolve_fixture("square_hole").manifold.charmat,
+    # two faces on each vertex set that holds both digon vertices
+    "digon-square-join": lambda: CharacteristicMatrix(
+        *build_digon_square_join()),
+    "tetrahedron": lambda: tetrahedron_boundary()[1],
+    "cross5-gauged": lambda: CharacteristicMatrix(
+        *build_gauged_cross_polytope(5, seed=3)),
 }
 
 
@@ -170,18 +179,25 @@ class TestMinorTable:
 
     def test_star_check_reads_the_top_table(self, monkeypatch):
         """The top-cell determinants of ``check_star`` are the rank-n
-        table, kept: a second check over another field and the top-rank
-        push compute none again."""
-        cm = CharacteristicMatrix(*build_cross_polytope(4))
+        table, built with every table below it once and kept: a second
+        check over another field and a push of every rank build none
+        again, and none calls ``c_coefficient``."""
+        builds = count_table_builds(monkeypatch)
+        monkeypatch.setattr(CharacteristicMatrix, "c_coefficient", None)
+        cm = CharacteristicMatrix(*build_gauged_cross_polytope(4, seed=2))
         assert cm.check_star(QQ)
+        once = {(cm, k): 1 for k in range(cm.n + 1)}
+        assert builds == once
         [(axes, dets)] = cm._minors[cm.n]
         assert axes == ()
         assert all(d in (1, -1) for d in dets)
-        monkeypatch.setattr(CharacteristicMatrix, "_cell_minors", None)
         assert cm.check_star(GF(3))
         tops = cm.poset.elements_of_rank(cm.n)
         rows, _ = cm.push(cm.n, [("x", {0: 1})])
         assert rows == [{0: dets[0]}] and len(dets) == len(tops)
+        for k in range(cm.n):
+            cm.push(k, [("x", {0: 1})])
+        assert builds == once
 
 
 class TestTheta:
