@@ -60,7 +60,8 @@ class CharacteristicMatrix:
         matrix: determinant +-1 over Z, nonzero over a field.  Cells of
         lower rank inherit the property, so only maximal ones are checked.
         The determinants are the rank-n minor table, as c(g, {}) = det,
-        so each is computed once per matrix.  A pass over Z is kept, as +-1 is a unit in every field.
+        so each is computed once per matrix.  A pass over Z is kept, as
+        +-1 is a unit in every field.
         Raises StarConditionError naming the first offending cell."""
         if self._unimodular:
             return True
@@ -172,14 +173,14 @@ class CharacteristicMatrix:
                                       self.rows[w]))
                 table = []
                 for axes in self.axis_subsets(self.n - k):
+                    values = [0] * len(steps)
                     outside = [a for a in axes_all if a not in axes]
-                    terms = [((-1) ** (a + t + 1), a - 1,
-                              below[tuple(sorted(axes | {a}))])
-                             for t, a in enumerate(outside)]
-                    table.append((tuple(sorted(axes)), [
-                        sum(sign * row[j] * minors[f]
-                            for sign, j, minors in terms)
-                        for f, row in steps]))
+                    for t, a in enumerate(outside):
+                        sign = (-1) ** (a + t + 1)
+                        minors = below[tuple(sorted(axes | {a}))]
+                        values = [x + sign * row[a - 1] * minors[f]
+                                  for x, (f, row) in zip(values, steps)]
+                    table.append((tuple(sorted(axes)), values))
             self._minors[k] = table
         return table
 
