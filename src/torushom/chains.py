@@ -9,8 +9,13 @@ zeros (as in Dumas, Heckenbach, Saunders and Welker, 2003).  A chain has
 the same form, {basis index: nonzero value}: ``boundary_of`` and the
 generators keep it.  The echelons, the cycle check d_k d_{k+1} = 0 (once
 per degree, by ``validate`` or the first homology read over any ring), and
-the images of the Smith basis read the columns; the Smith form takes the
-dense ``boundary_matrix``.
+the images of the Smith basis read the columns; the Smith form takes a
+dense matrix.
+
+A complex built on a subcomplex (``base``, the boundary of a space inside
+the space) keeps the base's columns, the same objects, and resumes its
+eliminations: its echelons extend copies of the base's, and its Smith
+forms eliminate only what the base's unit pivots leave (``_smith``).
 
 Homology is read rank first: rank H_k = dim C_k - rank d_k - rank d_{k+1},
 each rank off one elimination of d_k kept per degree and shared by degrees
@@ -160,17 +165,29 @@ class ChainComplex:
     to d_k as sparse columns, one {row index: nonzero int} per k-cell
     with its rows in increasing order, so equal boundaries have equal
     reprs.  ``boundary_matrix`` is the dense view.
+
+    ``base`` is an optional subcomplex: its basis a prefix of ``bases``
+    in every degree, its cells' boundaries inside it.  Its columns are
+    kept as they are, and ``terms`` is read for the new cells only.
     """
 
-    def __init__(self, bases, terms):
+    def __init__(self, bases, terms, base=None):
         self.bases = {k: list(v) for k, v in bases.items() if v}
+        self._base, self._starts = base, {}  # base cells per degree
+        for k, cells in base.bases.items() if base else ():
+            if self.basis(k)[:len(cells)] != cells:
+                raise ValueError("the base's basis in degree %d is not a "
+                                 "prefix of the basis" % k)
+            self._starts[k] = len(cells)
         self.boundaries = {}
         for k, cells in self.bases.items():
             if k - 1 not in self.bases:
                 continue
             index = {c: i for i, c in enumerate(self.bases[k - 1])}
-            columns = []
-            for cell in cells:
+            start = self._starts.get(k, 0)
+            columns = (list(base.boundaries.get(k, [{}] * start)) if start
+                       else [])
+            for cell in cells[start:]:
                 column = {}
                 for ref, x in terms(cell):
                     i = index.get(ref)
@@ -196,7 +213,8 @@ class ChainComplex:
     def boundary_matrix(self, k):
         """Matrix of the boundary from degree k to degree k-1, dense: a
         fresh list of rows indexed by the (k-1)-basis."""
-        mat = [[0] * self.dim(k) for _ in range(self.dim(k - 1))]
+        width = self.dim(k)
+        mat = [[0] * width for _ in range(self.dim(k - 1))]
         for j, column in enumerate(self.boundaries.get(k, ())):
             for i, x in column.items():
                 mat[i][j] = x
@@ -248,16 +266,54 @@ class ChainComplex:
         return group
 
     def _smith(self, k):
-        """The factors of d_k and the columns of W = U^-1 of its Smith form,
-        kept (no factors and W = 1 when there is no d_k)."""
+        """The Smith form of d_k, kept, as (factors, W, log, pivots): the
+        columns of W = U^-1, the row steps and sign flips W replays, and
+        the (row, column) of each factor; with no d_k, no factors and
+        W = 1.  It resumes the base's form of d_k, which leaves the base's
+        columns diagonal: the new columns go through the base's row steps,
+        and the base's unit pivots are kept, since the column steps that
+        clear their rows touch nothing else.  Only the residual goes to
+        ``snf.smith_normal_form``: the other rows, on the non-unit pivots'
+        columns and the new ones.  W replays both logs on its first read.
+        With no base the residual is all of d_k."""
         if k not in self._smiths:
-            if k in self.boundaries:
-                factors, _, _, basis = snf.smith_normal_form(
-                    self.boundary_matrix(k))
-            else:
-                factors, basis = [], [{i: 1} for i in range(self.dim(k - 1))]
-            self._smiths[k] = factors, basis
+            self._smiths[k] = self._resume(k) if k in self.boundaries else (
+                [], [{i: 1} for i in range(self.dim(k - 1))], [], [])
         return self._smiths[k]
+
+    def _resume(self, k):
+        factors, _, log, pivots = (self._base._smith(k) if self._base
+                                   else ([], None, [], []))
+        start, units = self._starts.get(k, 0), factors.count(1)
+        shift = len(pivots) - units
+        new = [{} for _ in range(self.dim(k - 1))]  # rows of the new columns
+        for j, column in enumerate(self.boundaries[k][start:], shift):
+            for i, x in column.items():
+                new[i][j] = x
+        for step, dst, src, q in log:
+            if step == "neg":
+                new[dst] = {j: -x for j, x in new[dst].items()}
+            elif new[src]:
+                fields.add_scaled(ZZ, new[dst], q, new[src])
+        for t, (r, _) in enumerate(pivots[units:]):
+            new[r][t] = factors[units + t]
+        dropped = {r for r, _ in pivots[:units]}
+        rest = [i for i in range(len(new)) if i not in dropped]
+        width = shift + self.dim(k) - start
+        residual = [[0] * width for _ in rest]
+        for row, i in zip(residual, rest):
+            for j, x in new[i].items():
+                row[j] = x
+        more, _, v, w = snf.smith_normal_form(residual)
+        columns = [c for _, c in pivots[units:]] + list(
+            range(start, self.dim(k)))
+        log = log + [(step, rest[dst], rest[src], q)
+                     for step, dst, src, q in w.log if step != "col"]
+        pivots = pivots[:units] + [(rest[r], columns[c]) for r, c in
+                                   zip(w.order, v.order[:len(more)])]
+        order = [r for r, _ in pivots] + [rest[i] for i in w.order[len(more):]]
+        return (factors[:units] + more, snf.Transform("w", log, order), log,
+                pivots)
 
     def _homology_int(self, k):
         """In the basis W of the Smith form of d_{k+1}, the boundaries are
@@ -265,7 +321,7 @@ class ChainComplex:
         with d_i > 1 generate the torsion, and the free part is the kernel
         of d_k on w_{s+1}, ... ."""
         n = self.dim(k)
-        factors, basis = self._smith(k + 1)
+        factors, basis, _, _ = self._smith(k + 1)
         s = len(factors)
         rank = n - len(self._smith(k)[0]) - s
         gens = partial(_int_generators, basis, s, self.boundaries.get(k),
@@ -278,12 +334,15 @@ class ChainComplex:
 
     def _echelon(self, k, field):
         """The columns of d_k in echelon form over ``field``, kept: its
-        length is rank d_k; its rows span the boundaries in degree k-1."""
+        length is rank d_k; its rows span the boundaries in degree k-1.
+        It extends a copy of the base's by the new columns alone."""
         key = (k, field)
         if key not in self._echelons:
-            echelon = self._echelons[key] = fields.Echelon(field)
-            for column in self.boundaries.get(k, ()):
+            echelon = (self._base._echelon(k, field).copy() if self._base
+                       else fields.Echelon(field))
+            for column in self.boundaries.get(k, ())[self._starts.get(k, 0):]:
                 echelon.add_sparse(column)
+            self._echelons[key] = echelon
         return self._echelons[key]
 
     def _homology_field(self, k, field):

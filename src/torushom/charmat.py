@@ -65,7 +65,7 @@ class CharacteristicMatrix:
         Raises StarConditionError naming the first offending cell."""
         if self._unimodular:
             return True
-        [(_, dets)] = self._minor_table(self.n)
+        [dets] = self._minor_table(self.n).values()
         for top, det in zip(self.poset.elements_of_rank(self.n), dets):
             if coeffs is ZZ:
                 bad = det not in (1, -1)
@@ -96,7 +96,7 @@ class CharacteristicMatrix:
             raise ValidationError(
                 "element of rank %d needs %d axes, got %d"
                 % (m, self.n - m, len(axes)))
-        minors = dict(self._minor_table(m))[tuple(sorted(axes))]
+        minors = self._minor_table(m)[tuple(sorted(axes))]
         return minors[self._positions[m][element]]
 
     def theta(self, j):
@@ -129,7 +129,7 @@ class CharacteristicMatrix:
         rows, labels = [], []
         for label, chain in chains:
             support = [(g, plain(z)) for g, z in chain.items()]
-            for axes, minors in table:
+            for axes, minors in table.items():
                 row = {}
                 for g, z in support:
                     x = coeffs.mul(z, minors[g])
@@ -140,8 +140,8 @@ class CharacteristicMatrix:
         return rows, labels
 
     def _minor_table(self, k):
-        """[(sorted A, [c(g, A) per g])] over the axis subsets A of size
-        n-k in ``axis_subsets`` order and the rank-k elements g in
+        """{sorted A: [c(g, A) per g]} over the axis subsets A of size n-k
+        in ``axis_subsets`` order and the rank-k elements g in
         ``elements_of_rank`` order, built once per k from the rank-(k-1)
         table by expanding along the row of the largest vertex w of g:
 
@@ -158,9 +158,9 @@ class CharacteristicMatrix:
             self._positions[k] = {g: i for i, g in enumerate(elements)}
             axes_all = range(1, self.n + 1)
             if k == 0:
-                table = [(tuple(axes_all), [1])]
+                table = {tuple(axes_all): [1]}
             else:
-                below = dict(self._minor_table(k - 1))
+                below = self._minor_table(k - 1)
                 if k == 1:
                     steps = [(0, self.rows[v]) for v in elements]
                 else:
@@ -171,7 +171,7 @@ class CharacteristicMatrix:
                         w = max(ver(g))
                         steps.append((at[face(g, ver(g) - {w})],
                                       self.rows[w]))
-                table = []
+                table = {}
                 for axes in self.axis_subsets(self.n - k):
                     values = [0] * len(steps)
                     outside = [a for a in axes_all if a not in axes]
@@ -180,7 +180,7 @@ class CharacteristicMatrix:
                         minors = below[tuple(sorted(axes | {a}))]
                         values = [x + sign * row[a - 1] * minors[f]
                                   for x, (f, row) in zip(values, steps)]
-                    table.append((tuple(sorted(axes)), values))
+                    table[tuple(sorted(axes))] = values
             self._minors[k] = table
         return table
 

@@ -12,6 +12,10 @@ Three chain complexes live here: the face cells alone ("boundary"), the
 full cell structure ("space"), and the quotient by the face cells ("pair").
 Each is its cell bases plus one terms function, ``_cell_boundary``;
 ``chains.ChainComplex`` builds and keeps the boundaries as sparse columns.
+The space complex is built on the boundary complex, face cells first: it
+keeps the face columns and resumes the boundary complex's eliminations,
+so the face block is eliminated once per ring and the space's Smith
+forms run only on the residual the face block's unit pivots leave.
 The connecting map of the long exact sequence is computed once per degree
 and coefficient system on explicit cellular representatives: ``delta_image``
 lifts each pair cycle into the space basis by an index shift and returns
@@ -209,13 +213,15 @@ class CornerComplex:
 
     def _build(self, face, interior):
         """The chain complex spanned by the face cells, the interior cells
-        or both, face cells first.  ``ChainComplex`` drops the boundary
-        terms on cells outside the basis, which is the quotient by the
-        face cells for the pair."""
+        or both, face cells first, the space built on the boundary
+        complex.  ``ChainComplex`` drops the boundary terms on cells
+        outside the basis, which is the quotient by the face cells for
+        the pair."""
         bases = {dim: ((self.face_cells(dim) if face else [])
                        + (self.interior_cells(dim) if interior else []))
                  for dim in range(self.n + 1)}
-        return ChainComplex(bases, self._cell_boundary)
+        base = self.boundary_complex() if face and interior else None
+        return ChainComplex(bases, self._cell_boundary, base)
 
     # --- homology ------------------------------------------------------
 

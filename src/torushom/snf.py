@@ -10,14 +10,15 @@ Dumas, Heckenbach, Saunders and Welker 2003): the rows are visited
 once, shortest first, and each takes the ±1 entry whose column is
 shortest.  Its column is cleared by row steps, after which the column
 holds only the pivot, so the column steps that clear its row touch that
-row alone.  Only the block left when the units run out is scanned whole
-for an entry of least magnitude and least fill-in; on boundary and
-relation matrices it is usually empty.  A remainder left by the integer
-quotients becomes the next pivot (Euclid's step); once a pivot's row and
-column are clear it must divide every entry left, or a row holding an
-offending entry is added to its row.  Pivot positions are recorded
-rather than swapped into place, and the permutation is applied once at
-the end.
+row alone, which is then dropped: they are logged, not applied.  Only
+the block left when the units run out is scanned whole for an entry of
+least magnitude and least fill-in; on boundary and relation matrices it
+is usually empty, and a scan of an empty block returns at once.  A
+remainder left by the integer quotients becomes the next pivot (Euclid's
+step); once a pivot's row and column are clear it must divide every
+entry left, or a row holding an offending entry is added to its row.
+Pivot positions are recorded rather than swapped into place, and the
+permutation is applied once at the end.
 
 The elimination changes only its working rows.  Each row step, column
 step and pivot sign flip is appended to a step log, and the transforms
@@ -54,6 +55,8 @@ def smith_normal_form(m):
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    if len(set(map(len, m))) > 1:
+        raise ValueError("dimension mismatch")
     a = [dict(zip(compress(range(ncols), row), compress(row, row)))
          for row in m]
     cols = [set() for _ in range(ncols)]
@@ -105,7 +108,12 @@ def smith_normal_form(m):
                 add_row(i, r, -q)
         for j in [j for j in a[r] if j != c]:
             q = a[r][j] // p
-            if q:
+            if p == 1:
+                # column c holds only the pivot, so the step changes row
+                # r alone, which is dropped below: it is only logged
+                cols[j].discard(r)
+                log.append(("col", j, c, -q))
+            elif q:
                 add_col(j, c, -q)
         # a unit pivot divides exactly: its row and column are clear
         if p > 1:
@@ -135,22 +143,20 @@ def smith_normal_form(m):
 
 class Transform(Sequence):
     """U, V or W of one Smith form: its sparse vectors in pivot order,
-    replayed from the step log (``_replay``) on the first read of any of
-    them and kept.  Its length is known without the replay."""
+    replayed from the step ``log`` (``_replay``) on the first read of any
+    of them and kept.  ``order`` lists the indices, pivots first."""
 
     def __init__(self, kind, log, order):
-        self._replay_args = kind, log, order
+        self.kind, self.log, self.order = kind, log, order
         self._vectors = None
-        self._len = len(order)
 
     def _built(self):
         if self._vectors is None:
-            self._vectors = _replay(*self._replay_args)
-            self._replay_args = None
+            self._vectors = _replay(self.kind, self.log, self.order)
         return self._vectors
 
     def __len__(self):
-        return self._len
+        return len(self.order)
 
     def __getitem__(self, index):
         return self._built()[index]
@@ -208,6 +214,8 @@ def _pivot(a, cols):
     It runs only on the block the unit pivots leave, where a unit is
     born of a Euclid step or of fill-in.  None when every row is
     empty."""
+    if not any(a):
+        return None
     best = None
     for i, row in enumerate(a):
         others = len(row) - 1

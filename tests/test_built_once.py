@@ -19,8 +19,8 @@ from math import comb
 import pytest
 
 from conftest import (build_cross_polytope, build_gauged_cross_polytope,
-                      build_punctured_torus, count_table_builds, densify,
-                      row_spaces_equal)
+                      build_punctured_torus, count_table_builds,
+                      cross_polytope_ball, densify, row_spaces_equal)
 from test_connecting_map import filled_sphere
 from test_sparse_snf import replays
 from torushom import fields, snf
@@ -28,7 +28,7 @@ from torushom.charmat import CharacteristicMatrix
 from torushom.cli import main
 from torushom.facering import FaceRingQuotient, GradedPresentation
 from torushom.fields import GF, QQ, ZZ, Echelon
-from torushom.fixtures import dumps_fixture, resolve_fixture
+from torushom.fixtures import dumps_fixture, parse_fixture, resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
@@ -87,6 +87,58 @@ def test_each_boundary_column_is_eliminated_once_per_field(manifold,
     assert {id(c) for cols in face.values() for c in cols} <= {
         key for key, field in counts if field is QQ}
     assert max(counts.values()) == 1
+
+
+RESUMED_SHAPES = {
+    "polygon-643": lambda: polygon_with_holes((6, 4, 3), seed=3).manifold,
+    "cross4-ball": lambda: parse_fixture(cross_polytope_ball(4, 2)).manifold,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RESUMED_SHAPES))
+def test_space_complex_reuses_the_face_columns(shape, monkeypatch):
+    """The space complex is built on the boundary complex: its face
+    columns are the boundary complex's own objects, and the terms of a
+    face cell are read once across the three complexes (the cells of
+    degree 0 have no boundary to read)."""
+    m = RESUMED_SHAPES[shape]()
+    corner = m.corner
+    calls = Counter()
+    cell_boundary = CornerComplex._cell_boundary
+
+    def counting(self, cell):
+        calls[cell] += 1
+        return cell_boundary(self, cell)
+
+    monkeypatch.setattr(CornerComplex, "_cell_boundary", counting)
+    face, space, _ = (corner.complex_for(s)
+                      for s in ("boundary", "space", "pair"))
+    for k, columns in face.boundaries.items():
+        assert all(a is b for a, b in zip(columns, space.boundaries[k]))
+    read = [c for k in face.boundaries for c in face.basis(k)]
+    assert read and all(calls[c] == 1 for c in read)
+    assert sum(calls[c] for k in face.degrees()
+               for c in face.basis(k)) == len(read)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("shape", sorted(RESUMED_SHAPES))
+def test_space_echelon_equals_a_fresh_one(shape, field):
+    """The space echelon, a copy of the boundary echelon extended by the
+    interior columns, has the pivots and rows of an echelon of all its
+    columns, in every degree."""
+    m = RESUMED_SHAPES[shape]()
+    space = m.corner.space_complex()
+    resumed = 0
+    for k, columns in space.boundaries.items():
+        fresh = Echelon(field)
+        for column in columns:
+            fresh.add_sparse(column)
+        kept = space._echelon(k, field)
+        assert kept.pivots == fresh.pivots
+        assert all(kept.row(pc) == fresh.row(pc) for pc in kept.pivots)
+        resumed += bool(m.corner.boundary_complex()._echelon(k, field))
+    assert resumed >= 1
 
 
 def test_free_generators_replay_w_once(manifold):

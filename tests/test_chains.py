@@ -88,6 +88,25 @@ class TestBoundaryForm:
         assert c.boundaries == {1: [{0: 1}]}
         assert ranks(c, ZZ) == {0: 0, 1: 0}
 
+    def test_a_base_must_be_a_prefix(self):
+        """A subcomplex given as ``base`` is refused unless its basis
+        starts the basis in every degree; one that does lends its columns
+        and reads no terms of its cells again."""
+        terms = {"e": [("v", -1), ("w", 1)], "f": [("v", -1), ("w", 1)]}
+        read = []
+
+        def reading(cell):
+            read.append(cell)
+            return terms.get(cell, ())
+
+        base = ChainComplex({0: ["v", "w"], 1: ["e"]}, reading)
+        with pytest.raises(ValueError, match="not a prefix"):
+            ChainComplex({0: ["w", "v"], 1: ["e", "f"]}, reading, base)
+        c = ChainComplex({0: ["v", "w"], 1: ["e", "f"]}, reading, base)
+        assert c.boundaries[1][0] is base.boundaries[1][0]
+        assert read == ["e", "f"]
+        assert ranks(c, ZZ) == {0: 1, 1: 1}
+
     def test_the_square_is_composed_sparsely(self):
         assert ranks(circle().validate(), QQ) == {0: 1, 1: 1}
 

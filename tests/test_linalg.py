@@ -58,6 +58,14 @@ class TestSmithNormalForm:
         assert (u, d, v, w) == ([[1, 0], [0, 1]], [[], []], [],
                                 [[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 0]],
+                                   [[], [0]]])
+    def test_ragged_rows_are_refused(self, m):
+        """Rows of unequal length raise, as the dense ``fields`` helpers
+        do, instead of losing the entries past the first row's width."""
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            snf.smith_normal_form(m)
+
     def test_random_matrices_satisfy_contract(self):
         rng = random.Random(20240917)
         for _ in range(40):

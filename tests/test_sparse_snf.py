@@ -29,6 +29,7 @@ from conftest import (assert_sparse_cycle, build_cross_polytope,
                       dense_complex, dense_smith, densify, int_identity,
                       int_mat_mul)
 from torushom import snf
+from torushom.chains import ChainComplex
 from torushom.fields import ZZ
 from torushom.fixtures import resolve_fixture
 from torushom.generator import polygon_with_holes
@@ -229,6 +230,66 @@ def scan_choices():
         yield chosen
     finally:
         snf._pivot = scan
+
+
+@st.composite
+def block_matrices(draw):
+    """[[B, X], [0, P]] with each block up to 4 x 4 and entries in {0, ±1,
+    ±2, 3, 6}, as (matrix, rows of B, columns of B): B has non-unit
+    pivots and the whole has torsion often."""
+    nb, cb = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    np_, cx = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -2, 3, 6])
+    m = [draw(st.lists(entries, min_size=cb + cx, max_size=cb + cx))
+         for _ in range(nb)]
+    m += [[0] * cb + draw(st.lists(entries, min_size=cx, max_size=cx))
+          for _ in range(np_)]
+    return m, nb, cb
+
+
+def block_complexes(m, nb, cb):
+    """The complex whose only boundary d_1 is m, built on the subcomplex
+    of its first nb rows and cb columns, and the same complex built
+    alone, as (resumed, fresh)."""
+    rows = ["r%d" % i for i in range(len(m))]
+    cols = ["c%d" % j for j in range(len(m[0]) if m else 0)]
+    terms = {c: [(r, row[j]) for r, row in zip(rows, m) if row[j]]
+             for j, c in enumerate(cols)}
+    base = ChainComplex({0: rows[:nb], 1: cols[:cb]}, terms.get)
+    return (ChainComplex({0: rows, 1: cols}, terms.get, base),
+            ChainComplex({0: rows, 1: cols}, terms.get))
+
+
+class TestResumedForms:
+    """A complex built on a subcomplex resumes its Smith form: the base's
+    unit pivots are kept and only the residual is eliminated."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(block_matrices())
+    # a non-unit pivot of B with an entry of X in its row
+    @example(([[2, 1], [0, 3]], 1, 1))
+    # units of B clear X's entries in their rows; P holds torsion
+    @example(([[1, 0, 2, 1], [0, 1, 1, 1], [0, 0, 2, 0]], 2, 2))
+    def test_resumed_form_is_a_smith_form(self, block):
+        """The factors are sympy's and those of a fresh form, W is
+        unimodular, and {d_i w_i} spans the lattice of the columns."""
+        m, nb, cb = block
+        resumed, fresh = block_complexes(m, nb, cb)
+        factors, w, _, _ = resumed._smith(1)
+        assert factors == fresh._smith(1)[0] == sympy_factors(m)
+        n = len(m)
+        dense_w = [[w[t].get(i, 0) for t in range(n)] for i in range(n)]
+        assert abs(Matrix(dense_w).det()) == 1
+        images = [[f * w[t].get(i, 0) for t, f in enumerate(factors)]
+                  for i in range(n)]
+        columns = [list(c) for c in zip(*m)]
+        if factors:
+            assert all(snf.int_solve(images, c) is not None
+                       for c in columns)
+            assert all(snf.int_solve(m, list(c)) is not None
+                       for c in zip(*images))
+        else:
+            assert not any(map(any, columns))
 
 
 class TestAgainstDenseReference:
