@@ -87,7 +87,7 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
     def describe(self):
-        name = "Z" if self.coeffs is ZZ else self.coeffs.name
+        name = self.coeffs.name
         parts = []
         if self.free_rank == 1:
             parts.append(name)
@@ -164,7 +164,7 @@ class ChainComplex:
     ``boundaries`` maps each degree k whose bases k and k-1 are nonempty
     to d_k as sparse columns, one {row index: nonzero int} per k-cell
     with its rows in increasing order, so equal boundaries have equal
-    reprs.  ``boundary_matrix`` is the dense view.
+    reprs.
 
     ``base`` is an optional subcomplex: its basis a prefix of ``bases``
     in every degree, its cells' boundaries inside it.  Its columns are
@@ -209,16 +209,6 @@ class ChainComplex:
 
     def dim(self, k):
         return len(self.bases.get(k, []))
-
-    def boundary_matrix(self, k):
-        """Matrix of the boundary from degree k to degree k-1, dense: a
-        fresh list of rows indexed by the (k-1)-basis."""
-        width = self.dim(k)
-        mat = [[0] * width for _ in range(self.dim(k - 1))]
-        for j, column in enumerate(self.boundaries.get(k, ())):
-            for i, x in column.items():
-                mat[i][j] = x
-        return mat
 
     def validate(self):
         """Raises unless the boundary squares to zero."""
@@ -274,8 +264,8 @@ class ChainComplex:
         and the base's unit pivots are kept, since the column steps that
         clear their rows touch nothing else.  Only the residual goes to
         ``snf.smith_normal_form``: the other rows, on the non-unit pivots'
-        columns and the new ones.  W replays both logs on its first read.
-        With no base the residual is all of d_k."""
+        columns and the new ones, if it has any columns.  W replays both
+        logs on its first read.  With no base the residual is all of d_k."""
         if k not in self._smiths:
             self._smiths[k] = self._resume(k) if k in self.boundaries else (
                 [], [{i: 1} for i in range(self.dim(k - 1))], [], [])
@@ -286,6 +276,12 @@ class ChainComplex:
                                    else ([], None, [], []))
         start, units = self._starts.get(k, 0), factors.count(1)
         shift = len(pivots) - units
+        dropped = {r for r, _ in pivots[:units]}
+        rest = [i for i in range(self.dim(k - 1)) if i not in dropped]
+        width = shift + self.dim(k) - start
+        if not width:  # the base's unit pivots are the whole form
+            return (factors, snf.Transform(
+                "w", log, [r for r, _ in pivots] + rest), log, pivots)
         new = [{} for _ in range(self.dim(k - 1))]  # rows of the new columns
         for j, column in enumerate(self.boundaries[k][start:], shift):
             for i, x in column.items():
@@ -297,9 +293,6 @@ class ChainComplex:
                 fields.add_scaled(ZZ, new[dst], q, new[src])
         for t, (r, _) in enumerate(pivots[units:]):
             new[r][t] = factors[units + t]
-        dropped = {r for r, _ in pivots[:units]}
-        rest = [i for i in range(len(new)) if i not in dropped]
-        width = shift + self.dim(k) - start
         residual = [[0] * width for _ in rest]
         for row, i in zip(residual, rest):
             for j, x in new[i].items():

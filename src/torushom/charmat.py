@@ -114,30 +114,28 @@ class CharacteristicMatrix:
     def push(self, k, chains, coeffs=ZZ):
         """Rows of ``chains`` pushed along the axes.
 
-        ``chains`` holds (label, chain) pairs, each chain a {position:
-        nonzero value} over the rank-k elements in
-        ``poset.elements_of_rank(k)`` order.  Each chain gives one row per
-        axis subset A of size n-k, in ``axis_subsets`` order: {g:
-        chain[g] * c(g, A) in ``coeffs``}, with no entry zero in
-        ``coeffs`` (over GF(p) a nonzero minor can vanish), labelled
-        (label, sorted A).  The integers c(g, A) are read from the rank-k
-        minor table (``_minor_table``), built once per k on the matrix.
-        Integral entries stay plain ints, so over Q integer chains give
-        int rows.  Returns the rows and labels.
+        Each chain is a {position: nonzero value} over the rank-k
+        elements in ``poset.elements_of_rank(k)`` order, and gives one row
+        per axis subset A of size n-k: {g: chain[g] * c(g, A) in
+        ``coeffs``}, with no entry zero in ``coeffs`` (over GF(p) a
+        nonzero minor can vanish).  A row's chain and axes are its
+        position: the chains in order, and ``axis_subsets`` order within
+        each.  The integers c(g, A) are read from the rank-k minor table
+        (``_minor_table``), built once per k on the matrix.  Integral
+        entries stay plain ints, so over Q integer chains give int rows.
         """
-        table = self._minor_table(k)
-        rows, labels = [], []
-        for label, chain in chains:
+        table = self._minor_table(k).values()
+        rows = []
+        for chain in chains:
             support = [(g, plain(z)) for g, z in chain.items()]
-            for axes, minors in table.items():
+            for minors in table:
                 row = {}
                 for g, z in support:
                     x = coeffs.mul(z, minors[g])
                     if not coeffs.is_zero(x):
                         row[g] = x
                 rows.append(row)
-                labels.append((label, axes))
-        return rows, labels
+        return rows
 
     def _minor_table(self, k):
         """{sorted A: [c(g, A) per g]} over the axis subsets A of size n-k

@@ -44,13 +44,14 @@ def linear_relations(poset, charmat, signs, k, coeffs=ZZ):
     covers I of J; its rows are that chain pushed along the axes
     (``CharacteristicMatrix.push``), so the entry of a cover I is its
     incidence sign times its complementary minor c(I, A), and a row is a
-    {column: value} with no entry zero in ``coeffs``.  Returns the rows
-    and their (J, A) labels."""
+    {column: value} with no entry zero in ``coeffs``.  A row's (J, A) is
+    its position: J in ``elements_of_rank`` order, then A in
+    ``axis_subsets`` order."""
     if k < 1:
-        return [], []
+        return []
     col = {g: i for i, g in enumerate(poset.elements_of_rank(k))}
-    chains = [(j_elt, {col[i_elt]: signs[(i_elt, j_elt)]
-                       for i_elt in poset.upper_covers(j_elt)})
+    chains = [{col[i_elt]: signs[(i_elt, j_elt)]
+               for i_elt in poset.upper_covers(j_elt)}
               for j_elt in poset.elements_of_rank(k - 1)]
     return charmat.push(k, chains, coeffs)
 
@@ -180,8 +181,8 @@ class FaceRingQuotient:
     def _build_presentation(self, k):
         if k < 0 or k > self.n:
             return GradedPresentation(k, [], [], self.field)
-        rows, _ = linear_relations(self.poset, self.charmat, self.signs, k,
-                                   self.field)
+        rows = linear_relations(self.poset, self.charmat, self.signs, k,
+                                self.field)
         return GradedPresentation(k, self.poset.elements_of_rank(k), rows,
                                   self.field)
 

@@ -93,8 +93,8 @@ class TorusManifold:
 
     def first_kind_rows(self, q):
         """Integer relation rows among the degree-2q generators, one per
-        pair of a codimension-one face and an axis subset, with labels.
-        These are the rows of the face ring quotient in degree n-q."""
+        pair of a codimension-one face and an axis subset, its position
+        (``linear_relations``): the face ring quotient's in degree n-q."""
         self.generators(q)  # rejects q outside 0..n
         return linear_relations(self.poset, self.charmat,
                                 self.corner.signs, self.n - q)
@@ -102,15 +102,16 @@ class TorusManifold:
     def second_kind_rows(self, q, coeffs=ZZ):
         """Relation rows carried by the connecting map of the quotient
         pair: each chain of ``delta_image``, as it comes, pushed along every
-        axis subset of the matching size, labelled by its index.  Defined
-        only below the top diagonal degrees.  The limit page holds these
-        rows; read them there."""
+        axis subset of the matching size, row i * C(n, q) + t along the
+        t-th (``CharacteristicMatrix.push``).  Defined only below the top
+        diagonal degrees.  The limit page holds these rows; read them
+        there."""
         if q < 0 or q > self.n - 2:
             raise ValidationError(
                 "second-kind rows exist in degrees 0..%d, not %d"
                 % (self.n - 2, q))
         chains, _ = self.corner.delta_image(q, coeffs)
-        return self.charmat.push(self.n - q, enumerate(chains), coeffs)
+        return self.charmat.push(self.n - q, chains, coeffs)
 
     # --- diagonal pages -------------------------------------------------
 
@@ -131,7 +132,7 @@ class TorusManifold:
         page = self._pages.get(key)
         if page is None:
             page = GradedPresentation(self.n - q, initial.generators,
-                                      self.second_kind_rows(q, field)[0],
+                                      self.second_kind_rows(q, field),
                                       field, base=initial)
             self._pages[key] = page
         return page
@@ -145,9 +146,9 @@ class TorusManifold:
         factored once per q and shared by later calls."""
         found = self._integral.get(q)
         if found is None:
-            sparse, _ = self.first_kind_rows(q)
+            sparse = self.first_kind_rows(q)
             if q <= self.n - 2:
-                sparse += self.second_kind_rows(q, ZZ)[0]
+                sparse += self.second_kind_rows(q, ZZ)
             width = len(self.generators(q))
             rows = [[0] * width for _ in sparse]
             for dense, row in zip(rows, sparse):
@@ -200,11 +201,11 @@ class TorusManifold:
     # --- the restriction kernel ----------------------------------------
 
     def kernel_of_g(self, k, field=QQ):
-        """Basis rows, in reduced echelon form, of the part of the degree-2k
-        diagonal killed on the limit page: the limit page's kept rows
-        whose pivots the initial page lacks, which are its second-kind
-        rows reduced against the initial page, as {column: value}.  Empty
-        when the matching connecting degree is above its range."""
+        """Basis rows, in reduced echelon form, of the part of the
+        degree-2(n-k) diagonal (the rank-k faces) killed on the limit
+        page: the limit page's kept rows whose pivots the initial page
+        lacks, its second-kind rows reduced against the initial page, as
+        {column: value}.  Empty when n - k > n - 2."""
         if k < 0 or k > self.n:
             raise ValidationError("diagonal degree %d outside 0..%d"
                                   % (k, self.n))
@@ -236,8 +237,7 @@ class TorusManifold:
         pres = quo.presentation(k)
         hq = self.corner.homology("boundary", q, field)
         axes_count = comb(self.n, q)
-        vectors, _ = self.charmat.push(k, enumerate(hq.free_generators),
-                                       field)
+        vectors = self.charmat.push(k, hq.free_generators, field)
         socle_ok = all(quo.in_socle(vec, k) for vec in vectors)
         m = len(pres.generators)
         tracked = pres.echelon.tracked(vectors, m)

@@ -191,16 +191,11 @@ class SimplicialPoset:
             self._tops_above = above
         return list(self._tops_above[e])
 
-    def maximal_elements(self):
-        out = []
-        for e in self.elements():
-            if not self.upper_covers(e):
-                out.append(e)
-        return out
-
     def is_pure(self):
+        """Whether every element with no cover has top rank."""
         n = self.top_rank
-        return all(self.rank(e) == n for e in self.maximal_elements())
+        return all(self._covers[e] or self.rank(e) == n
+                   for e in self.elements())
 
     def join_set(self, a, b):
         """Elements that are minimal upper bounds of a and b with vertex set
@@ -328,23 +323,25 @@ class SimplicialPoset:
         """Purity plus vanishing reduced homology of every proper link below
         its top degree.  Returns (ok, list of failures).
 
-        The homology of a link is read from the local complex of its
-        element under the vertex-order signs.  Only the degrees -1 .. top-2
-        can fail, top being the corank of the element, so only those are
-        computed, and top elements are skipped."""
-        failures = []
-        if not self.is_pure():
-            failures.append(("purity", None))
+        Degree -1 of a link is nonzero exactly when its element has no
+        cover, which is also what makes a poset impure, and then its link
+        has no other degree: both are read off the covers.  The degrees
+        0 .. top-2, top being the corank of the element, are read from its
+        local complex under the vertex-order signs, built only at corank
+        2 and more."""
+        failures, signs = [], None
         n = self.top_rank
-        signs = self.sign_convention()
         for e in self.elements():
             top = n - self.rank(e)
-            if top < 1:
-                continue
-            chains = self._local_complex(e, signs)
-            for j in range(-1, top - 1):
-                if chains.homology(j, field).rank:
-                    failures.append((e, j))
+            if top and not self._covers[e]:
+                failures.append((e, -1))
+            elif top >= 2:
+                signs = signs or self.sign_convention()
+                chains = self._local_complex(e, signs)
+                failures += [(e, j) for j in range(top - 1)
+                             if chains.homology(j, field).rank]
+        if not self.is_pure():
+            failures.insert(0, ("purity", None))
         return (not failures, failures)
 
     def __repr__(self):

@@ -70,6 +70,27 @@ def densify(row, width, zero=0):
     return out
 
 
+def push_labels(charmat, k, chain_labels):
+    """The (chain label, sorted axes) of each row that
+    ``CharacteristicMatrix.push`` gives for chains with these labels,
+    read off its position: the chains in order, and the axis subsets of
+    size n - k in ``axis_subsets`` order within each.  The first-kind
+    rows of rank k have the rank-(k-1) elements as chain labels."""
+    return [(label, tuple(sorted(axes))) for label in chain_labels
+            for axes in charmat.axis_subsets(charmat.n - k)]
+
+
+def boundary_matrix(cx, k):
+    """The boundary d_k of the complex ``cx`` as a dense matrix: a fresh
+    list of rows indexed by basis(k - 1), read from ``cx.boundaries[k]``
+    (zero when the complex keeps no d_k)."""
+    mat = [[0] * cx.dim(k) for _ in range(cx.dim(k - 1))]
+    for j, column in enumerate(cx.boundaries.get(k, ())):
+        for i, x in column.items():
+            mat[i][j] = x
+    return mat
+
+
 def sparsify(vec):
     """A dense vector as {column: nonzero value}, the form relation rows,
     ``in_socle`` and ``Echelon.tracked`` take."""

@@ -193,10 +193,10 @@ class TestMinorTable:
         assert all(d in (1, -1) for d in dets)
         assert cm.check_star(GF(3))
         tops = cm.poset.elements_of_rank(cm.n)
-        rows, _ = cm.push(cm.n, [("x", {0: 1})])
+        rows = cm.push(cm.n, [{0: 1}])
         assert rows == [{0: dets[0]}] and len(dets) == len(tops)
         for k in range(cm.n):
-            cm.push(k, [("x", {0: 1})])
+            cm.push(k, [{0: 1}])
         assert builds == once
 
 

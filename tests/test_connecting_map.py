@@ -29,8 +29,9 @@ with a second arc, where two chains have dependent nonzero coordinates.
 
 import pytest
 
-from conftest import (build_cross_polytope, build_punctured_torus, densify,
-                      row_spaces_equal, sparsify)
+from conftest import (boundary_matrix, build_cross_polytope,
+                      build_punctured_torus, densify, row_spaces_equal,
+                      sparsify)
 from test_cross_polytope import build_digon_square_join
 from torushom import fields, snf
 from torushom.charmat import CharacteristicMatrix
@@ -51,7 +52,7 @@ def coordinate_matrix(hgroup, source, target, q, coeffs):
     ``target`` from degree q+1.  Returns the rows and the number of
     generator columns."""
     gens = hgroup.free_generators
-    bmat = target.boundary_matrix(q + 1)
+    bmat = boundary_matrix(target, q + 1)
     zero = coeffs.zero
     mat = [[zero] * len(gens) + [coeffs.from_int(x) if x else zero
                                  for x in row]
@@ -218,12 +219,10 @@ def test_integral_connecting_map_matches_the_smith_solve(shape):
         if q > m.n - 2:
             continue
         width = len(m.generators(q))
-        first, _ = m.first_kind_rows(q)
+        first = m.first_kind_rows(q)
         recombined, _ = independent_rows(every, solved, ZZ)
-        pushed, _ = m.charmat.push(
-            m.n - q, [(b, sparsify(c)) for b, c in enumerate(recombined)],
-            ZZ)
-        second, _ = m.second_kind_rows(q, ZZ)
+        pushed = m.charmat.push(m.n - q, map(sparsify, recombined), ZZ)
+        second = m.second_kind_rows(q, ZZ)
         assert same_lattice([densify(r, width) for r in first + second],
                             [densify(r, width) for r in first + pushed])
     assert seen

@@ -16,7 +16,7 @@ from torushom.facering import (FaceRingQuotient, hilbert_series,
 from torushom.fields import GF, QQ, row_space_contains
 from torushom.posets import BOTTOM, SimplicialPoset
 
-from conftest import densify, sparsify, unit_vector
+from conftest import densify, push_labels, sparsify, unit_vector
 from test_posets import meet as poset_meet
 
 
@@ -129,9 +129,11 @@ class FaceRing:
 
 
 def relation_rows(quo, k):
-    """The degree-k relation rows of a quotient and their labels, as its
-    presentation takes them: {column: value} over its field."""
-    return linear_relations(quo.poset, quo.charmat, quo.signs, k, quo.field)
+    """The degree-k relation rows of a quotient, as its presentation
+    takes them: {column: value} over its field, and their (J, A) labels,
+    read off their positions (``push_labels``)."""
+    return (linear_relations(quo.poset, quo.charmat, quo.signs, k, quo.field),
+            push_labels(quo.charmat, k, quo.poset.elements_of_rank(k - 1)))
 
 
 def theta_rows(quo, k):

@@ -10,14 +10,16 @@ poset by the walk (``link``, the reference of the Buchsbaum tests) the
 same elements, vertices, vertex sets and covers as the scan.
 """
 
+import json
+
 import pytest
 
-from conftest import build_cross_polytope
+from conftest import build_cross_polytope, cross_polytope_ball
 from test_posets import link
 from torushom import cli
 from torushom.fixtures import bundled_names, dumps_fixture, resolve_fixture
 from torushom.generator import polygon_with_holes
-from torushom.posets import SimplicialPoset
+from torushom.posets import BOTTOM, SimplicialPoset
 
 
 def scan_link(poset, e):
@@ -72,9 +74,22 @@ def test_cross_polytope_links_are_spheres():
     assert poset.buchsbaum_check() == (True, [])
 
 
+FIXTURE_TEXTS = {
+    "polygon-643": lambda: dumps_fixture(
+        polygon_with_holes((6, 4, 3), seed=3)),
+    "cross3-ball": lambda: json.dumps(cross_polytope_ball(3, 1)),
+}
+
+
+def _write(tmp_path, shape):
+    target = tmp_path / (shape + ".json")
+    target.write_text(FIXTURE_TEXTS[shape]())
+    return str(target)
+
+
 def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
-    target = tmp_path / "example.json"
-    target.write_text(dumps_fixture(polygon_with_holes((6, 4, 3), seed=3)))
+    """No local complex calls ``le``; on the 3-ball, unlike the polygon,
+    the links of the walls are proper links with a complex of their own."""
     local, le = SimplicialPoset._local_complex, SimplicialPoset.le
     depth, links, inside = [0], [], []
 
@@ -93,7 +108,30 @@ def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(SimplicialPoset, "_local_complex", counted_local)
     monkeypatch.setattr(SimplicialPoset, "le", counted_le)
-    assert cli.main(["report", str(target)]) == 0
-    capsys.readouterr()
-    assert links
+    for shape in sorted(FIXTURE_TEXTS):
+        links.clear()
+        assert cli.main(["report", _write(tmp_path, shape)]) == 0
+        capsys.readouterr()
+        assert links, shape
+        if shape == "cross3-ball":
+            assert any(e is not BOTTOM for e in links)
     assert inside == []
+
+
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_no_link_complex_is_built_at_n_2(command, monkeypatch, capsys,
+                                         tmp_path):
+    """At n = 2 a proper link can fail only in degree -1, which is read
+    off the covers, so ``report`` and ``check`` build the local complex of
+    the bottom alone."""
+    target = _write(tmp_path, "polygon-643")
+    local, links = SimplicialPoset._local_complex, []
+
+    def recording(self, e, signs):
+        links.append(e)
+        return local(self, e, signs)
+
+    monkeypatch.setattr(SimplicialPoset, "_local_complex", recording)
+    assert cli.main([command, target]) == 0
+    capsys.readouterr()
+    assert links and all(e is BOTTOM for e in links), links

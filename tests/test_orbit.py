@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import densify, mat_from_int
+from conftest import boundary_matrix, densify, mat_from_int
 from torushom import fields, snf
 from torushom.errors import CoefficientError, ValidationError
 from torushom.fields import GF, QQ, ZZ
@@ -37,7 +37,7 @@ def assert_coordinates(cx, q, coeffs):
     gens = [densify(g, face.dim(q), coeffs.zero) for g in gens]
     assert len(coords) == len(chains)
     assert all(len(row) == len(gens) for row in coords)
-    bmat = face.boundary_matrix(q + 1)
+    bmat = boundary_matrix(face, q + 1)
     for chain, row in zip(chains, coords):
         rest = [coeffs.from_int(x - sum(c * g[i] for c, g in zip(row, gens)))
                 for i, x in enumerate(chain)]

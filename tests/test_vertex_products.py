@@ -13,11 +13,12 @@ import pytest
 from torushom.errors import ValidationError
 from torushom.facering import FaceRingQuotient
 from torushom.fields import GF, QQ, lift, solve_all
-from torushom.fixtures import bundled_names, resolve_fixture
+from torushom.fixtures import bundled_names, parse_fixture, resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.posets import BOTTOM, SimplicialPoset
 
-from conftest import build_cross_polytope, densify, sparsify, unit_vector
+from conftest import (build_cross_polytope, cross_polytope_ball, densify,
+                      sparsify, unit_vector)
 from test_cross_polytope import build_digon_square_join
 from test_posets import reference_buchsbaum, triangle_pair_at_vertex
 from test_push import SHAPES, _fixture, _poset_and_charmat, \
@@ -147,8 +148,7 @@ def _pushed_vectors(shape, quo, flipped):
     for q in range(m.n):
         k = m.n - q
         hq = m.corner.homology("boundary", q, quo.field)
-        vectors, _ = m.charmat.push(k, enumerate(hq.free_generators),
-                                    quo.field)
+        vectors = m.charmat.push(k, hq.free_generators, quo.field)
         gens = m.poset.elements_of_rank(k)
         out[k] = [[quo.field.neg(x) if g in flips else x for g, x in
                    zip(gens, densify(vec, len(gens), quo.field.zero))]
@@ -278,7 +278,19 @@ def _impure_poset():
                             {"id": "tail", "vertices": [1, 4]}])
 
 
+def _bowtie_poset():
+    """Walls 1..5 meeting at the corners {1,2}, {1,3}, {2,3}, {1,4},
+    {1,5} and {4,5}: pure and Buchsbaum, though the face of wall 1 is not
+    acyclic (its link is four points)."""
+    corners = [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]
+    return SimplicialPoset([1, 2, 3, 4, 5],
+                           [{"id": "c%d%d" % pair, "vertices": list(pair)}
+                            for pair in corners])
+
+
 BUCHSBAUM_POSETS = {
+    "bowtie": _bowtie_poset,
+    "cross4-ball": lambda: parse_fixture(cross_polytope_ball(4, 2)).poset,
     "triangle_pair_at_vertex": triangle_pair_at_vertex,
     "impure": _impure_poset,
     "tetrahedron": lambda: tetrahedron_boundary()[0],
