@@ -387,9 +387,11 @@ class FaceRingQuotient:
         nonzero value} over the rank-k generators.  The vector is reduced
         once; the image under a vertex is the sum of the kept products
         over its nonzero coordinates, and only a nonempty image is
-        reduced."""
-        src = self.presentation(k)
+        reduced.  With no generators in degree k+1 every image is zero."""
         dst = self.presentation(k + 1)
+        if not dst.generators:
+            return True
+        src = self.presentation(k)
         images = {}
         for col, coeff in src.echelon.reduce_sparse(vec).items():
             coeff = plain(coeff)

@@ -262,15 +262,13 @@ class TorusManifold:
 
     # --- series and reports --------------------------------------------
 
-    def equivariant_series(self, maxdeg=None, field=QQ):
-        """Ranks of the equivariant cohomology by topological degree: the
-        face ring dimensions in even degrees plus the quotient cohomology,
-        with the constants counted once."""
-        if maxdeg is None:
-            maxdeg = 2 * self.n
-        half = hilbert_series(self.poset, maxdeg // 2)
+    def equivariant_series(self, field=QQ):
+        """Ranks of the equivariant cohomology by topological degree, 0 ..
+        2n: the face ring dimensions in even degrees plus the quotient
+        cohomology, with the constants counted once."""
+        half = hilbert_series(self.poset, self.n)
         out = []
-        for j in range(maxdeg + 1):
+        for j in range(2 * self.n + 1):
             total = half[j // 2] if j % 2 == 0 else 0
             if j <= self.n:
                 total += self.corner.homology("space", j, field).rank

@@ -10,9 +10,11 @@ with integer boundary coefficients.
 
 Three chain complexes live here: the face cells alone ("boundary"), the
 full cell structure ("space"), and the quotient by the face cells ("pair").
-Each is its cell bases plus one terms function, ``_cell_boundary``;
-``chains.ChainComplex`` builds and keeps the boundaries as sparse columns.
-The space complex is built on the boundary complex, face cells first: it
+The boundary complex is the poset's face complex
+(``SimplicialPoset.face_complex``); the other two are their cell bases
+plus the interior cells' given terms, ``_cell_boundary``, and
+``chains.ChainComplex`` keeps the boundaries as sparse columns.  The
+space complex is built on the boundary complex, face cells first: it
 keeps the face columns and resumes the boundary complex's eliminations,
 so the face block is eliminated once per ring and the space's Smith
 forms run only on the residual the face block's unit pivots leave.
@@ -173,9 +175,6 @@ class CornerComplex:
     def interior_cells(self, dim):
         return sorted((c.id for c in self.interior if c.dim == dim), key=repr)
 
-    def cells(self, selector, dim):
-        return list(self.complex_for(selector).basis(dim))
-
     def euler_characteristic(self):
         total = 0
         for e in self._face_dim:
@@ -202,25 +201,22 @@ class CornerComplex:
         return self.complex_for("pair")
 
     def _cell_boundary(self, cell):
-        """(cell, coefficient) terms of the boundary of one cell.  A face
-        cell of a rank-k element collects its covers, with the poset
-        incidence signs."""
-        interior = self._interior.get(cell)
-        if interior is not None:
-            return interior.boundary
-        return [(f, self.signs[(f, cell)])
-                for f in self.poset.upper_covers(cell)]
+        """(cell, coefficient) terms of the boundary of an interior cell,
+        as given."""
+        return self._interior[cell].boundary
 
     def _build(self, face, interior):
-        """The chain complex spanned by the face cells, the interior cells
-        or both, face cells first, the space built on the boundary
+        """The chain complex spanned by the face cells (the poset's face
+        complex), the interior cells or both, the space built on the face
         complex.  ``ChainComplex`` drops the boundary terms on cells
         outside the basis, which is the quotient by the face cells for
         the pair."""
+        if not interior:
+            return self.poset.face_complex(self.flips)
         bases = {dim: ((self.face_cells(dim) if face else [])
-                       + (self.interior_cells(dim) if interior else []))
+                       + self.interior_cells(dim))
                  for dim in range(self.n + 1)}
-        base = self.boundary_complex() if face and interior else None
+        base = self.boundary_complex() if face else None
         return ChainComplex(bases, self._cell_boundary, base)
 
     # --- homology ------------------------------------------------------
@@ -231,10 +227,6 @@ class CornerComplex:
             return {k: cx.homology(k, coeffs)
                     for k in range(0, self.n + 1)}
         return cx.homology(degree, coeffs)
-
-    def betti(self, selector, coeffs=QQ):
-        return {k: self.homology(selector, k, coeffs).rank
-                for k in range(0, self.n + 1)}
 
     # --- the connecting map --------------------------------------------
 
@@ -350,12 +342,10 @@ class CornerComplex:
 
     def consistency_violations(self, field=QQ):
         """Cross-checks between independently computed quantities: the cell
-        count against homology, the boundary complex against the poset's
-        own cell structure, and the connecting map against the kernel of
-        the inclusion, both read off tracked echelons."""
+        count against homology, and the connecting map against the kernel
+        of the inclusion, both read off tracked echelons."""
         problems = []
         problems.extend(self._euler_violations(field))
-        problems.extend(self._transpose_duality_violations(field))
         problems.extend(self._exactness_violations(field))
         return problems
 
@@ -367,22 +357,6 @@ class CornerComplex:
             return ["cell count gives Euler characteristic %d but homology "
                     "gives %d" % (by_cells, by_ranks)]
         return []
-
-    def _transpose_duality_violations(self, field):
-        """The boundary complex reads the poset's incidence matrices upside
-        down, so its homology must match the poset cell structure in the
-        complementary degree; this is the duality of the closed boundary.
-        The poset side is its reduced homology, plus one in degree 0."""
-        problems = []
-        betti = self.poset.reduced_betti(field)
-        for q in range(self.n):
-            left = self.homology("boundary", q, field).rank
-            right = betti[self.n - 1 - q] + (1 if q == self.n - 1 else 0)
-            if left != right:
-                problems.append(
-                    "boundary homology rank %d in degree %d does not match "
-                    "the complementary poset rank %d" % (left, q, right))
-        return problems
 
     def _exactness_violations(self, field):
         """The image of the connecting map must agree with the kernel of

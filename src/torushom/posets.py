@@ -9,10 +9,14 @@ The least element is represented by the constant ``BOTTOM`` and is never
 listed among the cells.
 
 Incidence signs are the vertex-order table with a set of faces reversed
-(``sign_convention``).  The augmented chain complex is the local complex
-of the bottom: the elements above it plus their signed lower covers
-(``_local_complex``); ``chains.ChainComplex`` builds and keeps the
-boundaries as sparse columns.
+(``sign_convention``).  The face complex (``face_complex``), kept per
+set of reversed faces, is the augmented chain complex with the bottom
+dropped and every incidence matrix transposed: the reduced Betti numbers
+read its ranks, and it is the boundary complex of the quotient space
+(``orbit``).  A link's chains are the local complex of its element: the
+elements above it plus their signed lower covers (``_local_complex``).
+``chains.ChainComplex`` builds and keeps the boundaries as sparse
+columns.
 """
 
 from math import comb
@@ -68,7 +72,7 @@ class SimplicialPoset:
         for e in self.elements():
             for f in self.lower_covers(e):
                 self._covers[f].append(e)
-        self._chains = None
+        self._face_complexes = {}
         self._default_signs = None
         self.validate()
 
@@ -252,24 +256,32 @@ class SimplicialPoset:
 
     # --- chain complexes and counting ----------------------------------
 
-    def simplex_chain_complex(self, flips=()):
-        """The augmented chains of the cell structure underlying the poset:
-        rank-k elements sit in degree k-1 and the bottom element spans
-        degree -1: the local complex of the bottom, whose homology is
-        reduced homology.  The signs are ``sign_convention(flips)``.
-        ∂∂ = 0 is checked once per degree, on the first homology read or
-        by ``validate``."""
-        return self._local_complex(BOTTOM, self.sign_convention(flips))
+    def face_complex(self, flips=()):
+        """A rank-k element as a cell of dimension n - k, n the top rank,
+        bounded by its upper covers under ``sign_convention(flips)``;
+        built once per flip set and kept, so its eliminations serve every
+        reader.  ∂∂ = 0 is checked once per degree, on the first homology
+        read or by ``validate``."""
+        key = frozenset(flips)
+        cx = self._face_complexes.get(key)
+        if cx is None:
+            signs, n = self.sign_convention(key), self.top_rank
+            cx = ChainComplex(
+                {n - k: self.elements_of_rank(k) for k in range(1, n + 1)},
+                lambda e: [(g, signs[(g, e)]) for g in self._covers[e]])
+            self._face_complexes[key] = cx
+        return cx
 
     def reduced_betti(self, field=QQ):
-        """Reduced Betti numbers over a field, indexed -1 .. top_rank-1.
-        They are read off one augmented complex under the vertex-order
-        signs, built on first use and kept, so its homology cache serves
-        every later call."""
-        if self._chains is None:
-            self._chains = self.simplex_chain_complex()
-        return {k: self._chains.homology(k, field).rank
-                for k in range(-1, self.top_rank)}
+        """Reduced Betti numbers over a field, indexed -1 .. top_rank-1:
+        β̃_j = dim H_{n-1-j} - [j = 0] of ``face_complex()``, the dropped
+        bottom giving the [j = 0].  β̃_{-1} = 1 only with no vertices,
+        the empty link of a top cell."""
+        n, cx = self.top_rank, self.face_complex()
+        betti = {-1: int(not self._by_rank)}
+        for j in range(n):
+            betti[j] = cx.homology(n - 1 - j, field).rank - (j == 0)
+        return betti
 
     def f_vector(self):
         """(f_-1, f_0, ..., f_{n-1}) with f_-1 = 1 counting the bottom."""

@@ -10,7 +10,7 @@ from torushom.fields import Echelon, rref
 from torushom.fixtures import parse_fixture
 from torushom.manifold import TorusManifold
 from torushom.orbit import CornerComplex
-from torushom.posets import SimplicialPoset
+from torushom.posets import BOTTOM, SimplicialPoset
 
 
 def count_table_builds(monkeypatch):
@@ -27,6 +27,14 @@ def count_table_builds(monkeypatch):
 
     monkeypatch.setattr(CharacteristicMatrix, "_minor_table", counting)
     return builds
+
+
+def simplex_chain_complex(poset, flips=()):
+    """The augmented chains of the cell structure underlying ``poset``:
+    rank-k elements in degree k - 1 and the bottom spanning degree -1,
+    the local complex of the bottom under ``sign_convention(flips)``,
+    whose homology is reduced homology."""
+    return poset._local_complex(BOTTOM, poset.sign_convention(flips))
 
 
 def mat_from_int(rows, field):

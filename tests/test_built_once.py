@@ -1,4 +1,4 @@
-"""Objects that exist once: the poset's chain complex, the initial
+"""Objects that exist once: the poset's face complex, the initial
 diagonal pages, which are the face ring quotient's presentations, the
 second-kind rows, which the limit pages hold, the inverse of each
 maximal cell's vertex matrix, and the echelon of each boundary's columns
@@ -24,6 +24,7 @@ from conftest import (build_cross_polytope, build_gauged_cross_polytope,
 from test_connecting_map import filled_sphere
 from test_sparse_snf import replays
 from torushom import fields, snf
+from torushom.chains import ChainComplex
 from torushom.charmat import CharacteristicMatrix
 from torushom.cli import main
 from torushom.facering import FaceRingQuotient, GradedPresentation
@@ -41,26 +42,38 @@ def manifold():
 
 
 def test_poset_complex_is_built_once(manifold, monkeypatch):
-    unsigned = []
-    original = SimplicialPoset.simplex_chain_complex
+    """h', the corner's checks and the consistency report read one
+    complex of the poset, its face complex, which is the corner's
+    boundary complex; at n = 2 no augmented or link chains are built."""
+    built = []
+    face_complex = SimplicialPoset.face_complex
+    local = SimplicialPoset._local_complex
 
-    def counting(self, *args, **kwargs):
-        if not (args[0] if args else kwargs.get("flips")):
-            unsigned.append(self)
-        return original(self, *args, **kwargs)
+    def counting(self, flips=()):
+        if frozenset(flips) not in self._face_complexes:
+            built.append(self)
+        return face_complex(self, flips)
 
-    monkeypatch.setattr(SimplicialPoset, "simplex_chain_complex", counting)
+    def recording(self, e, signs):
+        built.append(e)
+        return local(self, e, signs)
+
+    monkeypatch.setattr(SimplicialPoset, "face_complex", counting)
+    monkeypatch.setattr(SimplicialPoset, "_local_complex", recording)
     first = manifold.poset.h_prime_vector(QQ)
     assert manifold.poset.h_prime_vector(QQ) == first
     assert manifold.corner.consistency_violations(QQ) == []
     assert all(ok for _, ok, _ in manifold.consistency_report(QQ))
-    assert unsigned == [manifold.poset]
+    assert built == [manifold.poset]
+    assert manifold.corner.boundary_complex() is \
+        manifold.poset.face_complex()
 
 
 def test_each_boundary_column_is_eliminated_once_per_field(manifold,
                                                             monkeypatch):
-    """Ranks, free generators and the connecting map over Q and Z all
-    read one kept echelon of each boundary's columns per field."""
+    """Ranks, free generators, the connecting map over Q and Z and the
+    poset's reduced Betti numbers all read one kept echelon of each
+    boundary's columns per field."""
     added = []
     add_sparse = Echelon.add_sparse
 
@@ -78,8 +91,9 @@ def test_each_boundary_column_is_eliminated_once_per_field(manifold,
         manifold.novik_swartz_check(q, QQ)
     for coeffs in (QQ, ZZ):
         manifold.bigraded_table(coeffs)
+        manifold.poset.h_prime_vector(coeffs)
     complexes = [corner.complex_for(s) for s in ("boundary", "space", "pair")]
-    complexes.append(manifold.poset._chains)
+    assert complexes[0] is manifold.poset.face_complex()
     columns = {id(column) for cx in complexes
                for cols in cx.boundaries.values() for column in cols}
     counts = Counter((id(v), field) for v, field in added if id(v) in columns)
@@ -97,22 +111,33 @@ RESUMED_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(RESUMED_SHAPES))
 def test_space_complex_reuses_the_face_columns(shape, monkeypatch):
-    """The space complex is built on the boundary complex: its face
-    columns are the boundary complex's own objects, and the terms of a
-    face cell are read once across the three complexes (the cells of
-    degree 0 have no boundary to read)."""
+    """The space complex is built on the boundary complex, the poset's
+    face complex: its face columns are the face complex's own objects,
+    the terms of a face cell are read once across the three complexes
+    (the cells of degree 0 have no boundary to read), and the corner
+    reads the terms of its interior cells alone."""
     m = RESUMED_SHAPES[shape]()
     corner = m.corner
-    calls = Counter()
+    calls, interior = Counter(), Counter()
+    init = ChainComplex.__init__
     cell_boundary = CornerComplex._cell_boundary
 
-    def counting(self, cell):
-        calls[cell] += 1
+    def counting(self, bases, terms, base=None):
+        def counted(cell):
+            calls[cell] += 1
+            return terms(cell)
+        init(self, bases, counted, base)
+
+    def recording(self, cell):
+        interior[cell] += 1
         return cell_boundary(self, cell)
 
-    monkeypatch.setattr(CornerComplex, "_cell_boundary", counting)
+    monkeypatch.setattr(ChainComplex, "__init__", counting)
+    monkeypatch.setattr(CornerComplex, "_cell_boundary", recording)
     face, space, _ = (corner.complex_for(s)
                       for s in ("boundary", "space", "pair"))
+    assert face is m.poset.face_complex()
+    assert interior and set(interior) <= {c.id for c in corner.interior}
     for k, columns in face.boundaries.items():
         assert all(a is b for a, b in zip(columns, space.boundaries[k]))
     read = [c for k in face.boundaries for c in face.basis(k)]

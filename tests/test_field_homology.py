@@ -156,7 +156,8 @@ def test_rank_readers_build_no_representatives(manifold, field,
     assert poset.buchsbaum_check(field)[0]
     poset.reduced_betti(field)
     for selector in ("boundary", "space", "pair"):
-        corner.betti(selector, field)
+        for k in range(manifold.n + 1):
+            corner.homology(selector, k, field).rank
     assert corner._euler_violations(field) == []
     assert built == []
     # the connecting map reads representatives, built by the same function

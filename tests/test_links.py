@@ -89,7 +89,9 @@ def _write(tmp_path, shape):
 
 def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
     """No local complex calls ``le``; on the 3-ball, unlike the polygon,
-    the links of the walls are proper links with a complex of their own."""
+    the links of the walls are proper links with a complex of their own,
+    and the bottom has none: the reduced Betti numbers read the face
+    complex."""
     local, le = SimplicialPoset._local_complex, SimplicialPoset.le
     depth, links, inside = [0], [], []
 
@@ -112,9 +114,10 @@ def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
         links.clear()
         assert cli.main(["report", _write(tmp_path, shape)]) == 0
         capsys.readouterr()
-        assert links, shape
         if shape == "cross3-ball":
-            assert any(e is not BOTTOM for e in links)
+            assert links and all(e is not BOTTOM for e in links)
+        else:
+            assert links == [], shape
     assert inside == []
 
 
@@ -122,8 +125,8 @@ def test_report_calls_no_le_inside_link(monkeypatch, capsys, tmp_path):
 def test_no_link_complex_is_built_at_n_2(command, monkeypatch, capsys,
                                          tmp_path):
     """At n = 2 a proper link can fail only in degree -1, which is read
-    off the covers, so ``report`` and ``check`` build the local complex of
-    the bottom alone."""
+    off the covers, and the reduced Betti numbers read the face complex,
+    so ``report`` and ``check`` build no local complex at all."""
     target = _write(tmp_path, "polygon-643")
     local, links = SimplicialPoset._local_complex, []
 
@@ -134,4 +137,4 @@ def test_no_link_complex_is_built_at_n_2(command, monkeypatch, capsys,
     monkeypatch.setattr(SimplicialPoset, "_local_complex", recording)
     assert cli.main([command, target]) == 0
     capsys.readouterr()
-    assert links and all(e is BOTTOM for e in links), links
+    assert links == []

@@ -1,14 +1,20 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import boundary_matrix, densify, mat_from_int
+from conftest import (boundary_matrix, cross_polytope_ball, densify,
+                      mat_from_int, simplex_chain_complex)
 from torushom import fields, snf
 from torushom.errors import CoefficientError, ValidationError
 from torushom.fields import GF, QQ, ZZ
+from torushom.fixtures import bundled_names, parse_fixture, resolve_fixture
 from torushom.generator import polygon_with_holes
 from torushom.orbit import CornerComplex, canonical_selector
+from torushom.posets import SimplicialPoset
 
 ANNULUS_CELLS = [
     {"id": "estar", "dim": 1, "boundary": [[11, 1], [14, 1]]},
@@ -58,6 +64,10 @@ def delta_rows(cx, q, coeffs=ZZ):
     return [{basis[i]: v for i, v in chain.items()} for chain in chains]
 
 
+def betti(cx, selector, coeffs=QQ):
+    return {k: cx.homology(selector, k, coeffs).rank for k in range(cx.n + 1)}
+
+
 @pytest.fixture
 def annulus_cx(annulus_poset):
     return CornerComplex(annulus_poset, ANNULUS_CELLS)
@@ -79,7 +89,7 @@ class TestConstruction:
         assert sorted(annulus_cx.face_cells(0)) == [8, 9, 10, 11, 12, 13, 14]
         assert annulus_cx.interior_cells(1) == ["estar"]
         assert annulus_cx.interior_cells(2) == ["c"]
-        assert annulus_cx.cells("space", 1).count("estar") == 1
+        assert annulus_cx.space_complex().basis(1).count("estar") == 1
 
     def test_euler_characteristic(self, annulus_cx, square_cx, digon_cx):
         assert annulus_cx.euler_characteristic() == 0
@@ -156,20 +166,20 @@ class TestHomology:
         assert h[2].describe() == "Z"
 
     def test_square_all_selectors(self, square_cx):
-        assert square_cx.betti("boundary") == {0: 1, 1: 1, 2: 0}
-        assert square_cx.betti("space") == {0: 1, 1: 0, 2: 0}
-        assert square_cx.betti("pair") == {0: 0, 1: 0, 2: 1}
+        assert betti(square_cx, "boundary") == {0: 1, 1: 1, 2: 0}
+        assert betti(square_cx, "space") == {0: 1, 1: 0, 2: 0}
+        assert betti(square_cx, "pair") == {0: 0, 1: 0, 2: 1}
 
     def test_digon_matches_square_shape(self, digon_cx, square_cx):
         for sel in ("boundary", "space", "pair"):
-            assert digon_cx.betti(sel) == square_cx.betti(sel)
+            assert betti(digon_cx, sel) == betti(square_cx, sel)
 
     def test_field_ranks_match_integer_ranks(self, annulus_cx):
         for sel in ("boundary", "space", "pair"):
             zz = {k: g.free_rank
                   for k, g in annulus_cx.homology(sel, coeffs=ZZ).items()}
             for field in (QQ, GF(2), GF(5)):
-                assert annulus_cx.betti(sel, field) == zz
+                assert betti(annulus_cx, sel, field) == zz
 
     def test_single_degree_access(self, annulus_cx):
         g = annulus_cx.homology("pair", 2, ZZ)
@@ -301,6 +311,45 @@ class TestDeltaImageOnce:
         assert built == once and solved == []
 
 
+@st.composite
+def simplicial_complexes(draw):
+    """A simplicial complex on up to six vertices, as a poset: the faces
+    of its drawn maximal simplices, all of one size when it is drawn
+    pure, and otherwise of mixed sizes beside isolated vertices."""
+    verts = range(1, draw(st.integers(1, 6)) + 1)
+    size = draw(st.integers(1, min(4, len(verts))))
+    pure = draw(st.booleans())
+    tops = draw(st.lists(st.sets(st.sampled_from(verts),
+                                 min_size=size if pure else 1,
+                                 max_size=size), min_size=1, max_size=6))
+    faces = {face for top in tops for r in range(2, len(top) + 1)
+             for face in combinations(sorted(top), r)}
+    used = sorted(set().union(*tops)) if pure else list(verts)
+    return SimplicialPoset(used, [{"id": "c%s" % (face,),
+                                   "vertices": list(face)}
+                                  for face in faces])
+
+
+def assert_transpose_duality(poset, flips=()):
+    """Each incidence matrix of ``poset.face_complex(flips)`` is the
+    transpose of one of the augmented chains under the same signs, so
+    over QQ, GF(2) and GF(5) the face complex in degree n-1-j has the
+    rank of reduced H_j, plus one for j = 0; and ``reduced_betti``, read
+    without the flips, gives the augmented ranks."""
+    n = poset.top_rank
+    face, chains = poset.face_complex(flips), simplex_chain_complex(poset,
+                                                                    flips)
+    for k in range(1, n):
+        assert boundary_matrix(face, n - k) == [
+            list(row) for row in zip(*boundary_matrix(chains, k))]
+    for field in (QQ, GF(2), GF(5)):
+        augmented = {j: chains.homology(j, field).rank
+                     for j in range(-1, n)}
+        assert {j: face.homology(n - 1 - j, field).rank - (j == 0)
+                for j in range(-1, n)} == augmented
+        assert poset.reduced_betti(field) == augmented
+
+
 class TestValidation:
     def test_clean_complexes(self, annulus_cx, square_cx, digon_cx):
         for cx in (annulus_cx, square_cx, digon_cx):
@@ -327,13 +376,31 @@ class TestValidation:
             assert cx.consistency_violations(QQ) == []
             assert cx.consistency_violations(GF(3)) == []
 
-    def test_transpose_duality_ranks(self, annulus_cx, annulus_poset):
-        # unreduced homology of the poset: one more class in degree 0
-        betti = annulus_poset.reduced_betti(QQ)
-        for q in range(2):
-            left = annulus_cx.homology("boundary", q, QQ).rank
-            right = betti[1 - q] + (1 if q == 1 else 0)
-            assert left == right == 2
+    def test_transpose_duality_ranks(self, annulus_poset):
+        """The boundary complex is the poset's face complex, whose ranks
+        are those of the augmented chains: on the bundled fixtures, the
+        cross-polytope balls and the annulus with reversed faces."""
+        manifolds = [resolve_fixture(name).manifold
+                     for name in bundled_names()]
+        manifolds += [parse_fixture(cross_polytope_ball(n, seed)).manifold
+                      for n, seed in ((3, 1), (4, 2))]
+        for m in manifolds:
+            assert m.corner.boundary_complex() is m.poset.face_complex()
+            assert_transpose_duality(m.poset)
+        flips = {1, 11, 13}
+        cx = CornerComplex(annulus_poset, [], flips=flips)
+        assert cx.boundary_complex() is annulus_poset.face_complex(flips)
+        assert cx.boundary_complex() is not annulus_poset.face_complex()
+        assert_transpose_duality(annulus_poset, flips)
+        # the empty link of a top cell: no vertices, reduced H_{-1} = 1
+        assert SimplicialPoset([], []).reduced_betti() == {-1: 1}
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_transpose_duality_ranks_on_random_posets(self, data):
+        poset = data.draw(simplicial_complexes())
+        flips = data.draw(st.sets(st.sampled_from(poset.elements())))
+        assert_transpose_duality(poset, flips)
 
     def test_connecting_rank_matches_kernel(self, annulus_cx):
         for q in range(2):
@@ -357,7 +424,7 @@ class TestSignTransport:
         assert cx.validate() == []
         assert cx.consistency_violations(QQ) == []
         for sel in ("boundary", "space", "pair"):
-            assert cx.betti(sel) == annulus_cx.betti(sel)
+            assert betti(cx, sel) == betti(annulus_cx, sel)
         assert delta_rows(cx, 0) == [{11: -1, 14: 1}]
         assert delta_rows(cx, 1) == [
             {1: -1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}]

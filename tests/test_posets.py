@@ -13,7 +13,8 @@ from torushom.orbit import CornerComplex
 from torushom.posets import BOTTOM, SimplicialPoset
 
 from conftest import (build_annulus_poset, build_cross_polytope,
-                      build_digon_poset, build_square_poset)
+                      build_digon_poset, build_square_poset,
+                      simplex_chain_complex)
 
 
 def triangle_pair_at_vertex():
@@ -95,7 +96,8 @@ class TestSignConventions:
         for build in (build_square_poset, build_annulus_poset,
                       build_digon_poset):
             p = build()
-            assert p.simplex_chain_complex().validate()
+            assert simplex_chain_complex(p).validate()
+            assert p.face_complex().validate()
 
     def test_flip_negates_the_pairs_it_meets(self, annulus_poset):
         default = annulus_poset.sign_convention()
@@ -110,7 +112,7 @@ class TestSignConventions:
         elems = annulus_poset.elements()
         for _ in range(10):
             flips = [e for e in elems if rng.random() < 0.5]
-            cx = annulus_poset.simplex_chain_complex(flips).validate()
+            cx = simplex_chain_complex(annulus_poset, flips).validate()
             assert cx.homology(0, QQ).rank == 1
             assert cx.homology(1, QQ).rank == 2
 
@@ -139,7 +141,9 @@ def _flip_entry_points():
                                                      flips=flips),
         "FaceRingQuotient": lambda flips: FaceRingQuotient(
             poset, charmat, QQ, flips=flips),
-        "simplex_chain_complex": poset.simplex_chain_complex,
+        "simplex_chain_complex": lambda flips: simplex_chain_complex(
+            poset, flips),
+        "face_complex": poset.face_complex,
     }
 
 
@@ -155,7 +159,8 @@ class TestSignTables:
             square_poset.sign_convention()
 
     @pytest.mark.parametrize("entry", ["CornerComplex", "FaceRingQuotient",
-                                       "simplex_chain_complex"])
+                                       "simplex_chain_complex",
+                                       "face_complex"])
     @pytest.mark.parametrize("flip", ["bogus", (5, 1), BOTTOM],
                              ids=["unknown", "cover-pair", "bottom"])
     def test_flip_that_is_no_face_is_named(self, entry, flip):
@@ -175,7 +180,8 @@ class TestSignTables:
                                       else 1)
                          for (e, f), s in default.items()}
         assert set(signs) == set(cover_pairs(poset))
-        cx = poset.simplex_chain_complex(flips).validate()
+        cx = simplex_chain_complex(poset, flips).validate()
+        poset.face_complex(flips).validate()
         for e in poset.elements():
             poset._local_complex(e, signs).validate()
         assert {k: cx.homology(k, QQ).rank
@@ -316,7 +322,7 @@ class TestRelabelling:
         cells = [{"id": 100 + i, "vertices": [relabel[a], relabel[b]]}
                  for i, (_, (a, b)) in enumerate(ANNULUS_EDGES)]
         shuffled = SimplicialPoset(perm, cells)
-        a = base.simplex_chain_complex()
-        b = shuffled.simplex_chain_complex()
+        a = simplex_chain_complex(base)
+        b = simplex_chain_complex(shuffled)
         for k in (-1, 0, 1):
             assert a.homology(k).describe() == b.homology(k).describe()

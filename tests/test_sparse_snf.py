@@ -27,7 +27,8 @@ from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from conftest import (assert_sparse_cycle, boundary_matrix,
                       build_cross_polytope, dense_complex, dense_smith,
-                      densify, int_identity, int_mat_mul)
+                      densify, int_identity, int_mat_mul,
+                      simplex_chain_complex)
 from torushom import snf
 from torushom.chains import ChainComplex
 from torushom.fields import ZZ
@@ -430,7 +431,7 @@ SWEPT = {
     "polygon_6_4_3": lambda: [
         polygon_with_holes((6, 4, 3), seed=3).manifold.corner.complex_for(
             selector) for selector in SELECTORS],
-    "cross5": lambda: [build_cross_polytope(5)[0].simplex_chain_complex()],
+    "cross5": lambda: [simplex_chain_complex(build_cross_polytope(5)[0])],
 }
 
 
@@ -456,7 +457,7 @@ class TestUnitSweep:
         """The boundary of the 7-dimensional cross-polytope, a 6-sphere
         with 2,186 faces: reduced integral homology 0, ..., 0, Z, read off
         seven Smith forms, the largest 560 x 672, with no scan."""
-        cx = build_cross_polytope(7)[0].simplex_chain_complex()
+        cx = simplex_chain_complex(build_cross_polytope(7)[0])
         with scan_choices() as chosen:
             groups = [cx.homology(k, ZZ).describe() for k in range(-1, 7)]
         assert groups == ["0"] * 7 + ["Z"]
